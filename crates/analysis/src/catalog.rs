@@ -117,12 +117,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "repo policy (unregistered span families record nothing; the table is the /spans and flamegraph schema)",
     },
     Rule {
-        id: "E015",
-        kind: RuleKind::Static,
-        title: "event-replay loop bodies stay hoisted: no per-event `bus.stats()` copies, and `sample_due` probes are gated by `Profiler::ACTIVE &&` (tests exempt)",
-        paper: "repo policy (block-stepping moves per-event overheads to block boundaries)",
-    },
-    Rule {
         id: "I101",
         kind: RuleKind::Runtime,
         title: "affinity values stay within the saturating range of the configured bit width",

@@ -501,56 +501,6 @@ pub fn tracer_active_regions(toks: &[Token]) -> Vec<Region> {
     out
 }
 
-/// Byte regions of `for`/`while`/`loop` bodies — the zones where
-/// E015 forbids per-event overheads. An `impl X for Y { … }` header
-/// is not a loop: the `for` case requires an `in` keyword before the
-/// body brace. The body brace is the first `{` at paren depth 0 after
-/// the keyword, so closures inside a `while` condition don't
-/// terminate the scan early.
-pub fn loop_body_regions(toks: &[Token]) -> Vec<Region> {
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let is_loop = match t.text.as_str() {
-            "loop" | "while" => true,
-            "for" => {
-                let mut saw_in = false;
-                let mut j = k + 1;
-                while j < toks.len() && !is_punct(&toks[j], '{') {
-                    if toks[j].kind == TokKind::Ident && toks[j].text == "in" {
-                        saw_in = true;
-                    }
-                    j += 1;
-                }
-                saw_in
-            }
-            _ => false,
-        };
-        if !is_loop {
-            continue;
-        }
-        let mut j = k + 1;
-        let mut paren = 0usize;
-        while j < toks.len() {
-            if is_punct(&toks[j], '(') {
-                paren += 1;
-            } else if is_punct(&toks[j], ')') {
-                paren = paren.saturating_sub(1);
-            } else if paren == 0 && is_punct(&toks[j], '{') {
-                break;
-            }
-            j += 1;
-        }
-        if let Some(end) = brace_end(toks, j) {
-            out.push((toks[j].pos, end));
-        }
-    }
-    out
-}
-
 /// End offset of the item starting at token `j`: the matching `}` of
 /// its first brace, or the first `;` before any brace opens.
 fn item_end(toks: &[Token], mut j: usize) -> Option<usize> {
@@ -692,30 +642,6 @@ mod tests {
             src.find("sample_due").expect("present"),
             &regions
         ));
-    }
-
-    #[test]
-    fn loop_bodies_cover_loops_not_impl_headers() {
-        let src = "impl A for B { fn f(&mut self) { for x in 0..4 { self.g(x); } \
-                   let mut i = 0; while i < 2 { i += 1; } loop { break; } } }";
-        let toks = lex(src);
-        let regions = loop_body_regions(&toks);
-        assert_eq!(regions.len(), 3);
-        assert!(in_regions(src.find("self.g").expect("present"), &regions));
-        assert!(in_regions(src.find("i += 1").expect("present"), &regions));
-        assert!(in_regions(src.find("break").expect("present"), &regions));
-        assert!(!in_regions(src.find("fn f").expect("present"), &regions));
-        assert!(!in_regions(src.find("let mut i").expect("present"), &regions));
-    }
-
-    #[test]
-    fn while_condition_closure_brace_is_not_the_body() {
-        let src = "fn f(v: &[u64]) { while v.iter().any(|x| { *x > 0 }) { work(); } }";
-        let toks = lex(src);
-        let regions = loop_body_regions(&toks);
-        assert_eq!(regions.len(), 1);
-        assert!(in_regions(src.find("work").expect("present"), &regions));
-        assert!(!in_regions(src.find("*x > 0").expect("present"), &regions));
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! The static rules (E001–E015). Each module covers one concern and
+//! The static rules (E001–E014). Each module covers one concern and
 //! pushes [`Diagnostic`]s tagged with catalog ids.
 
-pub mod blockstep;
 pub mod concurrency;
 pub mod exhaustive;
 pub mod featuregate;
@@ -23,6 +22,5 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     hygiene::check(ws, &mut diags);
     concurrency::check(ws, &mut diags);
     spanfamily::check(ws, &mut diags);
-    blockstep::check(ws, &mut diags);
     diags
 }

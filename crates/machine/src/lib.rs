@@ -51,7 +51,6 @@ pub mod pipeline;
 pub mod regcache;
 pub mod stats;
 pub mod thermal;
-pub mod timeline;
 
 pub use bus::{UpdateBus, UpdateBusConfig};
 pub use coherence::{CoherenceProtocol, Protocol};
@@ -62,4 +61,3 @@ pub use pipeline::{MigrationProtocol, PipelineConfig, ProtocolOutcome};
 pub use regcache::{RegCacheConfig, RegCacheStats, RegUpdateCache};
 pub use stats::MachineStats;
 pub use thermal::{ThermalConfig, ThermalModel};
-pub use timeline::TimelineSample;

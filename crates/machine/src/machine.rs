@@ -54,11 +54,9 @@ pub struct Machine {
     /// Interval profiler (zero-sized no-op without the `trace`
     /// feature).
     profiler: Profiler,
-    /// Update-bus instruction charge batched since the last flush
-    /// (see [`flush_bus`](Self::flush_bus)).
+    /// Update-bus instruction charge batched since the last block
+    /// close (see [`close_block`](Self::close_block)).
     pend_bus_instr: u64,
-    /// Store count batched since the last bus flush.
-    pend_bus_stores: u64,
     /// Line-run memo for the IL1: the line of the previous instruction
     /// fetch, which that fetch left resident — a repeat fetch is a
     /// guaranteed hit and skips the set scan entirely.
@@ -76,6 +74,23 @@ pub struct Machine {
     /// already clean and still resident — so the block fast path replays
     /// it as two counter bumps instead of up to four set scans.
     store_run: Option<(LineAddr, u64)>,
+}
+
+/// Per-kind event counts one block accumulates in locals;
+/// [`Machine::close_block`] lands them in [`MachineStats`].
+#[derive(Default)]
+struct BlockTally {
+    ifetches: u64,
+    loads: u64,
+    stores: u64,
+    l2_accesses: u64,
+    broadcast_updates: u64,
+}
+
+impl BlockTally {
+    fn accesses(&self) -> u64 {
+        self.ifetches + self.loads + self.stores
+    }
 }
 
 impl Machine {
@@ -114,7 +129,6 @@ impl Machine {
             tracer: Tracer::with_capacity(execmig_obs::tracer::DEFAULT_CAPACITY),
             profiler: Profiler::with_config(ProfileConfig::default()),
             pend_bus_instr: 0,
-            pend_bus_stores: 0,
             il1_run: None,
             dl1_run: None,
             store_run: None,
@@ -281,15 +295,41 @@ impl Machine {
     /// [`BLOCK_EVENTS`](Self::BLOCK_EVENTS) at a time through
     /// `Workload::fill_block` and replayed with
     /// [`run_block`](Self::run_block), whose observable state is
-    /// bit-identical to the per-step loop this replaces.
+    /// bit-identical to stepping the events one at a time.
     pub fn run<W: Workload + ?Sized>(&mut self, workload: &mut W, instructions: u64) {
+        self.drive(workload, instructions, None, |_| {});
+    }
+
+    /// The one fill/replay driver behind [`run`](Self::run) and
+    /// [`run_observed`](Self::run_observed). With a `beat_period`, each
+    /// fill is capped at the next beat boundary, so the first event
+    /// crossing it ends its block, and `on_beat` runs after that block:
+    /// beats land at exactly the instruction counts a per-step loop
+    /// would report.
+    fn drive<W: Workload + ?Sized>(
+        &mut self,
+        workload: &mut W,
+        instructions: u64,
+        beat_period: Option<u64>,
+        mut on_beat: impl FnMut(&Self),
+    ) {
+        let mut next_beat =
+            beat_period.map_or(u64::MAX, |p| workload.instructions().saturating_add(p));
         let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(Self::BLOCK_EVENTS);
         loop {
             buf.clear();
-            if workload.fill_block(&mut buf, instructions, Self::BLOCK_EVENTS) == 0 {
+            let until = instructions.min(next_beat);
+            if workload.fill_block(&mut buf, until, Self::BLOCK_EVENTS) == 0 {
                 break;
             }
             self.run_block(&buf);
+            let now = self.stats.instructions;
+            if let Some(period) = beat_period {
+                if now >= next_beat {
+                    on_beat(self);
+                    next_beat = now.saturating_add(period);
+                }
+            }
         }
     }
 
@@ -316,41 +356,24 @@ impl Machine {
         tasks_done: u64,
         beat_period: u64,
     ) {
-        let period = beat_period.max(1);
-        let mut next_beat = workload.instructions().saturating_add(period);
         let mut last_beat_at: Option<u64> = None;
         // One wall-clock span per beat-period block, recorded into the
         // calling thread's attached flight-recorder context (a no-op
         // when unattached or without `trace`). The spans are pure
         // timers — the simulation path stays byte-for-byte `run`'s.
         let mut block_span = Some(wall::span(wall::families::MACHINE_BLOCK));
-        let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(Self::BLOCK_EVENTS);
-        loop {
-            // Cap each fill at the next beat boundary so the first
-            // event crossing it ends its block: beats then land at
-            // exactly the instruction counts the per-step loop
-            // produced. Without a hub the cap (like the beats) is dead.
-            let until = if Hub::ACTIVE {
-                instructions.min(next_beat)
-            } else {
-                instructions
-            };
-            buf.clear();
-            if workload.fill_block(&mut buf, until, Self::BLOCK_EVENTS) == 0 {
-                break;
-            }
-            self.run_block(&buf);
-            let now = self.stats.instructions;
-            if Hub::ACTIVE && now >= next_beat {
-                worker.publish(self.progress_beat(WorkerState::Running, task, tasks_done));
-                last_beat_at = Some(now);
-                next_beat = now.saturating_add(period);
+        // Without a hub there are no beats, so no fill cap either.
+        let period = Hub::ACTIVE.then_some(beat_period.max(1));
+        self.drive(workload, instructions, period, |m| {
+            if Hub::ACTIVE {
+                worker.publish(m.progress_beat(WorkerState::Running, task, tasks_done));
+                last_beat_at = Some(m.stats.instructions);
                 // Close the finished block before opening the next, so
                 // the guards nest LIFO on the thread's span stack.
                 block_span.take();
                 block_span = Some(wall::span(wall::families::MACHINE_BLOCK));
             }
-        }
+        });
         // Close the trailing block before the final beat is published.
         block_span.take();
         // Final beat — skipped when the last in-loop beat already
@@ -389,7 +412,9 @@ impl Machine {
     }
 
     /// Like [`step`](Self::step), with the access's pointer-load origin
-    /// (used by the §6 pointer-filter extension).
+    /// (used by the §6 pointer-filter extension). The access runs as a
+    /// one-event block: the same per-event body and block close as
+    /// [`run_block`](Self::run_block).
     pub fn step_tagged(
         &mut self,
         kind: AccessKind,
@@ -397,17 +422,9 @@ impl Machine {
         instructions_now: u64,
         pointer: bool,
     ) {
-        self.step_event(kind, line, instructions_now, pointer);
-        self.flush_bus();
-
-        // Interval profiling. `Profiler::ACTIVE` is a compile-time
-        // constant: without the `trace` feature the whole branch —
-        // including the cumulative snapshot — is dead code the
-        // optimiser removes, leaving the hot path unchanged.
-        if Profiler::ACTIVE && self.profiler.sample_due(instructions_now) {
-            let snapshot = self.profile_cumulative();
-            self.profiler.record_sample(&snapshot);
-        }
+        let mut tally = BlockTally::default();
+        self.event(kind, line, instructions_now, pointer, &mut tally);
+        self.close_block(instructions_now, &tally);
     }
 
     /// Number of events block-stepping run loops buffer per
@@ -424,186 +441,70 @@ impl Machine {
     /// [`step_tagged`](Self::step_tagged) one at a time; the per-event
     /// overheads are hoisted to block boundaries:
     ///
-    /// - update-bus instruction/store charging batches into two pending
-    ///   counters and lands once per block — and exactly at each
-    ///   profiler sample, where bus bytes become observable. The bus's
-    ///   fixed-point carry accumulators make split charging
-    ///   associative, so every flush point sees identical byte counts
-    ///   (see `UpdateBus::charge_instructions`).
-    /// - the `stats.bus` mirror copy happens at flush points instead of
-    ///   per event.
-    /// - the profiler boundary test runs once, against the block's last
-    ///   event; only a block that actually contains an interval
-    ///   boundary pays the per-event catch-up loop, which records at
-    ///   exactly the events the per-step loop would have
-    ///   (`sample_due` is monotone in the instruction count).
+    /// - per-kind event counts accumulate in a tally that lands once per
+    ///   block; `stats.instructions` and the per-core occupancy sync
+    ///   only where a miss path needs them (tracer timestamps,
+    ///   controller consultation) and at the block close.
+    /// - update-bus instruction/store charging lands once per block.
+    ///   The bus's fixed-point carry accumulators make split charging
+    ///   associative, so every close sees identical byte counts (see
+    ///   `UpdateBus::charge_instructions`).
+    /// - the block is cut at each profiler boundary
+    ///   (`Profiler::next_due`) into sub-blocks that contain none, so
+    ///   each sample lands on exactly the event a per-step loop would
+    ///   sample at, after its sub-block's close. Without the `trace`
+    ///   feature `next_due` is `u64::MAX` and the block runs whole.
     ///
     /// Events must carry monotone post-event instruction counts, as
     /// `Workload::fill_block` produces. Blocks of any size work,
     /// including a single event or a slice overshooting a caller's
     /// instruction budget.
     pub fn run_block(&mut self, events: &[WorkloadEvent]) {
-        let Some(last) = events.last() else {
-            return;
-        };
-        if Profiler::ACTIVE && self.profiler.sample_due(last.instructions) {
-            // An interval boundary falls inside this block: take the
-            // exact catch-up path so samples land on the same events,
-            // and see the same flushed bus bytes, as per-step runs.
-            for e in events {
-                self.step_event(
+        let mut rest = events;
+        while let Some(last) = rest.last() {
+            // `sample_due` is monotone in the instruction count, so the
+            // first event at or past the boundary ends the sub-block.
+            let due = self.profiler.next_due();
+            let len = if last.instructions < due {
+                rest.len()
+            } else {
+                rest.partition_point(|e| e.instructions < due) + 1
+            };
+            let (block, tail) = rest.split_at(len);
+            let mut tally = BlockTally::default();
+            for e in block {
+                let line = self.line.line_of(e.access.addr);
+                self.event(
                     e.access.kind,
-                    self.line.line_of(e.access.addr),
+                    line,
                     e.instructions,
                     e.access.pointer,
+                    &mut tally,
                 );
-                if Profiler::ACTIVE && self.profiler.sample_due(e.instructions) {
-                    self.flush_bus();
-                    let snapshot = self.profile_cumulative();
-                    self.profiler.record_sample(&snapshot);
-                }
             }
-        } else {
-            // Lean loop: no interval boundary falls inside this block
-            // (`sample_due` is monotone), so nothing observes the stats
-            // mid-block. Per-kind event counts accumulate in locals and
-            // land once at the end; `stats.instructions` and the
-            // per-core occupancy sync only when a miss path needs them
-            // (tracer timestamps, controller consultation) and at the
-            // block boundary. Totals at every flush point are identical
-            // to the per-step loop's.
-            let mut ifetches = 0u64;
-            let mut loads = 0u64;
-            let mut stores = 0u64;
-            let mut l2_accesses = 0u64;
-            let mut broadcast_updates = 0u64;
-            #[cfg(debug_assertions)]
-            let accesses_base = self.stats.accesses;
-            #[cfg(debug_assertions)]
-            let mut seen = 0u64;
-            for e in events {
-                let line = self.line.line_of(e.access.addr);
-                match e.access.kind {
-                    AccessKind::IFetch => {
-                        ifetches += 1;
-                        // Same memos as `step_event`; see the proofs
-                        // there.
-                        if self.il1_run != Some(line) {
-                            self.il1_run = Some(line);
-                            if !self.il1.access(line, false).hit {
-                                self.sync_to(e.instructions);
-                                self.il1_miss(line, e.access.pointer);
-                            }
-                        }
-                    }
-                    AccessKind::Load => {
-                        loads += 1;
-                        if self.dl1_run != Some((line, true)) {
-                            if !self.dl1.access(line, false).hit {
-                                self.sync_to(e.instructions);
-                                self.dl1_load_miss(line, e.access.pointer);
-                            }
-                            self.dl1_run = Some((line, true));
-                        }
-                    }
-                    AccessKind::Store => {
-                        stores += 1;
-                        // Store-run fast path: the previous store hit
-                        // this same line (so did the DL1 memo), and no
-                        // L2 has been touched since — the repeat is
-                        // state-idempotent (see the `store_run` field)
-                        // and its only observable effect is the two
-                        // counters.
-                        let fast = match self.store_run {
-                            Some((l, k)) if l == line && self.dl1_run == Some((line, true)) => {
-                                l2_accesses += 1;
-                                broadcast_updates += k;
-                                true
-                            }
-                            _ => false,
-                        };
-                        if !fast {
-                            self.sync_to(e.instructions);
-                            self.store_event(line);
-                        }
-                    }
-                }
-                #[cfg(debug_assertions)]
-                {
-                    seen += 1;
-                    self.sync_to(e.instructions);
-                    invariants::check_occupancy(
-                        &self.core_instructions[..self.config.cores],
-                        self.stats.instructions,
-                    );
-                    if (accesses_base + seen).is_multiple_of(invariants::SCAN_PERIOD) {
-                        self.check_invariants();
-                    }
-                }
-            }
-            self.sync_to(last.instructions);
-            self.stats.accesses += events.len() as u64;
-            self.stats.ifetches += ifetches;
-            self.stats.loads += loads;
-            self.stats.stores += stores;
-            self.stats.l2_accesses += l2_accesses;
-            self.stats.store_broadcast_updates += broadcast_updates;
-            // Every store — hit or miss, fast or slow — broadcasts its
-            // value on the update bus (§2.3); the byte charge lands at
-            // the flush below.
-            self.pend_bus_stores += stores;
+            self.close_block(block[len - 1].instructions, &tally);
+            rest = tail;
         }
-        self.flush_bus();
     }
 
-    /// Brings `stats.instructions`, the active core's occupancy
-    /// counter, and the pending update-bus instruction charge up to
-    /// `now`. Idempotent at a given `now`; every path that makes those
-    /// counters observable (miss paths, block boundaries, per-step
-    /// stepping) syncs first.
-    #[inline]
-    fn sync_to(&mut self, now: u64) {
-        let delta = now.saturating_sub(self.last_instructions);
-        self.last_instructions = now;
-        self.stats.instructions = now;
-        self.core_instructions[self.active] += delta;
-        self.pend_bus_instr += delta;
-    }
-
-    /// Flushes batched update-bus charges and re-mirrors `stats.bus`.
-    ///
-    /// Every path that makes bus bytes observable — profile snapshots,
-    /// step/block boundaries — runs this first, so batching is
-    /// invisible: `UpdateBus::charge_instructions` carries fractional
-    /// bytes in fixed-point accumulators, which makes one batched
-    /// charge byte-identical to the per-event charges it replaces.
-    fn flush_bus(&mut self) {
-        if self.pend_bus_instr != 0 || self.pend_bus_stores != 0 {
-            self.bus
-                .charge_instructions(self.pend_bus_instr, self.pend_bus_stores);
-            self.pend_bus_instr = 0;
-            self.pend_bus_stores = 0;
-        }
-        self.stats.bus = self.bus.stats();
-    }
-
-    /// The per-event datapath shared by [`step_tagged`](Self::step_tagged)
-    /// and [`run_block`](Self::run_block): everything except the bus
-    /// flush and the profiler boundary check, which those callers
-    /// amortize.
-    #[inline]
-    fn step_event(&mut self, kind: AccessKind, line: LineAddr, instructions_now: u64, pointer: bool) {
-        // Charge update-bus traffic for the instructions retired since
-        // the previous access (register/branch broadcast) and any
-        // store. Charges accumulate and land on the bus at the next
-        // flush point (see `flush_bus`).
-        self.sync_to(instructions_now);
-        self.pend_bus_stores += u64::from(kind.is_store());
-
-        self.stats.accesses += 1;
+    /// The per-event datapath behind every stepping path: the IL1, DL1
+    /// and store-run memos, the miss paths below them, and the debug
+    /// I-checks. Per-kind counts go to `tally`, and `stats.instructions`
+    /// syncs only where a miss path reads it;
+    /// [`close_block`](Self::close_block) lands both. Always inlined, so
+    /// the tally stays in registers across `run_block`'s event loop.
+    #[inline(always)]
+    fn event(
+        &mut self,
+        kind: AccessKind,
+        line: LineAddr,
+        instructions: u64,
+        pointer: bool,
+        tally: &mut BlockTally,
+    ) {
         match kind {
             AccessKind::IFetch => {
-                self.stats.ifetches += 1;
+                tally.ifetches += 1;
                 // Line-run memo: a repeat fetch of the previous fetch's
                 // line is a guaranteed hit (that fetch left the line
                 // resident, and only fetches touch the IL1), so the set
@@ -613,41 +514,101 @@ impl Machine {
                 // relative stamp order every LRU decision reads is
                 // preserved exactly.
                 if self.il1_run != Some(line) {
+                    self.il1_run = Some(line);
                     // Fused probe: one set scan decides hit-or-fill.
                     if !self.il1.access(line, false).hit {
+                        self.sync_to(instructions);
                         self.il1_miss(line, pointer);
                     }
-                    self.il1_run = Some(line);
                 }
             }
             AccessKind::Load => {
-                self.stats.loads += 1;
+                tally.loads += 1;
                 // Same line-run memo as the IL1; `true` means the run's
                 // line is resident (a store miss memoizes `false`, and
                 // a load then takes the full fill path below).
                 if self.dl1_run != Some((line, true)) {
                     if !self.dl1.access(line, false).hit {
+                        self.sync_to(instructions);
                         self.dl1_load_miss(line, pointer);
                     }
                     self.dl1_run = Some((line, true));
                 }
             }
             AccessKind::Store => {
-                self.stats.stores += 1;
-                self.store_event(line);
+                tally.stores += 1;
+                // Store-run fast path: the previous store hit this same
+                // line (so did the DL1 memo), and no L2 has been touched
+                // since — the repeat is state-idempotent (see the
+                // `store_run` field) and its only observable effect is
+                // the two counters.
+                match self.store_run {
+                    Some((l, k)) if l == line && self.dl1_run == Some((line, true)) => {
+                        tally.l2_accesses += 1;
+                        tally.broadcast_updates += k;
+                    }
+                    _ => {
+                        self.sync_to(instructions);
+                        self.store_event(line);
+                    }
+                }
             }
         }
 
         #[cfg(debug_assertions)]
         {
+            self.sync_to(instructions);
             invariants::check_occupancy(
                 &self.core_instructions[..self.config.cores],
                 self.stats.instructions,
             );
-            if self.stats.accesses.is_multiple_of(invariants::SCAN_PERIOD) {
+            if (self.stats.accesses + tally.accesses()).is_multiple_of(invariants::SCAN_PERIOD) {
                 self.check_invariants();
             }
         }
+    }
+
+    /// Closes a block whose last event retired at `end`: syncs the
+    /// instruction counters, lands `tally`, charges the update bus and
+    /// re-mirrors `stats.bus`, then records a profiler sample if one is
+    /// due.
+    fn close_block(&mut self, end: u64, tally: &BlockTally) {
+        self.sync_to(end);
+        let s = &mut self.stats;
+        s.accesses += tally.accesses();
+        s.ifetches += tally.ifetches;
+        s.loads += tally.loads;
+        s.stores += tally.stores;
+        s.l2_accesses += tally.l2_accesses;
+        s.store_broadcast_updates += tally.broadcast_updates;
+        // Register/branch broadcast for the instructions retired since
+        // the last close, plus every store — hit or miss, fast or slow
+        // — whose value crosses the update bus (§2.3).
+        self.bus
+            .charge_instructions(std::mem::take(&mut self.pend_bus_instr), tally.stores);
+        self.stats.bus = self.bus.stats();
+
+        // Interval profiling. `Profiler::ACTIVE` is a compile-time
+        // constant: without the `trace` feature the whole branch —
+        // including the cumulative snapshot — is dead code the
+        // optimiser removes, leaving the hot path unchanged.
+        if Profiler::ACTIVE && self.profiler.sample_due(end) {
+            let snapshot = self.profile_cumulative();
+            self.profiler.record_sample(&snapshot);
+        }
+    }
+
+    /// Brings `stats.instructions`, the active core's occupancy
+    /// counter, and the pending update-bus instruction charge up to
+    /// `now`. Idempotent at a given `now`; every path that makes those
+    /// counters observable (miss paths, block closes) syncs first.
+    #[inline]
+    fn sync_to(&mut self, now: u64) {
+        let delta = now.saturating_sub(self.last_instructions);
+        self.last_instructions = now;
+        self.stats.instructions = now;
+        self.core_instructions[self.active] += delta;
+        self.pend_bus_instr += delta;
     }
 
     /// IL1 miss tail: counters, the §2.3 mirror fill broadcast, and the
@@ -937,6 +898,7 @@ mod tests {
     use super::*;
     use crate::config::CacheGeometry;
     use execmig_cache::Indexing;
+    use execmig_obs::ProfileRecord;
     use execmig_trace::gen::CircularWorkload;
     use execmig_trace::suite;
 
@@ -1338,6 +1300,91 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e.kind, EventKind::BusBroadcast)));
+    }
+
+    /// Runs `workload` to `total` instructions in `window`-instruction
+    /// slices and returns one profile record per slice.
+    fn windows(
+        m: &mut Machine,
+        workload: &mut dyn Workload,
+        total: u64,
+        window: u64,
+    ) -> Vec<ProfileRecord> {
+        let mut prev = m.profile_cumulative();
+        let mut records = Vec::new();
+        while prev.instructions < total {
+            m.run(workload, (prev.instructions + window).min(total));
+            let now = m.profile_cumulative();
+            records.push(ProfileRecord::between(&prev, &now));
+            prev = now;
+        }
+        records
+    }
+
+    #[test]
+    fn learning_phase_shows_in_the_timeline() {
+        // On art, the early windows (controller still learning) have
+        // high L2-miss density; late windows, after the split settles,
+        // are far cheaper.
+        let mut m = Machine::new(MachineConfig::four_core_migration());
+        let mut w = suite::by_name("art").unwrap();
+        let records = windows(&mut m, &mut *w, 20_000_000, 1_000_000);
+        let early = records[0].l2_misses;
+        let late = records.last().unwrap().l2_misses;
+        assert!(
+            late * 4 < early,
+            "no learning visible: early {early}, late {late}"
+        );
+    }
+
+    #[test]
+    fn migration_machine_rotates_cores() {
+        let mut m = Machine::new(MachineConfig::four_core_migration());
+        let mut w = suite::by_name("em3d").unwrap();
+        let records = windows(&mut m, &mut *w, 10_000_000, 250_000);
+        let cores: std::collections::HashSet<u8> = records.iter().map(|r| r.active_core).collect();
+        assert!(cores.len() >= 2, "never left core {cores:?}");
+    }
+
+    /// Profiler intervals, trace events and stats do not depend on how
+    /// the stream is cut into blocks. A 1000-instruction period puts
+    /// several interval boundaries inside every `BLOCK_EVENTS` block,
+    /// and a 64-record capacity makes decimation change the period
+    /// mid-run.
+    #[test]
+    fn profiler_records_do_not_depend_on_block_size() {
+        const BUDGET: u64 = 400_000;
+        let machine = || {
+            let mut m = Machine::new(MachineConfig::four_core_migration());
+            m.set_profile_config(ProfileConfig {
+                period: 1000,
+                capacity: 64,
+            });
+            m
+        };
+        let mut whole = machine();
+        whole.run(&mut *suite::by_name("em3d").unwrap(), BUDGET);
+        let mut events = Vec::new();
+        suite::by_name("em3d")
+            .unwrap()
+            .fill_block(&mut events, BUDGET, usize::MAX);
+        let mut chunked = machine();
+        for block in events.chunks(7) {
+            chunked.run_block(block);
+        }
+        let mut stepped = machine();
+        for e in &events {
+            let line = stepped.line.line_of(e.access.addr);
+            stepped.step_tagged(e.access.kind, line, e.instructions, e.access.pointer);
+        }
+        if Profiler::ACTIVE {
+            assert!(whole.profiler().decimations() > 0, "decimation never fired");
+        }
+        for (m, how) in [(&chunked, "7-event blocks"), (&stepped, "per-event steps")] {
+            assert_eq!(m.stats(), whole.stats(), "{how}");
+            assert_eq!(m.profiler().records(), whole.profiler().records(), "{how}");
+            assert_eq!(m.tracer().events(), whole.tracer().events(), "{how}");
+        }
     }
 
     /// `run_observed` publishes exactly one beat per period crossing

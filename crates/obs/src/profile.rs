@@ -308,10 +308,9 @@ impl Profiler {
     /// `sample_due` is *monotone* in `instructions_now`: once true at
     /// some count it stays true for every larger count until
     /// `record_sample` re-schedules the boundary. Block-stepping run
-    /// loops rely on this to test only a block's **last** event — a
-    /// false result there proves no event in the block crossed the
-    /// boundary, and a true result routes the whole block through the
-    /// per-event catch-up path so samples land on exactly the events a
+    /// loops rely on this to cut a block at [`next_due`](Self::next_due):
+    /// the first event at or past it ends a sub-block, and the sample
+    /// taken when that sub-block closes lands on exactly the event a
     /// per-step loop would have sampled.
     #[inline]
     pub fn sample_due(&self, instructions_now: u64) -> bool {

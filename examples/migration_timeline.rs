@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --release --example migration_timeline -- [bench] [instr]`
 //!
-//! Pass `--json` to dump the full sample series (per-core occupancy,
-//! transition flips, affinity-cache hit rate, …) as a JSON array for
-//! plotting.
+//! Each window is one `ProfileRecord` between two cumulative snapshots
+//! of the machine, so this works without the `trace` feature. Pass
+//! `--json` to dump the record array (per-core residency, transition
+//! flips, affinity-table hits and misses, bus bytes, …) for plotting.
 
-use execution_migration::machine::timeline::record;
 use execution_migration::machine::{Machine, MachineConfig};
-use execution_migration::obs::ToJson;
+use execution_migration::obs::{ProfileRecord, ToJson};
 use execution_migration::trace::suite;
 
 fn main() {
@@ -29,32 +29,42 @@ fn main() {
         std::process::exit(1);
     }
 
-    let window = instructions / 40;
+    let window = (instructions / 40).max(1);
     let mut machine = Machine::new(MachineConfig::four_core_migration());
     let mut workload = suite::by_name(bench).unwrap();
-    let samples = record(&mut machine, &mut *workload, instructions, window);
+    let mut prev = machine.profile_cumulative();
+    let mut records = Vec::new();
+    while prev.instructions < instructions {
+        machine.run(
+            &mut *workload,
+            (prev.instructions + window).min(instructions),
+        );
+        let now = machine.profile_cumulative();
+        records.push(ProfileRecord::between(&prev, &now));
+        prev = now;
+    }
 
     if json {
-        println!("{}", samples.to_json().pretty());
+        println!("{}", records.to_json().pretty());
         return;
     }
     println!(
         "{bench}: {} windows of {} instructions",
-        samples.len(),
+        records.len(),
         window
     );
     println!("window  core  migrations  L2 misses/kinstr");
-    let max_density = samples
+    let max_density = records
         .iter()
-        .map(|s| s.l2_miss_density(window))
+        .map(ProfileRecord::l2_miss_density)
         .fold(1e-9, f64::max);
-    for (i, s) in samples.iter().enumerate() {
-        let density = s.l2_miss_density(window);
+    for (i, r) in records.iter().enumerate() {
+        let density = r.l2_miss_density();
         let bar_len = (density / max_density * 40.0).round() as usize;
         println!(
             "{i:>5}    C{}  {:>9}  {:>8.2} |{}|",
-            s.active_core,
-            s.migrations,
+            r.active_core,
+            r.migrations,
             density,
             "#".repeat(bar_len)
         );
