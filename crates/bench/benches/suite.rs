@@ -1,5 +1,5 @@
-//! The combined perf-trajectory suite: caches + table1 + table2
-//! kernels in one run, exported as `BENCH_<n>.json` by the CI bench
+//! The combined perf-trajectory suite: caches + table1 + l1_replay +
+//! table2 kernels in one run, exported as `BENCH_<n>.json` by the CI bench
 //! job (`cargo bench -p execmig-bench --bench suite -- --quick
 //! --json-out BENCH_<n>.json`).
 
@@ -12,6 +12,7 @@ fn main() {
     kernels::bench_fully_assoc(&mut c);
     kernels::bench_stack(&mut c);
     kernels::bench_table1(&mut c);
+    kernels::bench_l1_replay(&mut c);
     kernels::bench_table2(&mut c);
     c.finish();
 }

@@ -2,13 +2,15 @@
 //! bench targets and the combined `suite` target that exports
 //! `BENCH_<n>.json` for the CI perf gate.
 //!
-//! Three kernels cover the simulator's cost structure end to end:
+//! Four kernels cover the simulator's cost structure end to end:
 //!
 //! - `caches` — the [`execmig_cache::Cache`] per-reference hot path
 //!   (fused lookup+fill via [`Cache::access`]), plus the
 //!   fully-associative LRU and Mattson-stack substrates;
 //! - `table1` — workload generation through the 16 KB fully-associative
 //!   L1 filter (the front half of every experiment);
+//! - `l1_replay` — the same L1 filter over a pre-generated access
+//!   buffer, so the generator is off the clock;
 //! - `table2` — the full machine (caches + coherence + controller) per
 //!   simulated instruction, baseline vs migration mode.
 
@@ -94,6 +96,34 @@ pub fn bench_table1(c: &mut Runner) {
                 |(w, filter)| {
                     while w.instructions() < TABLE1_INSTRS {
                         black_box(filter.filter(w.next_access()));
+                    }
+                },
+            );
+        });
+    }
+    g.finish();
+}
+
+/// The 16 KB fully-associative L1 filter alone: each benchmark's first
+/// [`TABLE1_INSTRS`] instructions are generated once, off the clock,
+/// and every sample replays them through a fresh filter.
+pub fn bench_l1_replay(c: &mut Runner) {
+    let mut g = c.benchmark_group("l1_replay");
+    g.throughput(TABLE1_INSTRS);
+    g.sample_size(10);
+
+    for name in ["art", "mcf", "gzip", "gcc", "bzip2"] {
+        g.bench_function(format!("{name}/500k_instr"), |b| {
+            let mut w = workload(name);
+            let mut accesses = Vec::new();
+            while w.instructions() < TABLE1_INSTRS {
+                accesses.push(w.next_access());
+            }
+            b.iter_batched_ref(
+                || L1Filter::paper(LineSize::DEFAULT),
+                |filter| {
+                    for &a in &accesses {
+                        black_box(filter.filter(a));
                     }
                 },
             );

@@ -8,9 +8,10 @@
 //!   4-core experiment of §4.2 uses 4-way set-associative 16 KB L1s and
 //!   512 KB 4-way *skewed*-associative L2s (after Bodin & Seznec), plus a
 //!   skewed-associative affinity cache;
-//! - an O(1) **fully-associative LRU** cache ([`FullyAssocLru`]) — the
-//!   LRU-stack experiment of §4.1 filters the reference stream through
-//!   16 KB fully-associative LRU L1 caches;
+//! - an O(1) **fully-associative LRU** cache ([`FullyAssocLru`]: an
+//!   arena recency ring with an intrusive chained hash index and an MRU
+//!   fast path) — the LRU-stack experiment of §4.1 filters the reference
+//!   stream through 16 KB fully-associative LRU L1 caches;
 //! - **Mattson LRU stack-distance profiling** ([`LruStack`],
 //!   [`StackProfile`]) — Figures 4 and 5 plot, for each benchmark, the
 //!   fraction of L1-filtered references whose stack depth exceeds a given

@@ -140,6 +140,45 @@ mod tests {
     }
 
     #[test]
+    fn agrees_with_lru_stack_on_every_suite_stream() {
+        // Mattson's inclusion property on the real streams: each side's
+        // 256-line fully-associative LRU hits exactly the references of
+        // stack depth ≤ 256 in that side's LRU stack.
+        use execmig_cache::LruStack;
+        use execmig_trace::{suite, Workload};
+        let line = LineSize::DEFAULT;
+        let frames = (16 << 10) / line.bytes();
+        for name in suite::names() {
+            let mut w = suite::by_name(name).expect("suite benchmark");
+            let mut f = L1Filter::paper(line);
+            let (mut il1, mut dl1) = (LruStack::new(), LruStack::new());
+            while w.instructions() < 200_000 {
+                let a = w.next_access();
+                let stack = match a.kind {
+                    AccessKind::IFetch => &mut il1,
+                    AccessKind::Load | AccessKind::Store => &mut dl1,
+                };
+                let deep = stack
+                    .access(line.line_of(a.addr).raw())
+                    .is_none_or(|depth| depth > frames);
+                assert_eq!(
+                    f.filter(a).is_some(),
+                    deep,
+                    "{name}: {:?} access {} at instruction {}",
+                    a.kind,
+                    f.stats().accesses,
+                    w.instructions()
+                );
+            }
+            let s = f.stats();
+            assert!(
+                s.il1_misses > 0 && s.dl1_misses > 0,
+                "{name} exercises both sides"
+            );
+        }
+    }
+
+    #[test]
     fn larger_lines_mean_fewer_frames() {
         let line = LineSize::new(256).unwrap();
         let mut f = L1Filter::paper(line);
