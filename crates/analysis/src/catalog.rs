@@ -65,8 +65,8 @@ pub const CATALOG: &[Rule] = &[
     Rule {
         id: "E006",
         kind: RuleKind::Static,
-        title: "tracer ring-buffer reads (.events()/.dropped()/.emitted(), EventRing, TraceEvent) outside obs sit behind `if Tracer::ACTIVE`, #[cfg(feature = …)], or tests",
-        paper: "repo policy (tracing must cost nothing when compiled out)",
+        title: "recorder buffer reads outside obs sit behind `if <Recorder>::ACTIVE`, #[cfg(feature = …)], or tests: Tracer (.events()/.dropped()/.emitted(), EventRing, TraceEvent) and Profiler (.record_sample()/.records())",
+        paper: "repo policy (per-event recorders must cost nothing when compiled out)",
     },
     Rule {
         id: "E007",
@@ -87,18 +87,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "repo policy (typed errors at the I/O boundary, total code elsewhere)",
     },
     Rule {
-        id: "E010",
-        kind: RuleKind::Static,
-        title: "profile sampler ring access (.record_sample()/.records()) outside obs sits behind `if Profiler::ACTIVE`, #[cfg(feature = …)], or tests",
-        paper: "repo policy (interval profiling must cost nothing when compiled out)",
-    },
-    Rule {
-        id: "E011",
-        kind: RuleKind::Static,
-        title: "telemetry hub beats (.publish()) outside obs sit behind `if Hub::ACTIVE`, #[cfg(feature = …)], or tests",
-        paper: "repo policy (live telemetry must cost nothing when compiled out)",
-    },
-    Rule {
         id: "E012",
         kind: RuleKind::Static,
         title: "raw `std::sync::atomic`/`std::thread` paths appear only in the concurrency shim (`obs::model`), the checker crate, and tests; everything else routes through the shim",
@@ -109,12 +97,6 @@ pub const CATALOG: &[Rule] = &[
         kind: RuleKind::Static,
         title: "every atomic `Ordering::…` literal carries an `// ord:` justification comment naming its pairing",
         paper: "repo policy (memory orderings are load-bearing; unjustified orderings are unreviewable)",
-    },
-    Rule {
-        id: "E014",
-        kind: RuleKind::Static,
-        title: "wall span families are closed: every `families` constant is listed in `families::ALL`, and span call sites pass constants, never raw string literals",
-        paper: "repo policy (unregistered span families record nothing; the table is the /spans and flamegraph schema)",
     },
     Rule {
         id: "I101",

@@ -463,16 +463,14 @@ fn attr_regions(toks: &[Token], marker: &str) -> Vec<Region> {
     out
 }
 
-/// Byte regions of the then-blocks of `if … Tracer::ACTIVE … { … }`
-/// (or `Profiler::ACTIVE` / `Hub::ACTIVE` — the interval profiler and
-/// the live-telemetry hub follow the same compile-time-gate
-/// discipline). The else-branch (tracing compiled out) is deliberately
-/// NOT exempt.
-pub fn tracer_active_regions(toks: &[Token]) -> Vec<Region> {
+/// Byte regions of the then-blocks of `if … <recorder>::ACTIVE … { … }`
+/// (e.g. `Tracer::ACTIVE`, `Profiler::ACTIVE`). The else-branch
+/// (recording compiled out) is deliberately NOT exempt.
+pub fn active_regions(toks: &[Token], recorder: &str) -> Vec<Region> {
     let mut out = Vec::new();
     for k in 0..toks.len() {
         if !(toks[k].kind == TokKind::Ident
-            && (toks[k].text == "Tracer" || toks[k].text == "Profiler" || toks[k].text == "Hub")
+            && toks[k].text == recorder
             && matches!(toks.get(k + 1), Some(t) if is_punct(t, ':'))
             && matches!(toks.get(k + 2), Some(t) if is_punct(t, ':'))
             && matches!(toks.get(k + 3), Some(t) if t.kind == TokKind::Ident && t.text == "ACTIVE"))
@@ -623,7 +621,7 @@ mod tests {
     fn tracer_active_gates_then_block_only() {
         let src = "fn f(t: &T) { if Tracer::ACTIVE { t.events(); } else { t.events(); } }";
         let toks = lex(src);
-        let regions = tracer_active_regions(&toks);
+        let regions = active_regions(&toks, "Tracer");
         assert_eq!(regions.len(), 1);
         let first = src.find("events").expect("present");
         let second = src.rfind("events").expect("present");
@@ -635,24 +633,13 @@ mod tests {
     fn profiler_active_gates_like_tracer() {
         let src = "fn f(p: &P) { if Profiler::ACTIVE && p.sample_due(n) { p.records(); } }";
         let toks = lex(src);
-        let regions = tracer_active_regions(&toks);
+        // Each recorder's gate covers only its own `ACTIVE` blocks.
+        assert!(active_regions(&toks, "Tracer").is_empty());
+        let regions = active_regions(&toks, "Profiler");
         assert_eq!(regions.len(), 1);
         assert!(in_regions(src.find("records").expect("present"), &regions));
         assert!(!in_regions(
             src.find("sample_due").expect("present"),
-            &regions
-        ));
-    }
-
-    #[test]
-    fn hub_active_gates_like_tracer() {
-        let src = "fn f(w: &W) { if Hub::ACTIVE { w.publish(b); } w.publish(b); }";
-        let toks = lex(src);
-        let regions = tracer_active_regions(&toks);
-        assert_eq!(regions.len(), 1);
-        assert!(in_regions(src.find("publish").expect("present"), &regions));
-        assert!(!in_regions(
-            src.rfind("publish").expect("present"),
             &regions
         ));
     }

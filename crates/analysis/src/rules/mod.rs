@@ -1,5 +1,5 @@
-//! The static rules (E001–E014). Each module covers one concern and
-//! pushes [`Diagnostic`]s tagged with catalog ids.
+//! The static rules (E001–E009, E012, E013). Each module covers one
+//! concern and pushes [`Diagnostic`]s tagged with catalog ids.
 
 pub mod concurrency;
 pub mod exhaustive;
@@ -7,7 +7,6 @@ pub mod featuregate;
 pub mod hotpath;
 pub mod hygiene;
 pub mod layering;
-pub mod spanfamily;
 
 use crate::diag::Diagnostic;
 use crate::workspace::Workspace;
@@ -21,6 +20,5 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     exhaustive::check(ws, &mut diags);
     hygiene::check(ws, &mut diags);
     concurrency::check(ws, &mut diags);
-    spanfamily::check(ws, &mut diags);
     diags
 }

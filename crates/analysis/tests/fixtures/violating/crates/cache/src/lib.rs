@@ -16,12 +16,8 @@ pub fn drain(t: &Tracer) -> usize {
 }
 
 pub fn sample(p: &mut execmig_obs::Profiler, c: &execmig_obs::ProfileCumulative) -> usize {
-    p.record_sample(c); // E010: ungated sampler write
-    p.records().len() // E010: ungated sampler read
-}
-
-pub fn beat(w: &execmig_obs::HubWorker, b: execmig_obs::Beat) {
-    w.publish(b); // E011: ungated hub publish
+    p.record_sample(c); // E006: ungated sampler write
+    p.records().len() // E006: ungated sampler read
 }
 
 pub fn head(v: &[u64]) -> u64 {

@@ -1,4 +1,4 @@
-use execmig_obs::{Beat, Hub, HubWorker, Profiler, Tracer};
+use execmig_obs::{Profiler, Tracer};
 
 use crate::stats::MachineStats;
 
@@ -19,11 +19,5 @@ pub fn gated_sample(p: &Profiler) -> usize {
         p.records().len() // gated: must NOT be flagged
     } else {
         0
-    }
-}
-
-pub fn gated_beat(w: &HubWorker, b: Beat) {
-    if Hub::ACTIVE {
-        w.publish(b); // gated: must NOT be flagged
     }
 }

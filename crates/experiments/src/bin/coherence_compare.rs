@@ -31,7 +31,7 @@ fn main() {
 
     let rows = {
         // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::wall::families::SWEEP);
+        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
             Some(name) => coherence_compare::run_benchmark(&name, instructions),
             None => coherence_compare::run_all_observed(instructions, threads, telemetry.obs()),

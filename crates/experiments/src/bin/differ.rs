@@ -28,7 +28,7 @@ use execmig_check::fuzz::{diverges, generate, shrink, stress_configs, write_repr
 use execmig_check::Lockstep;
 use execmig_experiments::report::{arg_flag, arg_u64, arg_value};
 use execmig_machine::{MachineConfig, Protocol};
-use execmig_obs::{wall, Wall};
+use execmig_obs::{wall, Family, Wall};
 use execmig_trace::suite;
 use std::fs::File;
 use std::io::BufWriter;
@@ -40,7 +40,7 @@ fn suite_lockstep(budget: u64, protocol: Protocol) -> bool {
     for name in suite::names() {
         // Each lockstep case is one wall-clock span, so a traced run
         // reports where differ time goes per case family.
-        let _case_span = wall::span(wall::families::DIFFER_CASE);
+        let _case_span = wall::span(Family::DifferCase);
         let mut workload = suite::by_name(name).expect("suite name");
         let mut lockstep = Lockstep::new(MachineConfig {
             protocol,
@@ -74,7 +74,7 @@ fn fuzz_round(
 ) -> bool {
     // One span per fuzz round: generation plus every lockstep +
     // shrink it triggers.
-    let _fuzz_span = wall::span(wall::families::DIFFER_FUZZ);
+    let _fuzz_span = wall::span(Family::DifferFuzz);
     let stream = generate(fuzz);
     let mut clean = true;
     for (name, config) in stress_configs() {
@@ -180,9 +180,9 @@ fn main() {
     let run_suite = arg_flag(&args, "--suite") || (fuzz_rounds == 0 && replay_path.is_none());
 
     // A local flight recorder for the differ's own wall-clock time:
-    // one slot, the main thread. Inert (and costless) without `trace`.
+    // one slot, the main thread.
     let recorder = Wall::with_threads(1);
-    let attached = Wall::ACTIVE && wall::attach(&recorder, 0);
+    wall::attach(&recorder, 0);
 
     let mut clean = true;
     if let Some(path) = replay_path {
@@ -204,16 +204,18 @@ fn main() {
             Path::new(&repro_dir),
         );
     }
-    if attached {
-        let snap = recorder.snapshot();
-        for f in snap.families.iter().filter(|f| f.count > 0) {
-            eprintln!(
-                "differ wall: {:>12} x{:<4} p50 {} ns, p99 {} ns, p999 {} ns",
-                f.family, f.count, f.p50_ns, f.p99_ns, f.p999_ns
-            );
-        }
-        wall::detach();
+    let snap = recorder.snapshot();
+    for f in snap.families.iter().filter(|f| f.count > 0) {
+        eprintln!(
+            "differ wall: {:>12} x{:<4} p50 {} ns, p99 {} ns, p999 {} ns",
+            f.family.name(),
+            f.count,
+            f.p50_ns,
+            f.p99_ns,
+            f.p999_ns
+        );
     }
+    wall::detach();
     if !clean {
         exit(1);
     }

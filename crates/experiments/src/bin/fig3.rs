@@ -28,7 +28,7 @@ fn main() {
     let configs = vec![Fig3Config::circular(), Fig3Config::half_random()];
     let (results, _report) = {
         // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::wall::families::SWEEP);
+        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         parallel_map_observed(configs.clone(), 2, telemetry.obs(), |config, _ctx| {
             run(config)
         })

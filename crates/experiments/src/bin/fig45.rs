@@ -29,7 +29,7 @@ fn main() {
 
     let rows = {
         // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::wall::families::SWEEP);
+        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
             Some(name) => vec![fig45::run_benchmark(&name, &config)],
             None => fig45::run_all_observed(&config, threads, telemetry.obs()),

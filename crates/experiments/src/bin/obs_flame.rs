@@ -15,9 +15,7 @@
 //! be spliced with a simulated-time machine trace via
 //! [`merge_traces`](execmig_obs::merge_traces) for the dual-clock view.
 //!
-//! Built without `trace` the recorder is inert: the binary says so,
-//! writes an empty profile, and exits 0 (sampling costs nothing it
-//! can't account for). Exit codes: 0 on success, 2 on a write error.
+//! Exit codes: 0 on success, 2 on a write error.
 
 use std::time::{Duration, Instant};
 
@@ -26,7 +24,7 @@ use execmig_experiments::runner::Obs;
 use execmig_experiments::table2;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
-use execmig_obs::{render_wall_trace, wall, Wall, WallBudget};
+use execmig_obs::{render_wall_trace, wall, Budget, Family, Wall};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +38,7 @@ fn main() {
     // Slots 0..threads are the sweep workers; the last slot is this
     // (driver) thread, which owns the sweep root span.
     let recorder = Wall::with_threads(threads + 1);
-    let attached = Wall::ACTIVE && wall::attach(&recorder, threads);
+    wall::attach(&recorder, threads);
 
     let t0 = Instant::now();
     let stop = AtomicBool::new(false);
@@ -58,7 +56,7 @@ fn main() {
         });
         let rows = {
             // The sweep root span: runner tasks parent to it.
-            let _sweep = wall::span(wall::families::SWEEP);
+            let _sweep = wall::span(Family::Sweep);
             table2::run_all_observed(instructions, threads, Obs::new(None, Some(&recorder)))
         };
         // ord: Relaxed — flag only; sampler.join() synchronises.
@@ -99,12 +97,10 @@ fn main() {
         }
     }
 
-    if attached {
-        wall::detach();
-    }
+    wall::detach();
     if !quiet {
         let o = snap.overhead;
-        let verdict = WallBudget::default().verdict(&o, run_ns);
+        let verdict = Budget::default().verdict(o.total_ns(), run_ns);
         eprintln!(
             "obs_flame: {} rows; {} spans ({} dropped), {} samples; \
              recorder cost {:.4} % of {:.1} ms run (budget {:.0} %): {}",
@@ -117,8 +113,5 @@ fn main() {
             verdict.max_fraction * 100.0,
             if verdict.within { "OK" } else { "EXCEEDED" }
         );
-        if !Wall::ACTIVE {
-            eprintln!("obs_flame: built without `trace` — recorder inert, profile empty");
-        }
     }
 }

@@ -1,7 +1,8 @@
 //! Live telemetry demo and smoke target: runs a multi-worker Table 2
 //! sweep with the telemetry server up, prints the endpoints while the
-//! sweep is in flight, and self-checks the hub's overhead against the
-//! [`TelemetryBudget`](execmig_obs::TelemetryBudget) when it finishes.
+//! sweep is in flight, and self-checks the hub's and the wall's
+//! overhead against the [`Budget`](execmig_obs::Budget) when it
+//! finishes.
 //!
 //! Usage: `obs_live [--instr N] [--threads N] [--addr HOST:PORT]
 //!                   [--poll-ms N] [--linger SECS] [--json]`
@@ -10,16 +11,13 @@
 //!
 //! ```text
 //! curl http://127.0.0.1:9163/progress   # per-worker live state
+//! curl http://127.0.0.1:9163/spans      # wall-clock span latencies
 //! curl http://127.0.0.1:9163/healthz    # stall watchdog
 //! curl http://127.0.0.1:9163/metrics    # Prometheus exposition
 //! ```
 //!
 //! Exit status: 0 on success, 1 if the server cannot bind, 2 if the
 //! measured observability overhead exceeds the 2 % budget.
-//!
-//! Build with `--features trace` for real beats; without it the
-//! endpoints serve but stay empty (the binary says so and still
-//! exits 0).
 
 use std::time::{Duration, Instant};
 
@@ -28,7 +26,7 @@ use execmig_experiments::table2;
 use execmig_experiments::telemetry::Telemetry;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
-use execmig_obs::{wall, Hub, Json, Registry, TelemetryBudget, Wall, WallBudget};
+use execmig_obs::{wall, Budget, Family, Hub, Json, Registry, Wall};
 
 fn print_progress(hub: &Hub) {
     let snap = hub.snapshot();
@@ -80,14 +78,14 @@ fn main() {
                 thread::sleep(Duration::from_millis(poll_ms));
                 // ord: Relaxed — same stop flag, re-checked after the
                 // poll sleep.
-                if Hub::ACTIVE && !stop.load(Ordering::Relaxed) {
+                if !stop.load(Ordering::Relaxed) {
                     print_progress(&hub);
                 }
             }
         });
         let rows = {
             // The sweep root span: runner tasks parent to it.
-            let _sweep = wall::span(wall::families::SWEEP);
+            let _sweep = wall::span(Family::Sweep);
             table2::run_all_observed(instructions, threads, telemetry.obs())
         };
         // ord: Relaxed — flag only; monitor.join() synchronises.
@@ -100,9 +98,9 @@ fn main() {
     // Overhead self-accounting: the hub and the wall each measured
     // their own cost; hold both to the default 2 % budget.
     let overhead = hub.overhead();
-    let verdict = TelemetryBudget::default().verdict(&overhead, run_ns);
+    let verdict = Budget::default().verdict(overhead.total_ns(), run_ns);
     let wall_overhead = telemetry.wall().map(Wall::overhead).unwrap_or_default();
-    let wall_verdict = WallBudget::default().verdict(&wall_overhead, run_ns);
+    let wall_verdict = Budget::default().verdict(wall_overhead.total_ns(), run_ns);
     let mut registry = Registry::new();
     registry.counter("rows_done", rows.len() as u64);
     registry.counter("hub_beats", overhead.beats);
@@ -144,9 +142,6 @@ fn main() {
                 "EXCEEDED"
             }
         );
-        if !Hub::ACTIVE {
-            println!("(built without `trace`: endpoints served, no beats recorded)");
-        }
     }
 
     if linger_s > 0 {

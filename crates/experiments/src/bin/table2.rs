@@ -36,7 +36,7 @@ fn main() {
 
     let rows = {
         // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::wall::families::SWEEP);
+        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
             Some(name) => vec![table2::run_benchmark_with(&name, instructions, protocol)],
             None => table2::run_all_observed_with(instructions, threads, protocol, telemetry.obs()),

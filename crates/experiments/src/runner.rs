@@ -1,58 +1,62 @@
-//! Thread-parallel experiment execution, with span-timer telemetry,
+//! Thread-parallel experiment execution, with per-task timings,
 //! optional live-telemetry hub beats, and wall-clock flight-recorder
 //! spans.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Instant;
 
 use execmig_obs::model::sync::Mutex;
 use execmig_obs::model::thread;
-use execmig_obs::wall::{self, families};
-use execmig_obs::{Beat, Hub, HubWorker, Json, Span, SpanSet, ToJson, Wall, WorkerState};
+use execmig_obs::wall::{self, Family};
+use execmig_obs::{Beat, Hub, HubWorker, Wall, WorkerState};
 
-/// Wall-clock telemetry of one [`parallel_map_timed`] run: per-task
-/// spans (which thread ran what, when, for how long) and the derived
-/// per-thread utilisation.
+/// Wall-clock timings of one [`parallel_map_observed`] run: which
+/// worker ran which task, when, and for how long.
 #[derive(Debug)]
 pub struct RunnerReport {
-    /// The recorded spans, one per task.
-    pub spans: SpanSet,
+    /// Per worker thread, the `(task, start_us, duration_us)` of every
+    /// task it completed, in claim order. Times are µs since runner
+    /// entry.
+    pub timings: Vec<Vec<(usize, u64, u64)>>,
     /// Worker threads used.
     pub threads: usize,
-    /// Wall-clock µs from first task start to last task end.
+    /// Wall-clock µs from runner entry until every worker has joined.
     pub wall_us: u64,
 }
 
 impl RunnerReport {
-    /// Busy µs per worker thread.
-    pub fn thread_busy_micros(&self) -> Vec<u64> {
-        self.spans.thread_busy_micros()
+    /// Tasks completed.
+    pub fn tasks(&self) -> usize {
+        self.timings.iter().map(Vec::len).sum()
     }
 
-    /// Aggregate utilisation: total busy time / (threads × wall).
+    /// Busy µs per worker thread.
+    pub fn thread_busy_micros(&self) -> Vec<u64> {
+        self.timings
+            .iter()
+            .map(|worker| worker.iter().map(|&(_, _, duration_us)| duration_us).sum())
+            .collect()
+    }
+
+    /// Aggregate utilisation: total busy time / (threads × wall); 0
+    /// when nothing ran.
     pub fn utilisation(&self) -> f64 {
-        self.spans.utilisation(self.threads, self.wall_us)
+        if self.threads == 0 || self.wall_us == 0 {
+            return 0.0;
+        }
+        let busy: u64 = self.thread_busy_micros().iter().sum();
+        busy as f64 / (self.threads as f64 * self.wall_us as f64)
     }
 
     /// One line per the report, for stderr diagnostics.
     pub fn summary(&self) -> String {
         format!(
             "{} tasks on {} threads in {:.1} ms, {:.0}% utilisation",
-            self.spans.spans().len(),
+            self.tasks(),
             self.threads,
             self.wall_us as f64 / 1000.0,
             self.utilisation() * 100.0
         )
-    }
-}
-
-impl ToJson for RunnerReport {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("threads", self.threads)
-            .field("wall_us", self.wall_us)
-            .field("utilisation", self.utilisation())
-            .field("thread_busy_us", self.thread_busy_micros())
-            .field("spans", self.spans.spans())
     }
 }
 
@@ -67,37 +71,14 @@ impl ToJson for RunnerReport {
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or if `f` panics on a worker thread.
+/// As [`parallel_map_observed`]: `threads == 0` or a panicking task.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_timed(items, threads, f).0
-}
-
-/// Like [`parallel_map`], additionally returning a [`RunnerReport`]
-/// with per-task span timers and per-thread utilisation.
-///
-/// Workers pull `(index, item)` pairs off one shared queue and buffer
-/// results and span timings locally, so the per-task hot path takes a
-/// single short lock (the claim) and allocates nothing; span labels are
-/// formatted and merged after the workers join.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`. If `f` panics on a worker thread, the
-/// remaining workers stop claiming tasks and the *original* panic
-/// payload is re-raised on the caller's thread, after the failing task
-/// index is printed to stderr.
-pub fn parallel_map_timed<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, RunnerReport)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_observed(items, threads, Obs::none(), |item, _| f(item))
+    parallel_map_observed(items, threads, Obs::none(), |item, _| f(item)).0
 }
 
 /// The observability sinks one observed run publishes into: the
@@ -113,7 +94,7 @@ pub struct Obs<'a> {
 }
 
 impl<'a> Obs<'a> {
-    /// Observe nothing (plain [`parallel_map_timed`] behaviour).
+    /// Observe nothing (plain [`parallel_map`] behaviour).
     pub fn none() -> Obs<'static> {
         Obs {
             hub: None,
@@ -148,16 +129,22 @@ pub struct ObsCtx<'a> {
     pub tasks_done: u64,
 }
 
-/// Like [`parallel_map_timed`], additionally publishing live progress
-/// beats into a telemetry [`Hub`] and wall-clock spans into a [`Wall`]
-/// flight recorder (both via `obs`, either optional).
+/// Applies `f` to every item on up to `threads` worker threads,
+/// preserving input order, and returns a [`RunnerReport`] of per-task
+/// timings. Live progress beats go into a telemetry [`Hub`] and
+/// wall-clock spans into a [`Wall`] flight recorder (both via `obs`,
+/// either optional).
+///
+/// Workers pull `(index, item)` pairs off one shared queue and buffer
+/// results and timings locally, so the per-task path takes a single
+/// short lock (the claim) and allocates nothing.
 ///
 /// Each worker thread claims its hub slot once (`hub.worker(w)`) and
 /// publishes a `Running` beat on every task claim and completion, and a
 /// final `Done` beat when the queue drains — so `/progress` shows which
 /// task every worker is on while the sweep runs. The closure receives
-/// an [`ObsCtx`] (when telemetry is active) to publish finer-grained
-/// beats mid-task, e.g. via `Machine::run_observed`.
+/// an [`ObsCtx`] (when a hub is given) to publish finer-grained beats
+/// mid-task, e.g. via `Machine::run_observed`.
 ///
 /// With a wall attached, each worker additionally claims wall slot `w`
 /// as its thread context ([`wall::attach`]) and records one
@@ -167,13 +154,15 @@ pub struct ObsCtx<'a> {
 /// `/spans` and the flamegraph see the full causal tree. Task closures
 /// open further spans (e.g. `machine/block`) with no extra plumbing.
 ///
-/// With `obs` as [`Obs::none`], or without the `trace` feature
-/// (`Hub::ACTIVE`/`Wall::ACTIVE` false), behaviour and results are
-/// exactly [`parallel_map_timed`]'s.
+/// With `obs` as [`Obs::none`] nothing is published or recorded, and
+/// the results are the same either way.
 ///
 /// # Panics
 ///
-/// As [`parallel_map_timed`]: `threads == 0` or a panicking task.
+/// Panics if `threads == 0`. If `f` panics on a worker thread, the
+/// remaining workers stop claiming tasks and the *original* panic
+/// payload is re-raised on the caller's thread, after the failing task
+/// index is printed to stderr.
 pub fn parallel_map_observed<T, R, F>(
     items: Vec<T>,
     threads: usize,
@@ -186,17 +175,17 @@ where
     F: Fn(T, Option<ObsCtx<'_>>) -> R + Sync,
 {
     assert!(threads > 0, "need at least one thread");
-    let hub = obs.hub;
+    let origin = Instant::now();
+    let micros = || origin.elapsed().as_micros() as u64;
     // The caller's innermost open span (its sweep root, if any)
     // parents every task span across the worker threads.
     let sweep_root = wall::current_id();
     let n = items.len();
-    let spans = SpanSet::new();
     if n == 0 {
         return (
             Vec::new(),
             RunnerReport {
-                spans,
+                timings: Vec::new(),
                 threads,
                 wall_us: 0,
             },
@@ -214,26 +203,19 @@ where
         let workers: Vec<_> = (0..threads)
             .map(|w| {
                 let queue = &queue;
-                let spans = &spans;
+                let micros = &micros;
                 let panicked = &panicked;
                 let f = &f;
                 scope.spawn(move || {
                     // Claim this thread's hub slot (first claimant wins;
                     // SPSC holds because the handle never leaves this
-                    // thread). None when telemetry is off or inactive.
-                    let hub_worker = if Hub::ACTIVE {
-                        hub.and_then(|h| h.worker(w))
-                    } else {
-                        None
-                    };
+                    // thread). None without a hub.
+                    let hub_worker = obs.hub.and_then(|h| h.worker(w));
                     // Claim wall slot w as this thread's span context:
                     // the flight recorder samples this thread's stack
                     // and task spans nest machine-block spans with no
-                    // handle threading. False when tracing is off.
-                    let wall_attached = match obs.wall {
-                        Some(wl) if Wall::ACTIVE => wall::attach(wl, w),
-                        _ => false,
-                    };
+                    // handle threading.
+                    let wall_attached = obs.wall.is_some_and(|wl| wall::attach(wl, w));
                     let mut tasks_done = 0u64;
                     let mut results = Vec::new();
                     let mut timings = Vec::new();
@@ -241,8 +223,8 @@ where
                         if panicked.lock().expect("panic slot").is_some() {
                             break;
                         }
-                        let task_span = wall::span_with_parent(families::TASK, sweep_root);
-                        let claim_span = wall::span(families::CLAIM);
+                        let task_span = wall::span_with_parent(Family::Task, sweep_root);
+                        let claim_span = wall::span(Family::Claim);
                         let claimed = queue.lock().expect("task queue").next();
                         let Some((i, item)) = claimed else {
                             // Nothing was claimed: these spans cover no
@@ -251,43 +233,39 @@ where
                             task_span.cancel();
                             break;
                         };
-                        if Hub::ACTIVE {
-                            if let Some(hw) = &hub_worker {
-                                hw.publish(Beat {
-                                    state: WorkerState::Running,
-                                    task: i as u64,
-                                    tasks_done,
-                                    ..Beat::default()
-                                });
-                            }
+                        if let Some(hw) = &hub_worker {
+                            hw.publish(Beat {
+                                state: WorkerState::Running,
+                                task: i as u64,
+                                tasks_done,
+                                ..Beat::default()
+                            });
                         }
                         drop(claim_span);
-                        let start_us = spans.wall_micros();
+                        let start_us = micros();
                         let ctx = hub_worker.as_ref().map(|worker| ObsCtx {
                             worker,
                             task: i as u64,
                             tasks_done,
                         });
                         let outcome = {
-                            let _run_span = wall::span(families::RUN);
+                            let _run_span = wall::span(Family::Run);
                             catch_unwind(AssertUnwindSafe(|| f(item, ctx)))
                         };
                         match outcome {
                             Ok(result) => {
-                                let _complete_span = wall::span(families::COMPLETE);
-                                let duration_us = spans.wall_micros().saturating_sub(start_us);
+                                let _complete_span = wall::span(Family::Complete);
+                                let duration_us = micros().saturating_sub(start_us);
                                 results.push((i, result));
                                 timings.push((i, start_us, duration_us));
                                 tasks_done += 1;
-                                if Hub::ACTIVE {
-                                    if let Some(hw) = &hub_worker {
-                                        hw.publish(Beat {
-                                            state: WorkerState::Running,
-                                            task: i as u64,
-                                            tasks_done,
-                                            ..Beat::default()
-                                        });
-                                    }
+                                if let Some(hw) = &hub_worker {
+                                    hw.publish(Beat {
+                                        state: WorkerState::Running,
+                                        task: i as u64,
+                                        tasks_done,
+                                        ..Beat::default()
+                                    });
                                 }
                             }
                             Err(payload) => {
@@ -299,14 +277,12 @@ where
                             }
                         }
                     }
-                    if Hub::ACTIVE {
-                        if let Some(hw) = &hub_worker {
-                            hw.publish(Beat {
-                                state: WorkerState::Done,
-                                tasks_done,
-                                ..Beat::idle()
-                            });
-                        }
+                    if let Some(hw) = &hub_worker {
+                        hw.publish(Beat {
+                            state: WorkerState::Done,
+                            tasks_done,
+                            ..Beat::idle()
+                        });
                     }
                     if wall_attached {
                         wall::detach();
@@ -328,20 +304,14 @@ where
         eprintln!("parallel_map: task {i} panicked, re-raising");
         resume_unwind(payload);
     }
-    let wall_us = spans.wall_micros();
+    let wall_us = micros();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (worker, (worker_results, timings)) in per_worker.into_iter().enumerate() {
+    let mut timings = Vec::with_capacity(threads);
+    for (worker_results, worker_timings) in per_worker {
         for (i, result) in worker_results {
             results[i] = Some(result);
         }
-        for (i, start_us, duration_us) in timings {
-            spans.record(Span {
-                label: format!("task-{i}"),
-                thread: worker,
-                start_us,
-                duration_us,
-            });
-        }
+        timings.push(worker_timings);
     }
     let results = results
         .into_iter()
@@ -350,7 +320,7 @@ where
     (
         results,
         RunnerReport {
-            spans,
+            timings,
             threads,
             wall_us,
         },
@@ -398,22 +368,20 @@ mod tests {
 
     #[test]
     fn timed_map_reports_spans() {
-        let (out, report) = parallel_map_timed((0..20).collect(), 4, |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x + 1
-        });
+        let (out, report) =
+            parallel_map_observed((0..20).collect(), 4, Obs::none(), |x: u64, _| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                x + 1
+            });
         assert_eq!(out.len(), 20);
         assert_eq!(out[7], 8);
-        let spans = report.spans.spans();
-        assert_eq!(spans.len(), 20, "one span per task");
-        assert!(spans.iter().all(|s| s.thread < 4));
+        assert_eq!(report.tasks(), 20, "one timing per task");
+        assert_eq!(report.threads, 4);
+        assert_eq!(report.timings.len(), 4, "thread indices are 0..threads");
         assert!(report.wall_us > 0);
         let u = report.utilisation();
         assert!(u > 0.0 && u <= 1.0, "utilisation {u}");
         assert!(report.summary().contains("20 tasks"));
-        // JSON export carries the spans.
-        use execmig_obs::ToJson;
-        assert!(report.to_json().get("spans").is_some());
     }
 
     #[test]
@@ -435,16 +403,12 @@ mod tests {
 
     #[test]
     fn spans_carry_task_labels() {
-        let (_, report) = parallel_map_timed((0..6).collect(), 2, |x: u64| x);
-        let labels: Vec<String> = report
-            .spans
-            .spans()
-            .iter()
-            .map(|s| s.label.clone())
-            .collect();
-        for i in 0..6 {
-            assert!(labels.contains(&format!("task-{i}")), "missing task-{i}");
-        }
+        let (_, report) = parallel_map_observed((0..6).collect(), 2, Obs::none(), |x: u64, _| x);
+        let mut tasks: Vec<usize> = report.timings.iter().flatten().map(|t| t.0).collect();
+        tasks.sort_unstable();
+        assert_eq!(tasks, (0..6).collect::<Vec<_>>(), "each task timed once");
+        assert_eq!(report.timings.len(), 2, "thread indices are 0..threads");
+        assert_eq!(report.thread_busy_micros().len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::l1filter::L1Filter;
 use crate::runner::ObsCtx;
-use execmig_obs::{Beat, Hub, WorkerState};
+use execmig_obs::{Beat, WorkerState};
 use execmig_trace::{suite, LineSize};
 
 /// One Table 1 row.
@@ -66,11 +66,12 @@ pub fn run_benchmark_observed(
     let info = suite::info(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut w = suite::by_name(name).expect("suite benchmark");
     let mut filter = L1Filter::paper(LineSize::DEFAULT);
-    let mut next_beat = crate::telemetry::BEAT_PERIOD_INSTR;
+    // Without a context the first beat never comes due.
+    let mut next_beat = ctx.map_or(u64::MAX, |_| crate::telemetry::BEAT_PERIOD_INSTR);
     while w.instructions() < instructions {
         let access = w.next_access();
         let _ = filter.filter(access);
-        if Hub::ACTIVE && w.instructions() >= next_beat {
+        if w.instructions() >= next_beat {
             if let Some(c) = ctx {
                 c.worker.publish(Beat {
                     state: WorkerState::Running,

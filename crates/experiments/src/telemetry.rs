@@ -15,13 +15,12 @@
 //! While the run is in flight, `curl http://<addr>/progress` shows
 //! per-worker state, `/spans` the wall-clock span latencies, `/healthz`
 //! the stall watchdog, and `/metrics` the Prometheus series. Without
-//! `--serve-telemetry` everything here is inert; without the `trace`
-//! feature the endpoints still answer, with empty per-worker data
-//! (`Hub::ACTIVE` is false).
+//! `--serve-telemetry` everything here is inert and allocates no hub
+//! or wall.
 
 use execmig_obs::model::sync::{Arc, Mutex};
 use execmig_obs::serve::DEFAULT_MAX_CONNECTIONS;
-use execmig_obs::{wall, Hub, HubConfig, MetricsProvider, Registry, TelemetryServer, Wall};
+use execmig_obs::{wall, Hub, MetricsProvider, Registry, TelemetryServer, Wall};
 
 use crate::report::arg_value;
 use crate::runner::Obs;
@@ -29,7 +28,7 @@ use crate::runner::Obs;
 /// Default retired-instruction interval between mid-task beats
 /// (`Machine::run_observed` and the sweep loops): frequent enough that
 /// `/progress` moves visibly, rare enough that publishing stays deep
-/// under the [`execmig_obs::TelemetryBudget`] (a publish is ~100 ns; at
+/// under the [`execmig_obs::Budget`] (a publish is ~100 ns; at
 /// one per million instructions the hub costs well below 0.1 %).
 pub const BEAT_PERIOD_INSTR: u64 = 1_000_000;
 
@@ -63,16 +62,22 @@ impl SharedRegistry {
     }
 }
 
-/// The live-telemetry wiring of one experiment run: a [`Hub`] for the
-/// workers, a [`Wall`] flight recorder for wall-clock spans, a
-/// [`SharedRegistry`] for `/metrics`, and (when
-/// `--serve-telemetry <addr>` was given) the HTTP server itself.
+/// The live-telemetry wiring of one experiment run: a
+/// [`SharedRegistry`] for `/metrics` and, when
+/// `--serve-telemetry <addr>` was given and bound, the HTTP server with
+/// its [`Hub`] and [`Wall`] flight recorder.
 #[derive(Debug)]
 pub struct Telemetry {
+    metrics: SharedRegistry,
+    live: Option<Live>,
+}
+
+/// The parts that exist only while serving.
+#[derive(Debug)]
+struct Live {
     hub: Hub,
     wall: Wall,
-    metrics: SharedRegistry,
-    server: Option<TelemetryServer>,
+    server: TelemetryServer,
 }
 
 impl Telemetry {
@@ -86,13 +91,13 @@ impl Telemetry {
     /// As [`from_args`](Self::from_args), with the address given
     /// directly (`None` = telemetry off).
     pub fn new(addr: Option<&str>, workers: usize) -> Telemetry {
-        let hub = Hub::new(HubConfig::with_workers(workers));
-        // One wall slot per worker plus a last slot for the driver
-        // thread, so the binaries' `sweep` root span has somewhere to
-        // record.
-        let wall = Wall::with_threads(workers + 1);
         let metrics = SharedRegistry::new();
-        let server = addr.and_then(|addr| {
+        let live = addr.and_then(|addr| {
+            let hub = Hub::with_workers(workers);
+            // One wall slot per worker plus a last slot for the driver
+            // thread, so the binaries' `sweep` root span has somewhere
+            // to record.
+            let wall = Wall::with_threads(workers + 1);
             match TelemetryServer::start_with_wall(
                 addr,
                 hub.clone(),
@@ -105,14 +110,12 @@ impl Telemetry {
                         "telemetry: serving /metrics /progress /spans /healthz on http://{}",
                         server.local_addr()
                     );
-                    if !Hub::ACTIVE {
-                        eprintln!(
-                            "telemetry: built without the `trace` feature — \
-                             endpoints answer but carry no per-worker beats \
-                             (rebuild with `--features trace`)"
-                        );
-                    }
-                    Some(server)
+                    // Attach the calling (driver) thread to the spare
+                    // wall slot: the binaries' sweep root span and any
+                    // other driver-side spans record there. Workers
+                    // claim 0..workers inside the runner.
+                    wall::attach(&wall, workers);
+                    Some(Live { hub, wall, server })
                 }
                 Err(e) => {
                     eprintln!("telemetry: cannot bind {addr}: {e} — continuing without");
@@ -120,19 +123,7 @@ impl Telemetry {
                 }
             }
         });
-        if server.is_some() && Wall::ACTIVE {
-            // Attach the calling (driver) thread to the spare wall
-            // slot: the binaries' sweep root span and any other
-            // driver-side spans record there. Workers claim 0..workers
-            // inside the runner.
-            wall::attach(&wall, workers);
-        }
-        Telemetry {
-            hub,
-            wall,
-            metrics,
-            server,
-        }
+        Telemetry { metrics, live }
     }
 
     /// The hub to hand to
@@ -140,13 +131,13 @@ impl Telemetry {
     /// `None` when no server is up, so unobserved runs skip publishing
     /// entirely.
     pub fn hub(&self) -> Option<&Hub> {
-        self.server.is_some().then_some(&self.hub)
+        self.live.as_ref().map(|l| &l.hub)
     }
 
     /// The wall-clock flight recorder; `None` when no server is up
     /// (symmetric with [`hub`](Self::hub)).
     pub fn wall(&self) -> Option<&Wall> {
-        self.server.is_some().then_some(&self.wall)
+        self.live.as_ref().map(|l| &l.wall)
     }
 
     /// Both observability sinks bundled for
@@ -162,12 +153,12 @@ impl Telemetry {
 
     /// Whether a server is actually listening.
     pub fn serving(&self) -> bool {
-        self.server.is_some()
+        self.live.is_some()
     }
 
     /// The server's bound address, when serving.
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(TelemetryServer::local_addr)
+        self.live.as_ref().map(|l| l.server.local_addr())
     }
 
     /// Prints the hub's and wall's overhead self-accounting (when
@@ -175,38 +166,37 @@ impl Telemetry {
     /// finished — on the thread that created the telemetry, so the
     /// driver's wall context is detached with it.
     pub fn finish(self) {
-        if let Some(server) = self.server {
-            let overhead = self.hub.overhead();
-            eprintln!(
-                "telemetry: {} beats ({} dropped), {} bytes, {} ns publish + {} ns merge",
-                overhead.beats,
-                overhead.dropped,
-                overhead.bytes,
-                overhead.publish_ns,
-                overhead.merge_ns
-            );
-            if Wall::ACTIVE {
-                let wall_overhead = self.wall.overhead();
-                let verdict = self.wall.budget_verdict();
-                eprintln!(
-                    "telemetry: wall {} spans ({} dropped), {} ns record + {} ns merge \
-                     + {} ns sample = {:.4}% of uptime ({})",
-                    wall_overhead.spans,
-                    wall_overhead.dropped,
-                    wall_overhead.record_ns,
-                    wall_overhead.merge_ns,
-                    wall_overhead.sample_ns,
-                    verdict.fraction * 100.0,
-                    if verdict.within {
-                        "within budget"
-                    } else {
-                        "OVER BUDGET"
-                    }
-                );
-                wall::detach();
+        let Some(Live { hub, wall, server }) = self.live else {
+            return;
+        };
+        let overhead = hub.overhead();
+        eprintln!(
+            "telemetry: {} beats ({} dropped), {} bytes, {} ns publish + {} ns merge",
+            overhead.beats,
+            overhead.dropped,
+            overhead.bytes,
+            overhead.publish_ns,
+            overhead.merge_ns
+        );
+        let wall_overhead = wall.overhead();
+        let verdict = wall.budget_verdict();
+        eprintln!(
+            "telemetry: wall {} spans ({} dropped), {} ns record + {} ns merge \
+             + {} ns sample = {:.4}% of uptime ({})",
+            wall_overhead.spans,
+            wall_overhead.dropped,
+            wall_overhead.record_ns,
+            wall_overhead.merge_ns,
+            wall_overhead.sample_ns,
+            verdict.fraction * 100.0,
+            if verdict.within {
+                "within budget"
+            } else {
+                "OVER BUDGET"
             }
-            server.shutdown();
-        }
+        );
+        wall::detach();
+        server.shutdown();
     }
 }
 
@@ -220,6 +210,7 @@ mod tests {
         let t = Telemetry::from_args(&args, 4);
         assert!(!t.serving());
         assert!(t.hub().is_none());
+        assert!(t.wall().is_none());
         assert!(t.local_addr().is_none());
         t.finish();
     }
@@ -229,6 +220,7 @@ mod tests {
         let t = Telemetry::new(Some("127.0.0.1:0"), 2);
         assert!(t.serving());
         assert!(t.hub().is_some());
+        assert_eq!(t.wall().map(Wall::threads), Some(3), "workers + driver");
         let addr = t.local_addr().expect("bound");
         assert_ne!(addr.port(), 0);
         t.finish();
@@ -238,6 +230,7 @@ mod tests {
     fn bad_address_degrades_gracefully() {
         let t = Telemetry::new(Some("256.256.256.256:99999"), 2);
         assert!(!t.serving());
+        assert!(t.hub().is_none() && t.wall().is_none());
         t.finish();
     }
 

@@ -29,10 +29,9 @@ fn claims_are_exclusive_and_order_preserved() {
 }
 
 /// The observed variant with a live hub: beats ride the same SPSC rings
-/// the hub model test exercises, and after the run every claimed worker
-/// slot must show its final `Done` beat — completion is never lost,
-/// and completed-task counts conserve the task count.
-#[cfg(feature = "trace")]
+/// `execmig-obs`'s `model_spsc` test exercises, and after the run every
+/// claimed worker slot must show its final `Done` beat — completion is
+/// never lost, and completed-task counts conserve the task count.
 #[test]
 fn done_beats_are_never_lost() {
     use execmig_obs::{Hub, HubConfig, WorkerState};

@@ -3,8 +3,8 @@
 use execmig_cache::{Cache, FillIfAbsent};
 use execmig_core::MigrationController;
 use execmig_obs::{
-    wall, Beat, EventKind, Histogram, Hub, HubWorker, ProfileConfig, ProfileCumulative, Profiler,
-    Registry, Tracer, WorkerState,
+    wall, Beat, EventKind, Family, Histogram, HubWorker, ProfileConfig, ProfileCumulative,
+    Profiler, Registry, Tracer, WorkerState,
 };
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
 
@@ -340,8 +340,7 @@ impl Machine {
     /// The beats are pure reads of the machine's counters — the
     /// simulation path is byte-for-byte the one [`run`](Self::run)
     /// takes, so [`MachineStats`] stay bit-identical with telemetry on
-    /// or off. Without the `trace` feature, `Hub::ACTIVE` is false and
-    /// the whole publishing branch is dead code.
+    /// or off.
     ///
     /// `task` and `tasks_done` identify the caller's unit of work; they
     /// pass through into every beat unchanged (the hub merge keeps the
@@ -359,20 +358,16 @@ impl Machine {
         let mut last_beat_at: Option<u64> = None;
         // One wall-clock span per beat-period block, recorded into the
         // calling thread's attached flight-recorder context (a no-op
-        // when unattached or without `trace`). The spans are pure
-        // timers — the simulation path stays byte-for-byte `run`'s.
-        let mut block_span = Some(wall::span(wall::families::MACHINE_BLOCK));
-        // Without a hub there are no beats, so no fill cap either.
-        let period = Hub::ACTIVE.then_some(beat_period.max(1));
-        self.drive(workload, instructions, period, |m| {
-            if Hub::ACTIVE {
-                worker.publish(m.progress_beat(WorkerState::Running, task, tasks_done));
-                last_beat_at = Some(m.stats.instructions);
-                // Close the finished block before opening the next, so
-                // the guards nest LIFO on the thread's span stack.
-                block_span.take();
-                block_span = Some(wall::span(wall::families::MACHINE_BLOCK));
-            }
+        // when unattached). The spans are pure timers — the simulation
+        // path stays byte-for-byte `run`'s.
+        let mut block_span = Some(wall::span(Family::MachineBlock));
+        self.drive(workload, instructions, Some(beat_period.max(1)), |m| {
+            worker.publish(m.progress_beat(WorkerState::Running, task, tasks_done));
+            last_beat_at = Some(m.stats.instructions);
+            // Close the finished block before opening the next, so the
+            // guards nest LIFO on the thread's span stack.
+            block_span.take();
+            block_span = Some(wall::span(Family::MachineBlock));
         });
         // Close the trailing block before the final beat is published.
         block_span.take();
@@ -380,7 +375,7 @@ impl Machine {
         // reported this exact instruction count (a budget landing on a
         // beat boundary), which would double-count the publish in the
         // hub's `HubOverhead` self-accounting.
-        if Hub::ACTIVE && last_beat_at != Some(self.stats.instructions) {
+        if last_beat_at != Some(self.stats.instructions) {
             worker.publish(self.progress_beat(WorkerState::Running, task, tasks_done));
         }
     }
@@ -898,7 +893,7 @@ mod tests {
     use super::*;
     use crate::config::CacheGeometry;
     use execmig_cache::Indexing;
-    use execmig_obs::ProfileRecord;
+    use execmig_obs::{Hub, ProfileRecord};
     use execmig_trace::gen::CircularWorkload;
     use execmig_trace::suite;
 
@@ -1393,7 +1388,6 @@ mod tests {
     /// instruction count twice and is skipped. `CircularWorkload`
     /// retires exactly one instruction per event, so beat positions
     /// are exact and the expected counts are closed-form.
-    #[cfg(feature = "trace")]
     #[test]
     fn observed_run_publishes_one_beat_per_period() {
         let beats_for = |budget: u64, period: u64| {

@@ -22,8 +22,8 @@
 //! side by side in the same viewer.
 //!
 //! Everything here is plain data transformation: it runs identically
-//! with or without the `trace` feature (the inputs are just empty
-//! slices when tracing is compiled out).
+//! with or without the `trace` feature (the event and profile inputs
+//! are just empty slices when tracing is compiled out).
 
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
@@ -319,7 +319,7 @@ pub fn render_wall_trace(spans: &[RetainedSpan], threads: usize) -> Json {
     for s in spans {
         t.complete_in(
             s.thread as u64,
-            &s.family,
+            s.family.name(),
             "wall",
             s.start_ns / 1000,
             s.dur_ns / 1000,
@@ -352,6 +352,7 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::profile::PROFILE_MAX_CORES;
+    use crate::wall::Family;
 
     fn record(start: u64, end: u64, l2: u64, core: u8) -> ProfileRecord {
         let mut residency = [0u64; PROFILE_MAX_CORES];
@@ -483,7 +484,7 @@ mod tests {
             RetainedSpan {
                 id: (1 << 48) | 1,
                 parent: 0,
-                family: "sweep".to_string(),
+                family: Family::Sweep,
                 thread: 1,
                 start_ns: 1_000,
                 dur_ns: 2_000_000,
@@ -491,7 +492,7 @@ mod tests {
             RetainedSpan {
                 id: (2 << 48) | 1,
                 parent: (1 << 48) | 1,
-                family: "runner/task".to_string(),
+                family: Family::Task,
                 thread: 0,
                 start_ns: 5_000,
                 dur_ns: 900, // sub-µs: renders with dur 0

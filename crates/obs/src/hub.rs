@@ -5,17 +5,16 @@
 //! answers them *during* one. Workers (sweep threads, long machine
 //! runs) publish small fixed-size progress [`Beat`]s — instructions
 //! retired, misses, migrations, `F`/`A_R`, worker state — into
-//! per-worker single-producer/single-consumer rings. A single
-//! aggregator (whoever calls [`Hub::snapshot`], serialised internally)
-//! drains the rings and merges them into an epoch-stamped
-//! [`HubSnapshot`] that the serving edge ([`crate::serve`]) renders as
-//! `/progress` JSON and `/healthz` verdicts.
+//! per-worker [`Ring`]s. A single aggregator (whoever calls
+//! [`Hub::snapshot`], serialised internally) drains the rings and
+//! merges them into an epoch-stamped [`HubSnapshot`] that the serving
+//! edge ([`crate::serve`]) renders as `/progress` JSON and `/healthz`
+//! verdicts.
 //!
-//! **No mutex on the hot path.** A publish is a handful of relaxed
-//! atomic stores into the worker's own ring slot followed by one
-//! release store of the ring head; a full ring drops the beat (and
-//! counts the drop) rather than blocking. Only the aggregation side —
-//! never a worker — takes a lock.
+//! **No mutex on the hot path.** A publish is one [`Ring::push`]: a
+//! handful of relaxed stores and one release store of the ring head; a
+//! full ring drops the beat (and counts the drop) rather than blocking.
+//! Only the aggregation side — never a worker — takes a lock.
 //!
 //! **Epoch'd snapshot merge.** Each merge drains every ring, folds the
 //! newest beat per worker into the retained [`WorkerProgress`] row, and
@@ -24,21 +23,23 @@
 //!
 //! **Self-accounting.** The hub measures its own cost — beats
 //! published, bytes moved, nanoseconds inside publish and merge — and
-//! reports it as [`HubOverhead`]. A [`TelemetryBudget`] turns that into
-//! a pass/fail verdict against a configured fraction of run time, so
+//! reports it as [`HubOverhead`]. A [`Budget`](crate::Budget) turns
+//! that into a pass/fail verdict against a fraction of run time, so
 //! "observability is cheap" stays a measured claim rather than an
 //! assumption as instrumentation grows.
 //!
-//! **Zero cost when off.** Like [`crate::Tracer`] and
-//! [`crate::Profiler`], the hub follows the `trace`-feature discipline:
-//! without the feature [`Hub`] and [`HubWorker`] are zero-sized no-ops
-//! and [`Hub::ACTIVE`] is `false`. Publish call sites outside this
-//! crate must sit behind `if Hub::ACTIVE { … }` (lint rule E011), so
-//! default builds carry no telemetry code at all.
+//! **Off means absent.** Beats fire at task boundaries and once per
+//! beat period, never per simulated event, so the hub has no
+//! compile-time twin: an unobserved run simply has no hub (and so no
+//! [`HubWorker`] to publish through).
 
 use crate::json::{Json, ToJson};
+use crate::model::sync::{Arc, Mutex};
+use crate::spsc::Ring;
+use std::time::Instant;
 
-/// `u64` words per encoded [`Beat`] in the ring.
+/// `u64` words per encoded [`Beat`] in the ring (the last is the
+/// ring's sequence stamp).
 pub const BEAT_WORDS: usize = 12;
 
 /// Default ring capacity (beats buffered per worker between merges).
@@ -72,7 +73,6 @@ impl WorkerState {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn encode(self) -> u64 {
         match self {
             WorkerState::Idle => 0,
@@ -81,7 +81,6 @@ impl WorkerState {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     fn decode(v: u64) -> WorkerState {
         match v {
             1 => WorkerState::Running,
@@ -99,8 +98,7 @@ impl ToJson for WorkerState {
 
 /// One progress heartbeat. Counter fields are cumulative from the
 /// worker's point of view (the merge keeps the newest beat, it does not
-/// sum them); `seq` and `wall_us` are stamped by
-/// [`HubWorker::publish`].
+/// sum them); the hub-clock stamp is added by [`HubWorker::publish`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Beat {
     /// Worker state.
@@ -133,8 +131,7 @@ impl Beat {
         }
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    fn encode(&self, seq: u64, wall_us: u64) -> [u64; BEAT_WORDS] {
+    fn encode(&self, wall_us: u64) -> [u64; BEAT_WORDS] {
         [
             self.state.encode(),
             self.task,
@@ -145,14 +142,13 @@ impl Beat {
             self.f_value as u64,
             self.a_r as u64,
             self.bus_bytes,
-            seq,
             wall_us,
             0,
+            0, // the ring's sequence stamp
         ]
     }
 
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64, u64) {
+    fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64) {
         (
             Beat {
                 state: WorkerState::decode(words[0]),
@@ -166,7 +162,6 @@ impl Beat {
                 bus_bytes: words[8],
             },
             words[9],
-            words[10],
         )
     }
 }
@@ -198,12 +193,6 @@ impl HubConfig {
     /// µs of silence after which a running worker counts as stalled.
     pub fn stall_after_us(&self) -> u64 {
         self.heartbeat_us.saturating_mul(self.stall_beats.max(1))
-    }
-}
-
-impl Default for HubConfig {
-    fn default() -> Self {
-        HubConfig::with_workers(0)
     }
 }
 
@@ -303,63 +292,10 @@ impl HubOverhead {
     pub fn total_ns(&self) -> u64 {
         self.publish_ns.saturating_add(self.merge_ns)
     }
-
-    /// Observability time as a fraction of `run_ns` (0 when `run_ns`
-    /// is 0).
-    pub fn fraction_of(&self, run_ns: u64) -> f64 {
-        if run_ns == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / run_ns as f64
-        }
-    }
-}
-
-/// A cap on how much of a run observability may consume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryBudget {
-    /// Maximum tolerated `overhead / run` time fraction.
-    pub max_fraction: f64,
-}
-
-impl Default for TelemetryBudget {
-    fn default() -> Self {
-        // The acceptance bar: observability under 2 % of run time.
-        TelemetryBudget { max_fraction: 0.02 }
-    }
-}
-
-/// A budget check outcome (never panics; callers decide severity).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetVerdict {
-    /// Measured overhead fraction of the run.
-    pub fraction: f64,
-    /// The configured cap.
-    pub max_fraction: f64,
-    /// `fraction <= max_fraction`.
-    pub within: bool,
-}
-
-crate::impl_to_json!(BudgetVerdict {
-    fraction,
-    max_fraction,
-    within
-});
-
-impl TelemetryBudget {
-    /// Checks `overhead` against a run of `run_ns` nanoseconds.
-    pub fn verdict(&self, overhead: &HubOverhead, run_ns: u64) -> BudgetVerdict {
-        let fraction = overhead.fraction_of(run_ns);
-        BudgetVerdict {
-            fraction,
-            max_fraction: self.max_fraction,
-            within: fraction <= self.max_fraction,
-        }
-    }
 }
 
 /// An epoch-stamped merged view of every worker.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HubSnapshot {
     /// Bumped on every merge that ran (even if no new beats arrived).
     pub epoch: u64,
@@ -410,7 +346,7 @@ impl ToJson for HubSnapshot {
 }
 
 /// `/healthz` verdict derived from a snapshot plus the watchdog config.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// No running worker has missed its beat budget.
     pub ok: bool,
@@ -432,428 +368,208 @@ impl ToJson for HealthReport {
     }
 }
 
-#[cfg(feature = "trace")]
-mod real {
-    use super::*;
-    use crate::model::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
-    use std::time::Instant;
+/// Aggregator-side merge state, guarded by one (cold-path) mutex.
+struct AggState {
+    workers: Vec<WorkerProgress>,
+    epoch: u64,
+    merges: u64,
+    merge_ns: u64,
+}
 
-    /// One worker's SPSC ring plus its producer-side counters.
-    struct WorkerSlot {
-        /// Next sequence number the producer will write (monotonic).
-        head: AtomicU64,
-        /// Next sequence number the consumer will read.
-        tail: AtomicU64,
-        /// Beats dropped on a full ring.
-        dropped: AtomicU64,
-        /// Beats accepted.
-        published: AtomicU64,
-        /// Producer nanoseconds inside `publish`.
-        publish_ns: AtomicU64,
-        /// Producer handle handed out already?
-        claimed: AtomicBool,
-        /// Fixed-size beat storage; slot `i` holds sequence numbers
-        /// `≡ i (mod capacity)`.
-        ring: Vec<[AtomicU64; BEAT_WORDS]>,
-    }
+struct HubInner {
+    config: HubConfig,
+    started: Instant,
+    rings: Vec<Ring<BEAT_WORDS>>,
+    agg: Mutex<AggState>,
+}
 
-    impl WorkerSlot {
-        fn new(capacity: usize) -> WorkerSlot {
-            WorkerSlot {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                published: AtomicU64::new(0),
-                publish_ns: AtomicU64::new(0),
-                claimed: AtomicBool::new(false),
-                ring: (0..capacity)
-                    .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                    .collect(),
-            }
-        }
-    }
+/// The live telemetry hub.
+///
+/// Cheap to clone — clones share the same rings and merge state.
+#[derive(Clone)]
+pub struct Hub {
+    inner: Arc<HubInner>,
+}
 
-    /// Aggregator-side merge state, guarded by one (cold-path) mutex.
-    struct AggState {
-        workers: Vec<WorkerProgress>,
-        epoch: u64,
-        merges: u64,
-        merge_ns: u64,
-    }
-
-    struct HubInner {
-        config: HubConfig,
-        started: Instant,
-        slots: Vec<WorkerSlot>,
-        agg: Mutex<AggState>,
-    }
-
-    /// The live telemetry hub (real variant, `trace` feature on).
-    ///
-    /// Cheap to clone — clones share the same rings and merge state.
-    #[derive(Clone)]
-    pub struct Hub {
-        inner: Arc<HubInner>,
-    }
-
-    impl std::fmt::Debug for Hub {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Hub")
-                .field("config", &self.inner.config)
-                .finish()
-        }
-    }
-
-    impl Hub {
-        /// Compile-time flag: true in `trace` builds. Publish sites
-        /// outside obs guard with this (lint rule E011).
-        pub const ACTIVE: bool = true;
-
-        /// A hub with `config.workers` slots.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `ring_capacity < 2`.
-        pub fn new(config: HubConfig) -> Hub {
-            assert!(config.ring_capacity >= 2, "hub ring capacity must be ≥ 2");
-            let slots = (0..config.workers)
-                .map(|_| WorkerSlot::new(config.ring_capacity))
-                .collect();
-            let workers = (0..config.workers)
-                .map(|worker| WorkerProgress {
-                    worker,
-                    task: u64::MAX,
-                    ..WorkerProgress::default()
-                })
-                .collect();
-            Hub {
-                inner: Arc::new(HubInner {
-                    config,
-                    started: Instant::now(),
-                    slots,
-                    agg: Mutex::new(AggState {
-                        workers,
-                        epoch: 0,
-                        merges: 0,
-                        merge_ns: 0,
-                    }),
-                }),
-            }
-        }
-
-        /// A hub with the default config for `workers` slots.
-        pub fn with_workers(workers: usize) -> Hub {
-            Hub::new(HubConfig::with_workers(workers))
-        }
-
-        /// The configuration.
-        pub fn config(&self) -> HubConfig {
-            self.inner.config
-        }
-
-        /// µs since the hub was created (the hub clock beats and
-        /// snapshots are stamped with).
-        pub fn now_us(&self) -> u64 {
-            self.inner.started.elapsed().as_micros() as u64
-        }
-
-        /// Claims worker slot `index`'s producer handle. Each slot has
-        /// exactly one producer: the first claim wins, later claims
-        /// (and out-of-range indices) get `None`.
-        pub fn worker(&self, index: usize) -> Option<HubWorker> {
-            let slot = self.inner.slots.get(index)?;
-            // ord: AcqRel swap pairs claim attempts with each other so
-            // exactly one caller wins the slot.
-            if slot.claimed.swap(true, Ordering::AcqRel) {
-                return None;
-            }
-            Some(HubWorker {
-                inner: Arc::clone(&self.inner),
-                index,
-            })
-        }
-
-        /// Drains every ring, merges newest beats into the retained
-        /// per-worker rows, bumps the epoch, and returns the merged
-        /// view. Aggregation is serialised internally (single-
-        /// aggregator); workers never block on it.
-        pub fn snapshot(&self) -> HubSnapshot {
-            let t0 = Instant::now();
-            let mut agg = match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for (slot, row) in self.inner.slots.iter().zip(agg.workers.iter_mut()) {
-                // SPSC drain: everything in [tail, head) is complete
-                // (the producer publishes head with Release after the
-                // slot words), and advancing tail with Release hands
-                // the slots back to the producer.
-                // ord: Acquire pairs with the producer's Release head
-                // store in publish(): everything below `head` is fully
-                // written before we read it.
-                let head = slot.head.load(Ordering::Acquire);
-                // ord: Relaxed — tail is consumer-owned (we are the only
-                // writer, under the agg mutex).
-                let tail = slot.tail.load(Ordering::Relaxed);
-                let cap = slot.ring.len() as u64;
-                let mut words = [0u64; BEAT_WORDS];
-                for seq in tail..head {
-                    let cell = &slot.ring[(seq % cap) as usize];
-                    for (w, c) in words.iter_mut().zip(cell.iter()) {
-                        // ord: Relaxed — covered by the Acquire head
-                        // load above (the producer wrote these before
-                        // its Release head bump).
-                        *w = c.load(Ordering::Relaxed);
-                    }
-                    let (beat, beat_seq, wall_us) = Beat::decode(&words);
-                    debug_assert_eq!(beat_seq, seq, "ring sequence mismatch");
-                    row.state = beat.state;
-                    row.task = beat.task;
-                    row.tasks_done = beat.tasks_done;
-                    row.instructions = beat.instructions;
-                    row.l2_misses = beat.l2_misses;
-                    row.migrations = beat.migrations;
-                    row.f_value = beat.f_value;
-                    row.a_r = beat.a_r;
-                    row.bus_bytes = beat.bus_bytes;
-                    row.wall_us = wall_us;
-                    row.beats += 1;
-                }
-                if head != tail {
-                    // ord: Release pairs with the producer's Acquire
-                    // tail load in publish(): the cells are ours no
-                    // longer once tail advances.
-                    slot.tail.store(head, Ordering::Release);
-                }
-                // ord: Relaxed — a monotone counter read for display;
-                // exact only after the producer is joined.
-                row.dropped = slot.dropped.load(Ordering::Relaxed);
-            }
-            let now_us = self.now_us();
-            for row in agg.workers.iter_mut() {
-                row.age_us = if row.beats == 0 {
-                    0
-                } else {
-                    now_us.saturating_sub(row.wall_us)
-                };
-            }
-            agg.epoch += 1;
-            agg.merges += 1;
-            agg.merge_ns += t0.elapsed().as_nanos() as u64;
-            HubSnapshot {
-                epoch: agg.epoch,
-                taken_us: now_us,
-                workers: agg.workers.clone(),
-                overhead: self.overhead_locked(&agg),
-            }
-        }
-
-        /// Hub self-accounting so far (without forcing a merge).
-        pub fn overhead(&self) -> HubOverhead {
-            let agg = match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            self.overhead_locked(&agg)
-        }
-
-        fn overhead_locked(&self, agg: &AggState) -> HubOverhead {
-            let mut beats = 0u64;
-            let mut dropped = 0u64;
-            let mut publish_ns = 0u64;
-            for slot in &self.inner.slots {
-                // Monotone self-accounting counters: readers tolerate
-                // slight lag, exact once the producer thread is joined.
-                beats += slot.published.load(Ordering::Relaxed); // ord: monotone counter
-                dropped += slot.dropped.load(Ordering::Relaxed); // ord: monotone counter
-                publish_ns += slot.publish_ns.load(Ordering::Relaxed); // ord: monotone counter
-            }
-            HubOverhead {
-                beats,
-                dropped,
-                bytes: beats * (BEAT_WORDS as u64) * 8,
-                publish_ns,
-                merges: agg.merges,
-                merge_ns: agg.merge_ns,
-            }
-        }
-
-        /// Merges and reduces to the `/healthz` verdict using the
-        /// configured watchdog thresholds.
-        pub fn health(&self) -> HealthReport {
-            let snap = self.snapshot();
-            let stalled = snap.stalled_workers(self.inner.config.stall_after_us());
-            HealthReport {
-                ok: stalled.is_empty(),
-                workers: snap.workers.len(),
-                stalled,
-                epoch: snap.epoch,
-            }
-        }
-    }
-
-    /// A worker's producer handle (real variant). Deliberately not
-    /// `Clone`: one producer per ring is what makes the ring SPSC.
-    pub struct HubWorker {
-        inner: Arc<HubInner>,
-        index: usize,
-    }
-
-    impl std::fmt::Debug for HubWorker {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("HubWorker")
-                .field("index", &self.index)
-                .finish()
-        }
-    }
-
-    impl HubWorker {
-        /// The slot index this handle publishes to.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// Publishes one beat: encode, write the ring slot with relaxed
-        /// stores, publish the head with one release store. A full ring
-        /// drops the beat and counts the drop — the hot path never
-        /// waits. Publish cost is self-measured into
-        /// [`HubOverhead::publish_ns`].
-        pub fn publish(&self, beat: Beat) {
-            let t0 = Instant::now();
-            let slot = &self.inner.slots[self.index];
-            // ord: Relaxed — head is producer-owned; we are its only
-            // writer.
-            let head = slot.head.load(Ordering::Relaxed);
-            // ord: Acquire pairs with the consumer's Release tail store
-            // in snapshot(): once tail covers a cell, the consumer is
-            // done reading it and we may overwrite.
-            let tail = slot.tail.load(Ordering::Acquire);
-            let cap = slot.ring.len() as u64;
-            if head.wrapping_sub(tail) >= cap {
-                // ord: Relaxed — monotone drop counter, producer-owned.
-                slot.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let wall_us = self.inner.started.elapsed().as_micros() as u64;
-                let words = beat.encode(head, wall_us);
-                let cell = &slot.ring[(head % cap) as usize];
-                #[cfg(not(execmig_torn_slot))]
-                for (c, w) in cell.iter().zip(words) {
-                    // ord: Relaxed — the Release head store below
-                    // publishes these words.
-                    c.store(w, Ordering::Relaxed);
-                }
-                #[cfg(execmig_torn_slot)]
-                for (i, (c, w)) in cell.iter().zip(words).enumerate() {
-                    if i != 3 {
-                        // ord: Relaxed — deliberately torn mutation:
-                        // word 3 lands after the head bump below.
-                        c.store(w, Ordering::Relaxed);
-                    }
-                }
-                #[cfg(not(execmig_weak_head))]
-                // ord: Release publishes the slot words written above;
-                // pairs with the Acquire head load in snapshot().
-                slot.head.store(head + 1, Ordering::Release);
-                #[cfg(execmig_weak_head)]
-                // ord: Relaxed — deliberately broken mutation: without
-                // the release pairing, snapshot() may read torn slots.
-                slot.head.store(head + 1, Ordering::Relaxed);
-                #[cfg(execmig_torn_slot)]
-                // ord: Relaxed — deliberately broken mutation: the
-                // instructions word is published after the head bump.
-                cell[3].store(words[3], Ordering::Relaxed);
-                // ord: Relaxed — monotone self-accounting counter.
-                slot.published.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.publish_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+impl std::fmt::Debug for Hub {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Hub")
+            .field("config", &self.inner.config)
+            .finish()
     }
 }
 
-#[cfg(feature = "trace")]
-pub use real::{Hub, HubWorker};
-
-/// No-op hub compiled without the `trace` feature: zero-sized, every
-/// method an empty `#[inline(always)]` body.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Hub;
-
-#[cfg(not(feature = "trace"))]
 impl Hub {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn new(_config: HubConfig) -> Hub {
-        Hub
+    /// A hub with `config.workers` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity < 2`.
+    pub fn new(config: HubConfig) -> Hub {
+        let rings = (0..config.workers)
+            .map(|_| Ring::new(config.ring_capacity))
+            .collect();
+        let workers = (0..config.workers)
+            .map(|worker| WorkerProgress {
+                worker,
+                task: u64::MAX,
+                ..WorkerProgress::default()
+            })
+            .collect();
+        Hub {
+            inner: Arc::new(HubInner {
+                config,
+                started: Instant::now(),
+                rings,
+                agg: Mutex::new(AggState {
+                    workers,
+                    epoch: 0,
+                    merges: 0,
+                    merge_ns: 0,
+                }),
+            }),
+        }
     }
 
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn with_workers(_workers: usize) -> Hub {
-        Hub
+    /// A hub with the default config for `workers` slots.
+    pub fn with_workers(workers: usize) -> Hub {
+        Hub::new(HubConfig::with_workers(workers))
     }
 
-    /// The default (empty) configuration.
-    #[inline(always)]
+    /// The configuration.
     pub fn config(&self) -> HubConfig {
-        HubConfig::default()
+        self.inner.config
     }
 
-    /// Always 0.
-    #[inline(always)]
+    /// µs since the hub was created (the hub clock beats and snapshots
+    /// are stamped with).
     pub fn now_us(&self) -> u64 {
-        0
+        self.inner.started.elapsed().as_micros() as u64
     }
 
-    /// Always a no-op handle (publishing to it does nothing).
-    #[inline(always)]
-    pub fn worker(&self, _index: usize) -> Option<HubWorker> {
-        Some(HubWorker)
+    /// Claims worker slot `index`'s producer handle. Each slot has
+    /// exactly one producer: the first claim wins, later claims (and
+    /// out-of-range indices) get `None`.
+    pub fn worker(&self, index: usize) -> Option<HubWorker> {
+        self.inner.rings.get(index)?.claim().then(|| HubWorker {
+            inner: Arc::clone(&self.inner),
+            index,
+        })
     }
 
-    /// Always empty, epoch 0.
-    #[inline(always)]
+    fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
+        match self.inner.agg.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Drains every ring, merges newest beats into the retained
+    /// per-worker rows, bumps the epoch, and returns the merged view.
+    /// Aggregation is serialised internally (single-aggregator);
+    /// workers never block on it.
     pub fn snapshot(&self) -> HubSnapshot {
-        HubSnapshot::default()
+        let t0 = Instant::now();
+        let mut agg = self.agg_lock();
+        for (ring, row) in self.inner.rings.iter().zip(agg.workers.iter_mut()) {
+            ring.drain(|words| {
+                let (beat, wall_us) = Beat::decode(words);
+                row.state = beat.state;
+                row.task = beat.task;
+                row.tasks_done = beat.tasks_done;
+                row.instructions = beat.instructions;
+                row.l2_misses = beat.l2_misses;
+                row.migrations = beat.migrations;
+                row.f_value = beat.f_value;
+                row.a_r = beat.a_r;
+                row.bus_bytes = beat.bus_bytes;
+                row.wall_us = wall_us;
+                row.beats += 1;
+            });
+            row.dropped = ring.dropped();
+        }
+        let now_us = self.now_us();
+        for row in agg.workers.iter_mut() {
+            row.age_us = if row.beats == 0 {
+                0
+            } else {
+                now_us.saturating_sub(row.wall_us)
+            };
+        }
+        agg.epoch += 1;
+        agg.merges += 1;
+        agg.merge_ns += t0.elapsed().as_nanos() as u64;
+        HubSnapshot {
+            epoch: agg.epoch,
+            taken_us: now_us,
+            workers: agg.workers.clone(),
+            overhead: self.overhead_locked(&agg),
+        }
     }
 
-    /// Always zero.
-    #[inline(always)]
+    /// Hub self-accounting so far (without forcing a merge).
     pub fn overhead(&self) -> HubOverhead {
-        HubOverhead::default()
+        self.overhead_locked(&self.agg_lock())
     }
 
-    /// Always healthy (nothing is watched).
-    #[inline(always)]
+    fn overhead_locked(&self, agg: &AggState) -> HubOverhead {
+        let rings = &self.inner.rings;
+        let beats: u64 = rings.iter().map(Ring::published).sum();
+        HubOverhead {
+            beats,
+            dropped: rings.iter().map(Ring::dropped).sum(),
+            bytes: beats * (BEAT_WORDS as u64) * 8,
+            publish_ns: rings.iter().map(Ring::cost_ns).sum(),
+            merges: agg.merges,
+            merge_ns: agg.merge_ns,
+        }
+    }
+
+    /// Merges and reduces to the `/healthz` verdict using the
+    /// configured watchdog thresholds.
     pub fn health(&self) -> HealthReport {
+        let snap = self.snapshot();
+        let stalled = snap.stalled_workers(self.inner.config.stall_after_us());
         HealthReport {
-            ok: true,
-            ..HealthReport::default()
+            ok: stalled.is_empty(),
+            workers: snap.workers.len(),
+            stalled,
+            epoch: snap.epoch,
         }
     }
 }
 
-/// No-op producer handle compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug)]
-pub struct HubWorker;
+/// A worker's producer handle. Deliberately not `Clone`: one producer
+/// per ring is what makes the ring SPSC.
+pub struct HubWorker {
+    inner: Arc<HubInner>,
+    index: usize,
+}
 
-#[cfg(not(feature = "trace"))]
+impl std::fmt::Debug for HubWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HubWorker")
+            .field("index", &self.index)
+            .finish()
+    }
+}
+
 impl HubWorker {
-    /// Always 0.
-    #[inline(always)]
+    /// The slot index this handle publishes to.
     pub fn index(&self) -> usize {
-        0
+        self.index
     }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn publish(&self, _beat: Beat) {}
+    /// Publishes one beat, stamped with the hub clock. A full ring
+    /// drops the beat and counts the drop — the caller never waits.
+    /// Publish cost is self-measured into [`HubOverhead::publish_ns`].
+    pub fn publish(&self, beat: Beat) {
+        let t0 = Instant::now();
+        let ring = &self.inner.rings[self.index];
+        let wall_us = t0.duration_since(self.inner.started).as_micros() as u64;
+        ring.push(beat.encode(wall_us));
+        ring.bill(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 #[cfg(test)]
@@ -877,10 +593,8 @@ mod tests {
     #[test]
     fn beat_roundtrips_through_words() {
         let b = beat(1234, WorkerState::Running);
-        let words = b.encode(42, 99);
-        let (back, seq, wall) = Beat::decode(&words);
+        let (back, wall) = Beat::decode(&b.encode(99));
         assert_eq!(back, b);
-        assert_eq!(seq, 42);
         assert_eq!(wall, 99);
         // Negative F/A_R survive the u64 transit.
         assert_eq!(back.f_value, -5);
@@ -896,26 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_verdicts() {
-        let budget = TelemetryBudget::default();
-        let cheap = HubOverhead {
-            publish_ns: 1_000,
-            merge_ns: 1_000,
-            ..HubOverhead::default()
-        };
-        assert!(budget.verdict(&cheap, 1_000_000).within);
-        let dear = HubOverhead {
-            publish_ns: 500_000,
-            ..HubOverhead::default()
-        };
-        let v = budget.verdict(&dear, 1_000_000);
-        assert!(!v.within);
-        assert!((v.fraction - 0.5).abs() < 1e-12);
-        // Zero-length runs never fail the budget.
-        assert!(budget.verdict(&dear, 0).within);
-    }
-
-    #[test]
     fn snapshot_json_shape() {
         let hub = Hub::with_workers(2);
         let snap = hub.snapshot();
@@ -927,38 +621,29 @@ mod tests {
     }
 
     #[test]
-    fn hub_matches_feature_mode() {
+    fn publish_merges_the_newest_beat() {
         let hub = Hub::with_workers(2);
         let w = hub.worker(0).expect("first claim");
         w.publish(beat(500, WorkerState::Running));
         w.publish(beat(900, WorkerState::Running));
         let snap = hub.snapshot();
-        if Hub::ACTIVE {
-            assert_eq!(snap.workers.len(), 2);
-            assert_eq!(snap.epoch, 1);
-            // Merge keeps the newest beat, counts both.
-            assert_eq!(snap.workers[0].instructions, 900);
-            assert_eq!(snap.workers[0].beats, 2);
-            assert_eq!(snap.workers[0].state, WorkerState::Running);
-            assert_eq!(snap.workers[1].beats, 0);
-            assert_eq!(snap.total_instructions(), 900);
-            // The second claim of the same slot must fail (SPSC).
-            assert!(hub.worker(0).is_none(), "slot 0 already claimed");
-            assert!(hub.worker(5).is_none(), "out of range");
-            let o = hub.overhead();
-            assert_eq!(o.beats, 2);
-            assert_eq!(o.bytes, 2 * (BEAT_WORDS as u64) * 8);
-            assert!(o.merges >= 1);
-        } else {
-            assert_eq!(snap.workers.len(), 0);
-            assert_eq!(snap.epoch, 0);
-            assert_eq!(hub.overhead(), HubOverhead::default());
-            assert_eq!(std::mem::size_of::<Hub>(), 0);
-            assert_eq!(std::mem::size_of::<HubWorker>(), 0);
-        }
+        assert_eq!(snap.workers.len(), 2);
+        assert_eq!(snap.epoch, 1);
+        // Merge keeps the newest beat, counts both.
+        assert_eq!(snap.workers[0].instructions, 900);
+        assert_eq!(snap.workers[0].beats, 2);
+        assert_eq!(snap.workers[0].state, WorkerState::Running);
+        assert_eq!(snap.workers[1].beats, 0);
+        assert_eq!(snap.total_instructions(), 900);
+        // The second claim of the same slot must fail (SPSC).
+        assert!(hub.worker(0).is_none(), "slot 0 already claimed");
+        assert!(hub.worker(5).is_none(), "out of range");
+        let o = hub.overhead();
+        assert_eq!(o.beats, 2);
+        assert_eq!(o.bytes, 2 * (BEAT_WORDS as u64) * 8);
+        assert!(o.merges >= 1);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn full_ring_drops_and_counts() {
         let hub = Hub::new(HubConfig {
@@ -983,7 +668,6 @@ mod tests {
         assert_eq!(snap.epoch, 2);
     }
 
-    #[cfg(feature = "trace")]
     #[cfg_attr(miri, ignore = "unbounded spin publishers are too slow under miri")]
     #[test]
     fn concurrent_publish_and_merge() {
@@ -1036,7 +720,6 @@ mod tests {
         assert!(snap.epoch >= 201);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn stall_watchdog_flags_silent_running_worker() {
         let hub = Hub::new(HubConfig {
@@ -1059,7 +742,6 @@ mod tests {
         assert!(!health.stalled.contains(&1));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn publish_cost_is_accounted() {
         let hub = Hub::with_workers(1);

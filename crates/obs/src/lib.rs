@@ -1,6 +1,6 @@
 //! Observability layer for the execution-migration workspace.
 //!
-//! Seven pieces, all dependency-free:
+//! Twelve pieces, all dependency-free:
 //!
 //! - [`tracer`]: a feature-gated event tracer. With the `trace` feature
 //!   on, [`Tracer`] records typed events ([`EventKind`]) with monotonic
@@ -11,30 +11,34 @@
 //!   [`Registry`] with snapshot/delta semantics.
 //! - [`export`]: JSON, CSV, and Prometheus text exposition.
 //! - [`manifest`]: a [`RunManifest`] JSON artefact per experiment run.
-//! - [`span`]: wall-clock [`SpanSet`] timers for parallel runners.
 //! - [`profile`]: a feature-gated interval [`Profiler`] attributing
 //!   misses/migrations/`F` dynamics to fixed instruction windows
 //!   ([`ProfileRecord`]), with pair-merge decimation so long runs stay
 //!   O(capacity). Same zero-cost-when-off discipline as [`Tracer`].
 //! - [`chrome`]: Chrome Trace Event Format export of profiles and the
 //!   [`EventRing`], loadable in `chrome://tracing`/Perfetto.
-//! - [`hub`]: a feature-gated live-telemetry [`Hub`] — lock-free
-//!   per-worker SPSC beat rings with an epoch'd snapshot merge and
-//!   overhead self-accounting ([`TelemetryBudget`]). Zero-sized no-op
-//!   without `trace`, like [`Tracer`]/[`Profiler`].
+//! - [`spsc`]: the one lock-free SPSC [`spsc::Ring`] the hub and the wall
+//!   record into, and the [`Budget`] that rates their self-billed cost.
+//! - [`hub`]: the live-telemetry [`Hub`] — per-worker beat rings with an
+//!   epoch'd snapshot merge and overhead self-accounting.
 //! - [`http`]: a minimal, panic-free HTTP/1.1 request parser and
 //!   response writer (no third-party deps).
 //! - [`serve`]: the [`TelemetryServer`] serving `/metrics`,
-//!   `/progress`, and `/healthz` over the in-tree HTTP stack.
+//!   `/progress`, `/spans`, and `/healthz` over the in-tree HTTP stack.
 //! - [`model`]: the concurrency shim — std `sync`/`thread` re-exports
 //!   in real builds, the `execmig-model` interleaving checker under
 //!   `--cfg execmig_model`. All thread/atomic use in the workspace
 //!   goes through it (lint E012).
 //! - [`wall`]: the wall-clock flight recorder — causal spans
-//!   ([`wall::span`]) in per-thread SPSC rings, per-family latency
-//!   histograms with p50/p99/p999, a live-stack sampler rendering
-//!   collapsed (flamegraph) output, and a [`WallBudget`] overhead
-//!   verdict. Same zero-cost-when-off discipline as [`Hub`].
+//!   ([`wall::span`]) of a closed [`Family`] set in per-thread rings,
+//!   per-family latency histograms with p50/p99/p999, and a live-stack
+//!   sampler rendering collapsed (flamegraph) output.
+//!
+//! The tracer and profiler sit on the simulator's per-event and
+//! per-block path, so they compile to no-ops without `trace`. The hub
+//! and the wall record only at task, beat-period and stage boundaries:
+//! they are real in every build, and "off" means no hub and no attached
+//! wall thread.
 //!
 //! Serialisation rides on the in-tree [`Json`]/[`ToJson`] model (the
 //! workspace builds offline, with no external crates); structs derive
@@ -52,7 +56,7 @@ pub mod model;
 pub mod profile;
 pub mod ring;
 pub mod serve;
-pub mod span;
+pub mod spsc;
 pub mod tracer;
 pub mod wall;
 
@@ -61,18 +65,18 @@ pub use event::{EventKind, TraceEvent};
 pub use export::{escape_label_value, to_csv, to_prometheus, PromKind, PromWriter};
 pub use http::{parse_request, response, HttpError, Request};
 pub use hub::{
-    Beat, BudgetVerdict, HealthReport, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker,
-    TelemetryBudget, WorkerProgress, WorkerState,
+    Beat, HealthReport, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker, WorkerProgress,
+    WorkerState,
 };
 pub use json::{Json, JsonParseError, ToJson};
-pub use manifest::RunManifest;
+pub use manifest::{RunManifest, Stopwatch};
 pub use metrics::{Histogram, MetricValue, Registry};
 pub use profile::{ProfileConfig, ProfileCumulative, ProfileRecord, Profiler};
 pub use ring::EventRing;
 pub use serve::{MetricsProvider, TelemetryServer};
-pub use span::{Span, SpanSet, Stopwatch};
+pub use spsc::{Budget, BudgetVerdict};
 pub use tracer::Tracer;
 pub use wall::{
-    FamilyStats, RetainedSpan, ScopedSpan, StackCount, Wall, WallBudget, WallOverhead,
-    WallSnapshot, WallThread,
+    Family, FamilyStats, RetainedSpan, ScopedSpan, StackCount, Wall, WallOverhead, WallSnapshot,
+    WallThread,
 };

@@ -5,10 +5,30 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::{Json, ToJson};
-use crate::span::Stopwatch;
+
+/// A started wall clock, stamped into a manifest by
+/// [`RunManifest::finish`].
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    started: Instant,
+}
+
+impl Stopwatch {
+    /// Starts the clock.
+    pub fn start() -> Self {
+        Stopwatch {
+            started: Instant::now(),
+        }
+    }
+
+    /// Seconds elapsed.
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+}
 
 /// A reproducibility record for one experiment run.
 #[derive(Debug, Clone)]

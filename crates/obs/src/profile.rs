@@ -22,7 +22,7 @@
 //! zero-sized type, [`Profiler::ACTIVE`] is `false`, and every method
 //! is an empty `#[inline(always)]` body. Hot paths guard sampling with
 //! `if Profiler::ACTIVE { … }` so the whole block is dead code in
-//! default builds (lint rule E010 enforces the gate).
+//! default builds (lint rule E006 enforces the gate).
 
 use crate::json::{Json, ToJson};
 
@@ -277,7 +277,7 @@ pub struct Profiler {
 #[cfg(feature = "trace")]
 impl Profiler {
     /// Compile-time flag: true in `trace` builds. Hot paths guard
-    /// sampling with this so it vanishes from default builds (E010).
+    /// sampling with this so it vanishes from default builds (E006).
     pub const ACTIVE: bool = true;
 
     /// A profiler with the given sizing.

@@ -13,7 +13,7 @@
 //! - `/spans` — the wall-clock flight recorder's
 //!   [`WallSnapshot`](crate::wall::WallSnapshot) as JSON: per-family
 //!   p50/p99/p999 latencies, sampled collapsed stacks, and the
-//!   [`WallBudget`](crate::wall::WallBudget) overhead verdict;
+//!   [`Budget`](crate::Budget) overhead verdict;
 //! - `/healthz` — `200 {"status":"ok"}` while every running worker is
 //!   beating, `503 {"status":"stalled", …}` once a worker has missed
 //!   its beat budget ([`HubConfig::stall_beats`](crate::hub::HubConfig)).
@@ -478,7 +478,7 @@ pub fn wall_prometheus(wall: &Wall) -> String {
     );
     for f in &snapshot.families {
         for (q, v) in [("0.5", f.p50_ns), ("0.99", f.p99_ns), ("0.999", f.p999_ns)] {
-            let labels: &[(&str, &str)] = &[("family", &f.family), ("quantile", q)];
+            let labels: &[(&str, &str)] = &[("family", f.family.name()), ("quantile", q)];
             w.sample("execmig_span_latency_ns", labels, v as f64);
         }
     }
@@ -488,7 +488,7 @@ pub fn wall_prometheus(wall: &Wall) -> String {
         Some("Closed spans per span family"),
     );
     for f in &snapshot.families {
-        let labels: &[(&str, &str)] = &[("family", &f.family)];
+        let labels: &[(&str, &str)] = &[("family", f.family.name())];
         w.sample("execmig_span_latency_ns_count", labels, f.count as f64);
     }
     w.family(
@@ -497,7 +497,7 @@ pub fn wall_prometheus(wall: &Wall) -> String {
         Some("Summed span duration per span family, ns"),
     );
     for f in &snapshot.families {
-        let labels: &[(&str, &str)] = &[("family", &f.family)];
+        let labels: &[(&str, &str)] = &[("family", f.family.name())];
         w.sample("execmig_span_latency_ns_sum", labels, f.total_ns as f64);
     }
     let o = snapshot.overhead;

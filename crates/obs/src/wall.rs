@@ -18,82 +18,91 @@
 //!   ([`crate::chrome::render_wall_trace`]) that can be merged with the
 //!   simulated-time profile for a dual-clock view.
 //!
-//! **Same discipline as the hub.** Spans are recorded into per-thread
-//! bounded SPSC rings: the producer writes the record words with
-//! relaxed stores and publishes them with one release store of the ring
-//! head; a full ring drops the span and counts the drop — the hot path
-//! never blocks. Only [`Wall::snapshot`] (cold side, mutex-guarded)
-//! drains rings into histograms and the retained-span list. All
-//! atomics go through [`crate::model`], so the same source
-//! model-checks under `--cfg execmig_model` (see `tests/model_wall.rs`
-//! and the `execmig_wall_weak_head` mutation gate).
+//! **Same ring as the hub.** Closed spans go into per-thread
+//! [`Ring`]s: a full ring drops the span and counts the drop — the
+//! recording thread never blocks. Only [`Wall::snapshot`] (cold side,
+//! mutex-guarded) drains rings into histograms and the retained-span
+//! list.
 //!
 //! **Self-accounting.** The wall measures its own cost — spans
 //! recorded, nanoseconds inside enter/exit, merge and sampling time —
-//! as [`WallOverhead`], and [`WallBudget`] turns that into a pass/fail
-//! verdict against a fraction of run time, exactly like
-//! [`TelemetryBudget`](crate::hub::TelemetryBudget).
+//! as [`WallOverhead`], which a [`Budget`] turns into a pass/fail
+//! verdict against a fraction of run time.
 //!
-//! **Zero cost when off.** Without the `trace` feature [`Wall`],
-//! [`WallThread`], and [`ScopedSpan`] are zero-sized, every method is
-//! an empty `#[inline(always)]` body, and [`Wall::ACTIVE`] is `false`.
+//! **Off means unattached.** Spans are coarse (runner stages, beat
+//! periods, differ cases), so the wall has no compile-time twin: a
+//! thread with no attached [`WallThread`] opens inert guards.
 //!
-//! **Span-family registry.** Every span family string must come from
-//! [`families`] (lint rule E014): the constants are the authority
-//! table, [`families::ALL`] is its exhaustive index, and raw string
-//! literals at span call sites are rejected by the linter.
+//! **Span families are a closed enum.** [`Family`] names every span
+//! kind; the ring encodes a span's family as its index into
+//! [`Family::ALL`], which is also the row order of `/spans`.
 
-use crate::hub::BudgetVerdict;
 use crate::json::{Json, ToJson};
-#[cfg(feature = "trace")]
 use crate::metrics::Histogram;
+use crate::model::sync::{Arc, AtomicU64, Mutex, Ordering};
+use crate::spsc::{Budget, BudgetVerdict, Ring};
+use std::cell::{Cell, RefCell};
+use std::time::Instant;
 
-/// The registered span-family table.
-///
-/// Lint rule E014 enforces two invariants: every constant declared
-/// here appears in [`ALL`], and every span call site names a constant
-/// from this module rather than a raw string literal — so the set of
-/// span families is closed, greppable, and exhaustively indexable by
-/// the histogram and flamegraph layers.
-pub mod families {
+/// The span families, in `/spans` row order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
     /// A whole experiment sweep (driver thread, parent of every task).
-    pub const SWEEP: &str = "sweep";
+    Sweep,
     /// One runner task, claim to completion.
-    pub const TASK: &str = "runner/task";
+    Task,
     /// Pulling the next task off the shared queue.
-    pub const CLAIM: &str = "runner/claim";
+    Claim,
     /// Executing the task closure.
-    pub const RUN: &str = "runner/run";
+    Run,
     /// Buffering the result and publishing the completion beat.
-    pub const COMPLETE: &str = "runner/complete";
+    Complete,
     /// One observed machine block (`Machine::run_observed` beat period).
-    pub const MACHINE_BLOCK: &str = "machine/block";
+    MachineBlock,
     /// One differ suite-lockstep case.
-    pub const DIFFER_CASE: &str = "differ/case";
+    DifferCase,
     /// One differ fuzz round (generate + lockstep + shrink).
-    pub const DIFFER_FUZZ: &str = "differ/fuzz";
+    DifferFuzz,
+}
 
-    /// Every registered family, in stable index order. The ring encodes
-    /// a span's family as its index into this table.
-    pub const ALL: &[&str] = &[
-        SWEEP,
-        TASK,
-        CLAIM,
-        RUN,
-        COMPLETE,
-        MACHINE_BLOCK,
-        DIFFER_CASE,
-        DIFFER_FUZZ,
+impl Family {
+    /// Every family, in stable index order (`family as usize` indexes
+    /// this table).
+    pub const ALL: [Family; 8] = [
+        Family::Sweep,
+        Family::Task,
+        Family::Claim,
+        Family::Run,
+        Family::Complete,
+        Family::MachineBlock,
+        Family::DifferCase,
+        Family::DifferFuzz,
     ];
 
-    /// The table index of `family`, or `None` for unregistered strings.
-    pub fn index_of(family: &str) -> Option<usize> {
-        ALL.iter().position(|f| *f == family)
+    /// The family's name in `/spans`, Prometheus labels and collapsed
+    /// stacks.
+    pub fn name(self) -> &'static str {
+        match self {
+            Family::Sweep => "sweep",
+            Family::Task => "runner/task",
+            Family::Claim => "runner/claim",
+            Family::Run => "runner/run",
+            Family::Complete => "runner/complete",
+            Family::MachineBlock => "machine/block",
+            Family::DifferCase => "differ/case",
+            Family::DifferFuzz => "differ/fuzz",
+        }
+    }
+}
+
+impl ToJson for Family {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().to_string())
     }
 }
 
 /// `u64` words per encoded span record in the ring:
-/// `[id, parent, family index, start_ns, dur_ns, seq]`.
+/// `[id, parent, family index, start_ns, dur_ns, sequence stamp]`.
 pub const SPAN_WORDS: usize = 6;
 
 /// Default span-ring capacity (spans buffered per thread between
@@ -110,10 +119,10 @@ pub const MAX_LIVE_DEPTH: usize = 16;
 pub const DEFAULT_RETAINED_SPANS: usize = 8192;
 
 /// Per-family latency stats at snapshot time (all durations in ns).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FamilyStats {
-    /// Registered family name (an entry of [`families::ALL`]).
-    pub family: String,
+    /// The span family.
+    pub family: Family,
     /// Closed spans merged so far.
     pub count: u64,
     /// Summed span duration.
@@ -139,14 +148,14 @@ crate::impl_to_json!(FamilyStats {
 });
 
 /// One closed span retained for Chrome export.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetainedSpan {
     /// Span id (nonzero; the thread index lives in the high bits).
     pub id: u64,
     /// Parent span id, 0 for roots.
     pub parent: u64,
-    /// Registered family name.
-    pub family: String,
+    /// The span family.
+    pub family: Family,
     /// Thread slot the span was recorded on.
     pub thread: usize,
     /// Start, ns since the wall was created.
@@ -219,53 +228,16 @@ impl WallOverhead {
             .saturating_add(self.merge_ns)
             .saturating_add(self.sample_ns)
     }
-
-    /// Observability time as a fraction of `run_ns` (0 when `run_ns`
-    /// is 0).
-    pub fn fraction_of(&self, run_ns: u64) -> f64 {
-        if run_ns == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / run_ns as f64
-        }
-    }
-}
-
-/// A cap on how much of a run wall-clock tracing may consume, modeled
-/// on [`TelemetryBudget`](crate::hub::TelemetryBudget).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WallBudget {
-    /// Maximum tolerated `overhead / run` time fraction.
-    pub max_fraction: f64,
-}
-
-impl Default for WallBudget {
-    fn default() -> Self {
-        // Same acceptance bar as the hub: tracing under 2 % of run time.
-        WallBudget { max_fraction: 0.02 }
-    }
-}
-
-impl WallBudget {
-    /// Checks `overhead` against a run of `run_ns` nanoseconds.
-    pub fn verdict(&self, overhead: &WallOverhead, run_ns: u64) -> BudgetVerdict {
-        let fraction = overhead.fraction_of(run_ns);
-        BudgetVerdict {
-            fraction,
-            max_fraction: self.max_fraction,
-            within: fraction <= self.max_fraction,
-        }
-    }
 }
 
 /// An epoch-stamped merged view of every family and sampled stack.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WallSnapshot {
     /// Bumped on every merge that ran.
     pub epoch: u64,
     /// ns since the wall was created, at merge time.
     pub uptime_ns: u64,
-    /// Per-family latency stats, one row per [`families::ALL`] entry.
+    /// Per-family latency stats, one row per [`Family::ALL`] entry.
     pub families: Vec<FamilyStats>,
     /// Collapsed-stack counts accumulated by the flight recorder.
     pub collapsed: Vec<StackCount>,
@@ -274,8 +246,8 @@ pub struct WallSnapshot {
 }
 
 impl WallSnapshot {
-    /// The stats row for `family`, if registered.
-    pub fn family(&self, family: &str) -> Option<&FamilyStats> {
+    /// The stats row for `family` (`None` only for an empty snapshot).
+    pub fn family(&self, family: Family) -> Option<&FamilyStats> {
         self.families.iter().find(|f| f.family == family)
     }
 
@@ -310,215 +282,149 @@ impl ToJson for WallSnapshot {
     }
 }
 
-#[cfg(feature = "trace")]
-mod real {
-    use super::*;
-    use crate::model::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
-    use std::cell::{Cell, RefCell};
-    use std::time::Instant;
+/// One thread's span ring plus the live span stack the flight
+/// recorder samples.
+struct SpanSlot {
+    ring: Ring<SPAN_WORDS>,
+    /// Live stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler caps
+    /// its read).
+    live_depth: AtomicU64,
+    /// Live stack entries: family index, outermost first.
+    live: [AtomicU64; MAX_LIVE_DEPTH],
+}
 
-    /// One thread's SPSC span ring plus its producer-side counters and
-    /// the live span stack the flight recorder samples.
-    struct SpanSlot {
-        /// Next sequence number the producer will write (monotonic).
-        head: AtomicU64,
-        /// Next sequence number the consumer will read.
-        tail: AtomicU64,
-        /// Spans dropped on a full ring.
-        dropped: AtomicU64,
-        /// Spans accepted.
-        published: AtomicU64,
-        /// Producer nanoseconds inside enter/exit.
-        record_ns: AtomicU64,
-        /// Producer handle handed out already?
-        claimed: AtomicBool,
-        /// Live stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler
-        /// caps its read).
-        live_depth: AtomicU64,
-        /// Live stack entries: family index + 1, outermost first.
-        live: [AtomicU64; MAX_LIVE_DEPTH],
-        /// Fixed-size record storage; slot `i` holds sequence numbers
-        /// `≡ i (mod capacity)`.
-        ring: Vec<[AtomicU64; SPAN_WORDS]>,
+/// Cold-side merge state, guarded by one mutex (never touched by the
+/// span hot path).
+struct AggState {
+    epoch: u64,
+    /// Parallel to `Family::ALL`.
+    hists: Vec<Histogram>,
+    totals: Vec<u64>,
+    retained: Vec<RetainedSpan>,
+    retained_dropped: u64,
+    collapsed: Vec<(String, u64)>,
+    merges: u64,
+    merge_ns: u64,
+    samples: u64,
+    sample_ns: u64,
+}
+
+struct WallInner {
+    started: Instant,
+    retained_cap: usize,
+    slots: Vec<SpanSlot>,
+    agg: Mutex<AggState>,
+}
+
+/// The wall-clock flight recorder.
+///
+/// Cheap to clone — clones share the same rings and merge state.
+#[derive(Clone)]
+pub struct Wall {
+    inner: Arc<WallInner>,
+}
+
+impl std::fmt::Debug for Wall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wall")
+            .field("threads", &self.inner.slots.len())
+            .finish()
     }
+}
 
-    impl SpanSlot {
-        fn new(capacity: usize) -> SpanSlot {
-            SpanSlot {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                published: AtomicU64::new(0),
-                record_ns: AtomicU64::new(0),
-                claimed: AtomicBool::new(false),
+impl Wall {
+    /// A wall with `threads` slots and `ring_capacity` buffered spans
+    /// per thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ring_capacity < 2`.
+    pub fn new(threads: usize, ring_capacity: usize) -> Wall {
+        let slots = (0..threads)
+            .map(|_| SpanSlot {
+                ring: Ring::new(ring_capacity),
                 live_depth: AtomicU64::new(0),
                 live: std::array::from_fn(|_| AtomicU64::new(0)),
-                ring: (0..capacity)
-                    .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                    .collect(),
-            }
-        }
-    }
-
-    /// Cold-side merge state, guarded by one mutex (never touched by
-    /// the span hot path).
-    struct AggState {
-        epoch: u64,
-        /// Parallel to `families::ALL`.
-        hists: Vec<Histogram>,
-        totals: Vec<u64>,
-        retained: Vec<RetainedSpan>,
-        retained_dropped: u64,
-        collapsed: Vec<(String, u64)>,
-        merges: u64,
-        merge_ns: u64,
-        samples: u64,
-        sample_ns: u64,
-    }
-
-    struct WallInner {
-        started: Instant,
-        retained_cap: usize,
-        slots: Vec<SpanSlot>,
-        agg: Mutex<AggState>,
-    }
-
-    /// The wall-clock flight recorder (real variant, `trace` on).
-    ///
-    /// Cheap to clone — clones share the same rings and merge state.
-    #[derive(Clone)]
-    pub struct Wall {
-        inner: Arc<WallInner>,
-    }
-
-    impl std::fmt::Debug for Wall {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Wall")
-                .field("threads", &self.inner.slots.len())
-                .finish()
-        }
-    }
-
-    impl Wall {
-        /// Compile-time flag: true in `trace` builds.
-        pub const ACTIVE: bool = true;
-
-        /// A wall with `threads` slots and `ring_capacity` buffered
-        /// spans per thread.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `ring_capacity < 2`.
-        pub fn new(threads: usize, ring_capacity: usize) -> Wall {
-            assert!(ring_capacity >= 2, "span ring capacity must be ≥ 2");
-            Wall {
-                inner: Arc::new(WallInner {
-                    started: Instant::now(),
-                    retained_cap: DEFAULT_RETAINED_SPANS,
-                    slots: (0..threads).map(|_| SpanSlot::new(ring_capacity)).collect(),
-                    agg: Mutex::new(AggState {
-                        epoch: 0,
-                        hists: families::ALL.iter().map(|_| Histogram::new()).collect(),
-                        totals: vec![0; families::ALL.len()],
-                        retained: Vec::new(),
-                        retained_dropped: 0,
-                        collapsed: Vec::new(),
-                        merges: 0,
-                        merge_ns: 0,
-                        samples: 0,
-                        sample_ns: 0,
-                    }),
+            })
+            .collect();
+        Wall {
+            inner: Arc::new(WallInner {
+                started: Instant::now(),
+                retained_cap: DEFAULT_RETAINED_SPANS,
+                slots,
+                agg: Mutex::new(AggState {
+                    epoch: 0,
+                    hists: Family::ALL.iter().map(|_| Histogram::new()).collect(),
+                    totals: vec![0; Family::ALL.len()],
+                    retained: Vec::new(),
+                    retained_dropped: 0,
+                    collapsed: Vec::new(),
+                    merges: 0,
+                    merge_ns: 0,
+                    samples: 0,
+                    sample_ns: 0,
                 }),
-            }
+            }),
         }
+    }
 
-        /// A wall with the default ring capacity.
-        pub fn with_threads(threads: usize) -> Wall {
-            Wall::new(threads, DEFAULT_SPAN_RING_CAPACITY)
-        }
+    /// A wall with the default ring capacity.
+    pub fn with_threads(threads: usize) -> Wall {
+        Wall::new(threads, DEFAULT_SPAN_RING_CAPACITY)
+    }
 
-        /// Thread slots configured.
-        pub fn threads(&self) -> usize {
-            self.inner.slots.len()
-        }
+    /// Thread slots configured.
+    pub fn threads(&self) -> usize {
+        self.inner.slots.len()
+    }
 
-        /// ns since the wall was created (the clock spans are stamped
-        /// with).
-        pub fn now_ns(&self) -> u64 {
-            self.inner.started.elapsed().as_nanos() as u64
-        }
+    /// ns since the wall was created (the clock spans are stamped with).
+    pub fn now_ns(&self) -> u64 {
+        self.inner.started.elapsed().as_nanos() as u64
+    }
 
-        /// Claims thread slot `index`'s producer handle. Each slot has
-        /// exactly one producer: the first claim wins, later claims
-        /// (and out-of-range indices) get `None`.
-        pub fn thread(&self, index: usize) -> Option<WallThread> {
-            let slot = self.inner.slots.get(index)?;
-            // ord: AcqRel swap pairs claim attempts with each other so
-            // exactly one caller wins the slot.
-            if slot.claimed.swap(true, Ordering::AcqRel) {
-                return None;
-            }
-            Some(WallThread {
+    /// Claims thread slot `index`'s producer handle. Each slot has
+    /// exactly one producer: the first claim wins, later claims (and
+    /// out-of-range indices) get `None`.
+    pub fn thread(&self, index: usize) -> Option<WallThread> {
+        self.inner
+            .slots
+            .get(index)?
+            .ring
+            .claim()
+            .then(|| WallThread {
                 inner: Arc::clone(&self.inner),
                 index,
                 stack: RefCell::new(Vec::new()),
                 next_id: Cell::new(0),
             })
-        }
+    }
 
-        fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
-            match self.inner.agg.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            }
+    fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
+        match self.inner.agg.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
         }
+    }
 
-        /// Drains every ring into the per-family histograms and the
-        /// retained-span list, bumps the epoch, and returns the merged
-        /// view. Cold side only; producers never block on it.
-        pub fn snapshot(&self) -> WallSnapshot {
-            let t0 = Instant::now();
-            let mut agg = self.agg_lock();
-            for (thread, slot) in self.inner.slots.iter().enumerate() {
-                // SPSC drain, same protocol as the hub: everything in
-                // [tail, head) is complete.
-                // ord: Acquire pairs with the producer's Release head
-                // store in exit(): everything below `head` is fully
-                // written before we read it.
-                let head = slot.head.load(Ordering::Acquire);
-                // ord: Relaxed — tail is consumer-owned (we are the
-                // only writer, under the agg mutex).
-                let tail = slot.tail.load(Ordering::Relaxed);
-                let cap = slot.ring.len() as u64;
-                let mut words = [0u64; SPAN_WORDS];
-                for seq in tail..head {
-                    let cell = &slot.ring[(seq % cap) as usize];
-                    for (w, c) in words.iter_mut().zip(cell.iter()) {
-                        // ord: Relaxed — covered by the Acquire head
-                        // load above (the producer wrote these before
-                        // its Release head bump).
-                        *w = c.load(Ordering::Relaxed);
-                    }
-                    let [id, parent, family, start_ns, dur_ns, rec_seq] = words;
-                    debug_assert_eq!(rec_seq, seq, "span ring sequence mismatch");
+    /// Drains every ring into the per-family histograms and the
+    /// retained-span list, bumps the epoch, and returns the merged view.
+    /// Cold side only; producers never block on it.
+    pub fn snapshot(&self) -> WallSnapshot {
+        let t0 = Instant::now();
+        let mut agg = self.agg_lock();
+        let agg = &mut *agg;
+        for (thread, slot) in self.inner.slots.iter().enumerate() {
+            slot.ring
+                .drain(|&[id, parent, family, start_ns, dur_ns, _]| {
                     let fi = family as usize;
-                    debug_assert!(fi < families::ALL.len(), "unregistered family index");
-                    debug_assert_ne!(id, 0, "span ids are nonzero");
-                    if let Some(h) = agg.hists.get_mut(fi) {
-                        h.observe(dur_ns);
-                    }
-                    if let Some(t) = agg.totals.get_mut(fi) {
-                        *t = t.saturating_add(dur_ns);
-                    }
+                    agg.hists[fi].observe(dur_ns);
+                    agg.totals[fi] = agg.totals[fi].saturating_add(dur_ns);
                     if agg.retained.len() < self.inner.retained_cap {
                         agg.retained.push(RetainedSpan {
                             id,
                             parent,
-                            family: families::ALL
-                                .get(fi)
-                                .copied()
-                                .unwrap_or("unregistered")
-                                .to_string(),
+                            family: Family::ALL[fi],
                             thread,
                             start_ns,
                             dur_ns,
@@ -526,403 +432,222 @@ mod real {
                     } else {
                         agg.retained_dropped += 1;
                     }
-                }
-                if head != tail {
-                    // ord: Release pairs with the producer's Acquire
-                    // tail load in exit(): the cells are ours no longer
-                    // once tail advances.
-                    slot.tail.store(head, Ordering::Release);
-                }
-            }
-            agg.epoch += 1;
-            agg.merges += 1;
-            agg.merge_ns += t0.elapsed().as_nanos() as u64;
-            let uptime_ns = self.now_ns();
-            WallSnapshot {
-                epoch: agg.epoch,
-                uptime_ns,
-                families: families::ALL
-                    .iter()
-                    .enumerate()
-                    .map(|(i, name)| FamilyStats {
-                        family: (*name).to_string(),
-                        count: agg.hists[i].count(),
-                        total_ns: agg.totals[i],
-                        p50_ns: agg.hists[i].quantile(0.50),
-                        p99_ns: agg.hists[i].quantile(0.99),
-                        p999_ns: agg.hists[i].quantile(0.999),
-                        max_ns: agg.hists[i].max(),
-                    })
-                    .collect(),
-                collapsed: agg
-                    .collapsed
-                    .iter()
-                    .map(|(stack, count)| StackCount {
-                        stack: stack.clone(),
-                        count: *count,
-                    })
-                    .collect(),
-                overhead: self.overhead_locked(&agg),
-            }
+                });
         }
-
-        /// One flight-recorder pass: reads every thread's live span
-        /// stack and folds the observed shapes into the collapsed-stack
-        /// counts. Returns how many non-empty stacks were observed.
-        /// Approximate by design — a stack mutating mid-read yields a
-        /// momentarily stale (never torn) frame.
-        pub fn sample_stacks(&self) -> usize {
-            let t0 = Instant::now();
-            let mut seen = 0usize;
-            let mut agg = self.agg_lock();
-            for slot in &self.inner.slots {
-                // ord: Acquire pairs with the producer's Release depth
-                // store in enter(): frames below `depth` were published
-                // before the depth became visible.
-                let depth = slot.live_depth.load(Ordering::Acquire) as usize;
-                let depth = depth.min(MAX_LIVE_DEPTH);
-                if depth == 0 {
-                    continue;
-                }
-                let mut stack = String::new();
-                for entry in slot.live.iter().take(depth) {
-                    // ord: Relaxed — covered by the Acquire depth load;
-                    // a racing re-push can make this momentarily stale,
-                    // which sampling tolerates.
-                    let fam = entry.load(Ordering::Relaxed);
-                    let name = (fam as usize)
-                        .checked_sub(1)
-                        .and_then(|i| families::ALL.get(i).copied())
-                        .unwrap_or("unregistered");
-                    if !stack.is_empty() {
-                        stack.push(';');
-                    }
-                    stack.push_str(name);
-                }
-                seen += 1;
-                match agg.collapsed.iter_mut().find(|(s, _)| *s == stack) {
-                    Some((_, count)) => *count += 1,
-                    None => agg.collapsed.push((stack, 1)),
-                }
-            }
-            agg.samples += 1;
-            agg.sample_ns += t0.elapsed().as_nanos() as u64;
-            seen
-        }
-
-        /// Wall self-accounting so far (without forcing a merge).
-        pub fn overhead(&self) -> WallOverhead {
-            let agg = self.agg_lock();
-            self.overhead_locked(&agg)
-        }
-
-        fn overhead_locked(&self, agg: &AggState) -> WallOverhead {
-            let mut spans = 0u64;
-            let mut dropped = 0u64;
-            let mut record_ns = 0u64;
-            for slot in &self.inner.slots {
-                // Monotone self-accounting counters: readers tolerate
-                // slight lag, exact once the producer thread is joined.
-                spans += slot.published.load(Ordering::Relaxed); // ord: monotone counter
-                dropped += slot.dropped.load(Ordering::Relaxed); // ord: monotone counter
-                record_ns += slot.record_ns.load(Ordering::Relaxed); // ord: monotone counter
-            }
-            WallOverhead {
-                spans,
-                dropped,
-                retained_dropped: agg.retained_dropped,
-                bytes: spans * (SPAN_WORDS as u64) * 8,
-                record_ns,
-                merges: agg.merges,
-                merge_ns: agg.merge_ns,
-                samples: agg.samples,
-                sample_ns: agg.sample_ns,
-            }
-        }
-
-        /// The default [`WallBudget`] verdict against the wall's own
-        /// uptime — the serving edge's "is tracing still cheap" answer.
-        pub fn budget_verdict(&self) -> BudgetVerdict {
-            WallBudget::default().verdict(&self.overhead(), self.now_ns())
-        }
-
-        /// The retained closed spans (for Chrome export). Forces a
-        /// merge first so freshly closed spans are included.
-        pub fn spans(&self) -> Vec<RetainedSpan> {
-            let _ = self.snapshot();
-            self.agg_lock().retained.clone()
+        agg.epoch += 1;
+        agg.merges += 1;
+        agg.merge_ns += t0.elapsed().as_nanos() as u64;
+        WallSnapshot {
+            epoch: agg.epoch,
+            uptime_ns: self.now_ns(),
+            families: Family::ALL
+                .iter()
+                .zip(&agg.hists)
+                .zip(&agg.totals)
+                .map(|((&family, h), &total_ns)| FamilyStats {
+                    family,
+                    count: h.count(),
+                    total_ns,
+                    p50_ns: h.quantile(0.50),
+                    p99_ns: h.quantile(0.99),
+                    p999_ns: h.quantile(0.999),
+                    max_ns: h.max(),
+                })
+                .collect(),
+            collapsed: agg
+                .collapsed
+                .iter()
+                .map(|(stack, count)| StackCount {
+                    stack: stack.clone(),
+                    count: *count,
+                })
+                .collect(),
+            overhead: self.overhead_locked(agg),
         }
     }
 
-    /// A thread's producer handle (real variant). Deliberately not
-    /// `Clone`: one producer per ring is what makes the ring SPSC.
-    pub struct WallThread {
-        inner: Arc<WallInner>,
-        index: usize,
-        /// Open frames: `(id, parent, family index, start_ns)`.
-        stack: RefCell<Vec<(u64, u64, u64, u64)>>,
-        next_id: Cell<u64>,
-    }
-
-    impl std::fmt::Debug for WallThread {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("WallThread")
-                .field("index", &self.index)
-                .finish()
-        }
-    }
-
-    impl WallThread {
-        /// The slot index this handle records to.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// The id of the innermost open span, 0 when none.
-        pub fn current(&self) -> u64 {
-            self.stack.borrow().last().map_or(0, |f| f.0)
-        }
-
-        /// Opens a span of `family`, parented to the innermost open
-        /// span on this thread. Returns the span id (0 and records
-        /// nothing for unregistered families — lint E014 keeps that
-        /// branch unreachable in tree). Self-measured into
-        /// [`WallOverhead::record_ns`].
-        pub fn enter(&self, family: &'static str) -> u64 {
-            let parent = self.current();
-            self.enter_with_parent(family, parent)
-        }
-
-        /// Opens a span of `family` with an explicit parent id — the
-        /// cross-thread causality hook (e.g. runner tasks parented to
-        /// the driver's sweep span).
-        pub fn enter_with_parent(&self, family: &'static str, parent: u64) -> u64 {
-            let t0 = Instant::now();
-            let Some(fi) = families::index_of(family) else {
-                return 0;
-            };
-            let slot = &self.inner.slots[self.index];
-            let id = self.next_id.get() + 1;
-            self.next_id.set(id);
-            // Thread index in the high 16 bits keeps ids globally
-            // unique without any shared allocation.
-            let id = ((self.index as u64 + 1) << 48) | id;
-            let start_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-            let depth = {
-                let mut stack = self.stack.borrow_mut();
-                let depth = stack.len();
-                stack.push((id, parent, fi as u64, start_ns));
-                depth
-            };
-            if depth < MAX_LIVE_DEPTH {
-                // ord: Relaxed — the Release depth store below
-                // publishes this entry to the sampler.
-                slot.live[depth].store(fi as u64 + 1, Ordering::Relaxed);
-            }
-            // ord: Release pairs with the sampler's Acquire depth load
-            // in sample_stacks(): the entry above is visible before the
-            // deeper stack is.
-            slot.live_depth.store(depth as u64 + 1, Ordering::Release);
-            slot.record_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            id
-        }
-
-        /// Closes the innermost open span and records it: write the
-        /// ring record with relaxed stores, publish the head with one
-        /// release store. A full ring drops the record and counts the
-        /// drop — the hot path never waits.
-        ///
-        /// `id` is the value [`enter`](Self::enter) returned; a
-        /// mismatch (unbalanced guards) still closes the innermost
-        /// frame, keeping the stack consistent. `id == 0` is a no-op.
-        pub fn exit(&self, id: u64) {
-            if id == 0 {
-                return;
-            }
-            let t0 = Instant::now();
-            let Some((span_id, parent, fi, start_ns)) = self.stack.borrow_mut().pop() else {
-                return;
-            };
-            debug_assert_eq!(span_id, id, "span guards must close LIFO");
-            let slot = &self.inner.slots[self.index];
-            let depth = self.stack.borrow().len() as u64;
-            // ord: Release — frames at or above the new depth are dead
-            // to the sampler once it loads this depth.
-            slot.live_depth.store(depth, Ordering::Release);
-            let end_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-            let dur_ns = end_ns.saturating_sub(start_ns);
-            // ord: Relaxed — head is producer-owned; we are its only
-            // writer.
-            let head = slot.head.load(Ordering::Relaxed);
-            // ord: Acquire pairs with the consumer's Release tail store
-            // in snapshot(): once tail covers a cell, the consumer is
-            // done reading it and we may overwrite.
-            let tail = slot.tail.load(Ordering::Acquire);
-            let cap = slot.ring.len() as u64;
-            if head.wrapping_sub(tail) >= cap {
-                // ord: Relaxed — monotone drop counter, producer-owned.
-                slot.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let words = [span_id, parent, fi, start_ns, dur_ns, head];
-                let cell = &slot.ring[(head % cap) as usize];
-                for (c, w) in cell.iter().zip(words) {
-                    // ord: Relaxed — the Release head store below
-                    // publishes these words.
-                    c.store(w, Ordering::Relaxed);
-                }
-                #[cfg(not(execmig_wall_weak_head))]
-                // ord: Release publishes the record words written
-                // above; pairs with the Acquire head load in
-                // snapshot().
-                slot.head.store(head + 1, Ordering::Release);
-                #[cfg(execmig_wall_weak_head)]
-                // ord: Relaxed — deliberately broken mutation: without
-                // the release pairing, snapshot() may read torn
-                // records. The model gate must detect this.
-                slot.head.store(head + 1, Ordering::Relaxed);
-                // ord: Relaxed — monotone self-accounting counter.
-                slot.published.fetch_add(1, Ordering::Relaxed);
-            }
-            slot.record_ns
-                // ord: Relaxed — monotone self-accounting counter.
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-
-        /// Discards the innermost open span without recording it (used
-        /// when a span turns out to cover nothing, e.g. a task claim
-        /// that found the queue empty). `id == 0` is a no-op.
-        pub fn cancel(&self, id: u64) {
-            if id == 0 {
-                return;
-            }
-            let popped = self.stack.borrow_mut().pop();
-            debug_assert!(
-                popped.is_none_or(|f| f.0 == id),
-                "span guards must close LIFO"
-            );
-            let depth = self.stack.borrow().len() as u64;
-            let slot = &self.inner.slots[self.index];
-            // ord: Release — same sampler pairing as exit().
-            slot.live_depth.store(depth, Ordering::Release);
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-pub use real::{Wall, WallThread};
-
-/// No-op wall compiled without the `trace` feature: zero-sized, every
-/// method an empty `#[inline(always)]` body.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug, Clone)]
-pub struct Wall;
-
-#[cfg(not(feature = "trace"))]
-impl Wall {
-    /// Compile-time flag: false without the `trace` feature.
-    pub const ACTIVE: bool = false;
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn new(_threads: usize, _ring_capacity: usize) -> Wall {
-        Wall
-    }
-
-    /// Stores nothing.
-    #[inline(always)]
-    pub fn with_threads(_threads: usize) -> Wall {
-        Wall
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn threads(&self) -> usize {
-        0
-    }
-
-    /// Always 0.
-    #[inline(always)]
-    pub fn now_ns(&self) -> u64 {
-        0
-    }
-
-    /// Always a no-op handle (recording to it does nothing).
-    #[inline(always)]
-    pub fn thread(&self, _index: usize) -> Option<WallThread> {
-        Some(WallThread)
-    }
-
-    /// Always empty, epoch 0.
-    #[inline(always)]
-    pub fn snapshot(&self) -> WallSnapshot {
-        WallSnapshot::default()
-    }
-
-    /// Always 0.
-    #[inline(always)]
+    /// One flight-recorder pass: reads every thread's live span stack
+    /// and folds the observed shapes into the collapsed-stack counts.
+    /// Returns how many non-empty stacks were observed. Approximate by
+    /// design — a stack mutating mid-read yields a momentarily stale
+    /// (never torn) frame.
     pub fn sample_stacks(&self) -> usize {
-        0
+        let t0 = Instant::now();
+        let mut seen = 0usize;
+        let mut agg = self.agg_lock();
+        for slot in &self.inner.slots {
+            // ord: Acquire pairs with the producer's Release depth store
+            // in enter(): frames below `depth` were published before
+            // the depth became visible.
+            let depth = slot.live_depth.load(Ordering::Acquire) as usize;
+            let depth = depth.min(MAX_LIVE_DEPTH);
+            if depth == 0 {
+                continue;
+            }
+            let mut stack = String::new();
+            for entry in slot.live.iter().take(depth) {
+                // ord: Relaxed — covered by the Acquire depth load; a
+                // racing re-push can make this momentarily stale, which
+                // sampling tolerates.
+                let family = Family::ALL[entry.load(Ordering::Relaxed) as usize];
+                if !stack.is_empty() {
+                    stack.push(';');
+                }
+                stack.push_str(family.name());
+            }
+            seen += 1;
+            match agg.collapsed.iter_mut().find(|(s, _)| *s == stack) {
+                Some((_, count)) => *count += 1,
+                None => agg.collapsed.push((stack, 1)),
+            }
+        }
+        agg.samples += 1;
+        agg.sample_ns += t0.elapsed().as_nanos() as u64;
+        seen
     }
 
-    /// Always zero.
-    #[inline(always)]
+    /// Wall self-accounting so far (without forcing a merge).
     pub fn overhead(&self) -> WallOverhead {
-        WallOverhead::default()
+        self.overhead_locked(&self.agg_lock())
     }
 
-    /// Always within budget (nothing is measured).
-    #[inline(always)]
+    fn overhead_locked(&self, agg: &AggState) -> WallOverhead {
+        let rings = || self.inner.slots.iter().map(|s| &s.ring);
+        let spans: u64 = rings().map(Ring::published).sum();
+        WallOverhead {
+            spans,
+            dropped: rings().map(Ring::dropped).sum(),
+            retained_dropped: agg.retained_dropped,
+            bytes: spans * (SPAN_WORDS as u64) * 8,
+            record_ns: rings().map(Ring::cost_ns).sum(),
+            merges: agg.merges,
+            merge_ns: agg.merge_ns,
+            samples: agg.samples,
+            sample_ns: agg.sample_ns,
+        }
+    }
+
+    /// The default [`Budget`] verdict against the wall's own uptime —
+    /// the serving edge's "is tracing still cheap" answer.
     pub fn budget_verdict(&self) -> BudgetVerdict {
-        WallBudget::default().verdict(&WallOverhead::default(), 0)
+        Budget::default().verdict(self.overhead().total_ns(), self.now_ns())
     }
 
-    /// Always empty.
-    #[inline(always)]
+    /// The retained closed spans (for Chrome export). Forces a merge
+    /// first so freshly closed spans are included.
     pub fn spans(&self) -> Vec<RetainedSpan> {
-        Vec::new()
+        let _ = self.snapshot();
+        self.agg_lock().retained.clone()
     }
 }
 
-/// No-op producer handle compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
-#[derive(Debug)]
-pub struct WallThread;
+/// A thread's producer handle. Deliberately not `Clone`: one producer
+/// per ring is what makes the ring SPSC.
+pub struct WallThread {
+    inner: Arc<WallInner>,
+    index: usize,
+    /// Open frames: `(id, parent, family, start_ns)`.
+    stack: RefCell<Vec<(u64, u64, Family, u64)>>,
+    next_id: Cell<u64>,
+}
 
-#[cfg(not(feature = "trace"))]
+impl std::fmt::Debug for WallThread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WallThread")
+            .field("index", &self.index)
+            .finish()
+    }
+}
+
 impl WallThread {
-    /// Always 0.
-    #[inline(always)]
+    /// The slot index this handle records to.
     pub fn index(&self) -> usize {
-        0
+        self.index
     }
 
-    /// Always 0.
-    #[inline(always)]
+    /// The id of the innermost open span, 0 when none.
     pub fn current(&self) -> u64 {
-        0
+        self.stack.borrow().last().map_or(0, |f| f.0)
     }
 
-    /// Does nothing; always 0.
-    #[inline(always)]
-    pub fn enter(&self, _family: &'static str) -> u64 {
-        0
+    fn slot(&self) -> &SpanSlot {
+        &self.inner.slots[self.index]
     }
 
-    /// Does nothing; always 0.
-    #[inline(always)]
-    pub fn enter_with_parent(&self, _family: &'static str, _parent: u64) -> u64 {
-        0
+    /// Publishes the open-stack depth to the sampler.
+    fn set_depth(&self, depth: usize) {
+        let live_depth = &self.slot().live_depth;
+        // ord: Release pairs with the sampler's Acquire depth load in
+        // sample_stacks(): entries below `depth` are visible before the
+        // depth is, and frames at or above it are dead to the sampler.
+        live_depth.store(depth as u64, Ordering::Release);
     }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn exit(&self, _id: u64) {}
+    /// Opens a span of `family`, parented to the innermost open span on
+    /// this thread. Returns the (nonzero) span id. Self-measured into
+    /// [`WallOverhead::record_ns`].
+    pub fn enter(&self, family: Family) -> u64 {
+        self.enter_with_parent(family, self.current())
+    }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn cancel(&self, _id: u64) {}
+    /// Opens a span of `family` with an explicit parent id — the
+    /// cross-thread causality hook (e.g. runner tasks parented to the
+    /// driver's sweep span).
+    pub fn enter_with_parent(&self, family: Family, parent: u64) -> u64 {
+        let t0 = Instant::now();
+        let id = self.next_id.get() + 1;
+        self.next_id.set(id);
+        // Thread index in the high 16 bits keeps ids globally unique
+        // without any shared allocation.
+        let id = ((self.index as u64 + 1) << 48) | id;
+        let start_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
+        let depth = {
+            let mut stack = self.stack.borrow_mut();
+            stack.push((id, parent, family, start_ns));
+            stack.len()
+        };
+        if let Some(entry) = self.slot().live.get(depth - 1) {
+            // ord: Relaxed — the Release depth store below publishes
+            // this entry to the sampler.
+            entry.store(family as u64, Ordering::Relaxed);
+        }
+        self.set_depth(depth);
+        self.slot().ring.bill(t0.elapsed().as_nanos() as u64);
+        id
+    }
+
+    /// Closes the innermost open span and pushes it into this thread's
+    /// ring. A full ring drops the record and counts the drop — the
+    /// caller never waits.
+    ///
+    /// `id` is the value [`enter`](Self::enter) returned; a mismatch
+    /// (unbalanced guards) still closes the innermost frame, keeping
+    /// the stack consistent.
+    pub fn exit(&self, id: u64) {
+        let t0 = Instant::now();
+        let Some((span_id, parent, family, start_ns)) = self.stack.borrow_mut().pop() else {
+            return;
+        };
+        debug_assert_eq!(span_id, id, "span guards must close LIFO");
+        self.set_depth(self.stack.borrow().len());
+        let end_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        let ring = &self.slot().ring;
+        ring.push([span_id, parent, family as u64, start_ns, dur_ns, 0]);
+        ring.bill(t0.elapsed().as_nanos() as u64);
+    }
+
+    /// Discards the innermost open span without recording it (used when
+    /// a span turns out to cover nothing, e.g. a task claim that found
+    /// the queue empty).
+    pub fn cancel(&self, id: u64) {
+        let popped = self.stack.borrow_mut().pop();
+        debug_assert!(
+            popped.is_none_or(|f| f.0 == id),
+            "span guards must close LIFO"
+        );
+        self.set_depth(self.stack.borrow().len());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -931,155 +656,93 @@ impl WallThread {
 // plumbing a handle through every signature.
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
-mod tls {
-    use super::real::{Wall, WallThread};
-    use std::cell::RefCell;
+thread_local! {
+    static CURRENT: RefCell<Option<WallThread>> = const { RefCell::new(None) };
+}
 
-    thread_local! {
-        static CURRENT: RefCell<Option<WallThread>> = const { RefCell::new(None) };
-    }
-
-    /// Claims slot `index` of `wall` and installs the handle as this
-    /// thread's recording context. Returns false (and leaves any
-    /// existing context in place) when the slot is already claimed or
-    /// out of range.
-    pub fn attach(wall: &Wall, index: usize) -> bool {
-        match wall.thread(index) {
-            Some(t) => {
-                CURRENT.with(|c| *c.borrow_mut() = Some(t));
-                true
-            }
-            None => false,
+/// Claims slot `index` of `wall` and installs the handle as this
+/// thread's recording context. Returns false (and leaves any existing
+/// context in place) when the slot is already claimed or out of range.
+pub fn attach(wall: &Wall, index: usize) -> bool {
+    match wall.thread(index) {
+        Some(t) => {
+            CURRENT.with(|c| *c.borrow_mut() = Some(t));
+            true
         }
-    }
-
-    /// Drops this thread's recording context (open guards become
-    /// no-ops). The slot stays claimed — like the hub, one producer
-    /// per slot per wall lifetime.
-    pub fn detach() {
-        CURRENT.with(|c| *c.borrow_mut() = None);
-    }
-
-    /// The innermost open span id on this thread, 0 when none (or
-    /// unattached). Hand this to [`span_with_parent`] on another
-    /// thread for cross-thread causality.
-    pub fn current_id() -> u64 {
-        CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.current()))
-    }
-
-    /// An RAII span: closes (records) the span when dropped.
-    #[must_use = "a span measures nothing unless held for its extent"]
-    #[derive(Debug)]
-    pub struct ScopedSpan {
-        id: u64,
-    }
-
-    impl ScopedSpan {
-        /// The span id (0 when this thread is unattached).
-        pub fn id(&self) -> u64 {
-            self.id
-        }
-
-        /// Discards the span without recording it.
-        pub fn cancel(mut self) {
-            let id = std::mem::take(&mut self.id);
-            if id != 0 {
-                CURRENT.with(|c| {
-                    if let Some(t) = c.borrow().as_ref() {
-                        t.cancel(id);
-                    }
-                });
-            }
-        }
-    }
-
-    impl Drop for ScopedSpan {
-        fn drop(&mut self) {
-            if self.id != 0 {
-                CURRENT.with(|c| {
-                    if let Some(t) = c.borrow().as_ref() {
-                        t.exit(self.id);
-                    }
-                });
-            }
-        }
-    }
-
-    /// Opens a span of `family` on this thread's attached context,
-    /// parented to the innermost open span. A no-op (id 0) when the
-    /// thread is unattached.
-    pub fn span(family: &'static str) -> ScopedSpan {
-        ScopedSpan {
-            id: CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.enter(family))),
-        }
-    }
-
-    /// As [`span`], with an explicit parent id (0 for a root).
-    pub fn span_with_parent(family: &'static str, parent: u64) -> ScopedSpan {
-        ScopedSpan {
-            id: CURRENT.with(|c| {
-                c.borrow()
-                    .as_ref()
-                    .map_or(0, |t| t.enter_with_parent(family, parent))
-            }),
-        }
+        None => false,
     }
 }
 
-#[cfg(feature = "trace")]
-pub use tls::{attach, current_id, detach, span, span_with_parent, ScopedSpan};
+/// Drops this thread's recording context (open guards become no-ops).
+/// The slot stays claimed — like the hub, one producer per slot per
+/// wall lifetime.
+pub fn detach() {
+    CURRENT.with(|c| *c.borrow_mut() = None);
+}
 
-/// No-op RAII span compiled without the `trace` feature.
-#[cfg(not(feature = "trace"))]
+/// The innermost open span id on this thread, 0 when none (or
+/// unattached). Hand this to [`span_with_parent`] on another thread for
+/// cross-thread causality.
+pub fn current_id() -> u64 {
+    CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.current()))
+}
+
+/// An RAII span: closes (records) the span when dropped.
 #[must_use = "a span measures nothing unless held for its extent"]
 #[derive(Debug)]
-pub struct ScopedSpan;
+pub struct ScopedSpan {
+    id: u64,
+}
 
-#[cfg(not(feature = "trace"))]
 impl ScopedSpan {
-    /// Always 0.
-    #[inline(always)]
+    /// The span id (0 when this thread is unattached).
     pub fn id(&self) -> u64 {
-        0
+        self.id
     }
 
-    /// Does nothing.
-    #[inline(always)]
-    pub fn cancel(self) {}
+    /// Discards the span without recording it.
+    pub fn cancel(mut self) {
+        let id = std::mem::take(&mut self.id);
+        with_attached(id, |t| t.cancel(id));
+    }
 }
 
-/// Does nothing; always true (so callers need not branch).
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn attach(_wall: &Wall, _index: usize) -> bool {
-    true
+impl Drop for ScopedSpan {
+    fn drop(&mut self) {
+        with_attached(self.id, |t| t.exit(self.id));
+    }
 }
 
-/// Does nothing.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn detach() {}
-
-/// Always 0.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn current_id() -> u64 {
-    0
+/// Runs `f` on this thread's attached handle, unless `id` is the inert
+/// 0 of an unattached guard.
+fn with_attached(id: u64, f: impl FnOnce(&WallThread)) {
+    if id != 0 {
+        CURRENT.with(|c| {
+            if let Some(t) = c.borrow().as_ref() {
+                f(t);
+            }
+        });
+    }
 }
 
-/// Does nothing; returns the no-op guard.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn span(_family: &'static str) -> ScopedSpan {
-    ScopedSpan
+/// Opens a span of `family` on this thread's attached context,
+/// parented to the innermost open span. A no-op (id 0) when the thread
+/// is unattached.
+pub fn span(family: Family) -> ScopedSpan {
+    ScopedSpan {
+        id: CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.enter(family))),
+    }
 }
 
-/// Does nothing; returns the no-op guard.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn span_with_parent(_family: &'static str, _parent: u64) -> ScopedSpan {
-    ScopedSpan
+/// As [`span`], with an explicit parent id (0 for a root).
+pub fn span_with_parent(family: Family, parent: u64) -> ScopedSpan {
+    ScopedSpan {
+        id: CURRENT.with(|c| {
+            c.borrow()
+                .as_ref()
+                .map_or(0, |t| t.enter_with_parent(family, parent))
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1087,105 +750,77 @@ mod tests {
     use super::*;
 
     #[test]
-    fn family_table_is_closed_and_unique() {
-        for (i, f) in families::ALL.iter().enumerate() {
-            assert_eq!(families::index_of(f), Some(i), "family {f}");
+    fn family_table_indexes_and_names_are_unique() {
+        for (i, f) in Family::ALL.iter().enumerate() {
+            assert_eq!(*f as usize, i, "ALL is in discriminant order");
         }
-        let mut sorted: Vec<&str> = families::ALL.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), families::ALL.len(), "duplicate family");
-        assert_eq!(families::index_of("not-registered"), None);
+        let mut names: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Family::ALL.len(), "duplicate family name");
+        assert_eq!(
+            Family::MachineBlock.to_json().compact(),
+            "\"machine/block\""
+        );
     }
 
     #[test]
-    fn budget_verdicts() {
-        let budget = WallBudget::default();
-        let cheap = WallOverhead {
+    fn overhead_total_sums_record_merge_and_sample() {
+        let o = WallOverhead {
             record_ns: 1_000,
             merge_ns: 500,
             sample_ns: 500,
             ..WallOverhead::default()
         };
-        assert!(budget.verdict(&cheap, 1_000_000).within);
-        assert_eq!(cheap.total_ns(), 2_000);
-        let dear = WallOverhead {
-            record_ns: 500_000,
-            ..WallOverhead::default()
-        };
-        let v = budget.verdict(&dear, 1_000_000);
-        assert!(!v.within);
-        assert!((v.fraction - 0.5).abs() < 1e-12);
-        // Zero-length runs never fail the budget.
-        assert!(budget.verdict(&dear, 0).within);
+        assert_eq!(o.total_ns(), 2_000);
     }
 
     #[test]
-    fn wall_matches_feature_mode() {
+    fn nested_spans_aggregate_and_retain_causality() {
         let wall = Wall::with_threads(2);
         let t = wall.thread(0).expect("first claim");
-        let outer = t.enter(families::SWEEP);
-        let inner = t.enter(families::TASK);
+        let outer = t.enter(Family::Sweep);
+        let inner = t.enter(Family::Task);
         t.exit(inner);
         t.exit(outer);
         let snap = wall.snapshot();
-        if Wall::ACTIVE {
-            assert_eq!(snap.families.len(), families::ALL.len());
-            assert_eq!(snap.epoch, 1);
-            let sweep = snap.family(families::SWEEP).expect("sweep row");
-            assert_eq!(sweep.count, 1);
-            let task = snap.family(families::TASK).expect("task row");
-            assert_eq!(task.count, 1);
-            assert!(sweep.max_ns >= task.max_ns, "outer span covers inner");
-            assert_eq!(snap.total_spans(), 2);
-            // The second claim of the same slot must fail (SPSC).
-            assert!(wall.thread(0).is_none(), "slot 0 already claimed");
-            assert!(wall.thread(5).is_none(), "out of range");
-            let o = wall.overhead();
-            assert_eq!(o.spans, 2);
-            assert_eq!(o.bytes, 2 * (SPAN_WORDS as u64) * 8);
-            assert!(o.record_ns > 0);
-            assert!(o.merges >= 1);
-            // Both spans survive into the retained list with causality.
-            let spans = wall.spans();
-            assert_eq!(spans.len(), 2);
-            let task_span = spans
-                .iter()
-                .find(|s| s.family == families::TASK)
-                .expect("task span retained");
-            let sweep_span = spans
-                .iter()
-                .find(|s| s.family == families::SWEEP)
-                .expect("sweep span retained");
-            assert_eq!(task_span.parent, sweep_span.id, "nesting sets parent");
-            assert_eq!(sweep_span.parent, 0, "root has no parent");
-        } else {
-            assert_eq!(snap.families.len(), 0);
-            assert_eq!(snap.epoch, 0);
-            assert_eq!(wall.overhead(), WallOverhead::default());
-            assert!(wall.budget_verdict().within);
-            assert_eq!(std::mem::size_of::<Wall>(), 0);
-            assert_eq!(std::mem::size_of::<WallThread>(), 0);
-            assert_eq!(std::mem::size_of::<ScopedSpan>(), 0);
-        }
+        assert_eq!(snap.families.len(), Family::ALL.len());
+        assert_eq!(snap.epoch, 1);
+        let sweep = snap.family(Family::Sweep).expect("sweep row");
+        assert_eq!(sweep.count, 1);
+        let task = snap.family(Family::Task).expect("task row");
+        assert_eq!(task.count, 1);
+        assert!(sweep.max_ns >= task.max_ns, "outer span covers inner");
+        assert_eq!(snap.total_spans(), 2);
+        // The second claim of the same slot must fail (SPSC).
+        assert!(wall.thread(0).is_none(), "slot 0 already claimed");
+        assert!(wall.thread(5).is_none(), "out of range");
+        let o = wall.overhead();
+        assert_eq!(o.spans, 2);
+        assert_eq!(o.bytes, 2 * (SPAN_WORDS as u64) * 8);
+        assert!(o.record_ns > 0);
+        assert!(o.merges >= 1);
+        // Both spans survive into the retained list with causality.
+        let spans = wall.spans();
+        assert_eq!(spans.len(), 2);
+        let task_span = spans
+            .iter()
+            .find(|s| s.family == Family::Task)
+            .expect("task span retained");
+        let sweep_span = spans
+            .iter()
+            .find(|s| s.family == Family::Sweep)
+            .expect("sweep span retained");
+        assert_eq!(task_span.parent, sweep_span.id, "nesting sets parent");
+        assert_eq!(sweep_span.parent, 0, "root has no parent");
     }
 
-    #[test]
-    fn unregistered_family_records_nothing() {
-        let wall = Wall::with_threads(1);
-        let t = wall.thread(0).expect("claim");
-        assert_eq!(t.enter("not/registered"), 0);
-        t.exit(0); // the returned 0 is a safe no-op
-        assert_eq!(wall.snapshot().total_spans(), 0);
-    }
-
-    #[cfg(feature = "trace")]
     #[test]
     fn full_ring_drops_and_counts() {
         let wall = Wall::new(1, 4);
         let t = wall.thread(0).expect("claim");
         for _ in 0..10 {
-            let id = t.enter(families::RUN);
+            let id = t.enter(Family::Run);
             t.exit(id);
         }
         let snap = wall.snapshot();
@@ -1193,34 +828,31 @@ mod tests {
         assert_eq!(o.spans, 4, "ring holds 4");
         assert_eq!(o.dropped, 6);
         assert_eq!(o.spans + o.dropped, 10, "record conservation");
-        assert_eq!(snap.family(families::RUN).expect("run row").count, 4);
+        assert_eq!(snap.family(Family::Run).expect("run row").count, 4);
         // After the drain the ring has room again.
-        let id = t.enter(families::RUN);
+        let id = t.enter(Family::Run);
         t.exit(id);
         let snap = wall.snapshot();
-        assert_eq!(snap.family(families::RUN).expect("run row").count, 5);
+        assert_eq!(snap.family(Family::Run).expect("run row").count, 5);
         assert_eq!(snap.epoch, 2);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn cancel_discards_the_frame() {
         let wall = Wall::with_threads(1);
         let t = wall.thread(0).expect("claim");
-        let id = t.enter(families::CLAIM);
+        let id = t.enter(Family::Claim);
         t.cancel(id);
         assert_eq!(t.current(), 0, "stack unwound");
         assert_eq!(wall.snapshot().total_spans(), 0, "nothing recorded");
-        t.cancel(0); // no-op
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn live_stack_sampling_collapses() {
         let wall = Wall::with_threads(1);
         let t = wall.thread(0).expect("claim");
-        let outer = t.enter(families::SWEEP);
-        let inner = t.enter(families::TASK);
+        let outer = t.enter(Family::Sweep);
+        let inner = t.enter(Family::Task);
         assert_eq!(wall.sample_stacks(), 1);
         assert_eq!(wall.sample_stacks(), 1);
         t.exit(inner);
@@ -1244,20 +876,19 @@ mod tests {
         assert_eq!(snap.overhead.samples, 4);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn explicit_parent_crosses_threads() {
         let wall = Wall::with_threads(2);
         let driver = wall.thread(0).expect("claim 0");
-        let root = driver.enter(families::SWEEP);
+        let root = driver.enter(Family::Sweep);
         let worker = wall.thread(1).expect("claim 1");
-        let task = worker.enter_with_parent(families::TASK, root);
+        let task = worker.enter_with_parent(Family::Task, root);
         worker.exit(task);
         driver.exit(root);
         let spans = wall.spans();
         let task_span = spans
             .iter()
-            .find(|s| s.family == families::TASK)
+            .find(|s| s.family == Family::Task)
             .expect("task retained");
         assert_eq!(task_span.parent, root);
         assert_eq!(task_span.thread, 1);
@@ -1271,31 +902,25 @@ mod tests {
         let wall = Wall::with_threads(1);
         assert!(attach(&wall, 0), "first attach claims the slot");
         {
-            let outer = span(families::SWEEP);
-            if Wall::ACTIVE {
-                assert_ne!(outer.id(), 0);
-                assert_eq!(current_id(), outer.id());
-            }
-            let inner = span(families::TASK);
+            let outer = span(Family::Sweep);
+            assert_ne!(outer.id(), 0);
+            assert_eq!(current_id(), outer.id());
+            let inner = span(Family::Task);
             drop(inner);
             drop(outer);
         }
         // Cancelled guards record nothing.
-        let ghost = span(families::CLAIM);
+        let ghost = span(Family::Claim);
         ghost.cancel();
         detach();
         // Unattached: guards are inert.
-        let idle = span(families::RUN);
+        let idle = span(Family::Run);
         assert_eq!(idle.id(), 0);
         drop(idle);
         assert_eq!(current_id(), 0);
         let snap = wall.snapshot();
-        if Wall::ACTIVE {
-            assert_eq!(snap.total_spans(), 2, "sweep + task, no claim/run");
-            assert_eq!(snap.family(families::CLAIM).expect("claim row").count, 0);
-        } else {
-            assert_eq!(snap.total_spans(), 0);
-        }
+        assert_eq!(snap.total_spans(), 2, "sweep + task, no claim/run");
+        assert_eq!(snap.family(Family::Claim).expect("claim row").count, 0);
     }
 
     #[test]
@@ -1309,7 +934,6 @@ mod tests {
         assert!(j.get("total_spans").is_some());
     }
 
-    #[cfg(feature = "trace")]
     #[cfg_attr(miri, ignore = "timed producer loops are too slow under miri")]
     #[test]
     fn concurrent_record_merge_and_sample() {
@@ -1327,8 +951,8 @@ mod tests {
                     // check needs spans to conserve.
                     let mut done = 0u32;
                     while done < 50 || !stop.load(Ordering::Relaxed) {
-                        let outer = t.enter(families::TASK);
-                        let inner = t.enter(families::RUN);
+                        let outer = t.enter(Family::Task);
+                        let inner = t.enter(Family::Run);
                         t.exit(inner);
                         t.exit(outer);
                         done += 1;

@@ -1,5 +1,5 @@
 //! Real-thread stress for the hub's SPSC rings: the model checker
-//! (`tests/model_hub.rs`) proves the protocol on small bounded
+//! (`tests/model_spsc.rs`) proves the ring protocol on small bounded
 //! executions; this test hammers the same invariants at scale on real
 //! hardware, where actual weak-memory reordering and cache traffic
 //! apply.
@@ -9,8 +9,6 @@
 //! concurrently. Invariants: per-worker publish counts are conserved
 //! as accepted + dropped, merged rows never show a torn beat, and
 //! snapshot epochs are strictly monotone.
-
-#![cfg(feature = "trace")]
 
 use execmig_obs::model::thread;
 use execmig_obs::{Beat, Hub, HubConfig, WorkerState};
