@@ -45,12 +45,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "repo policy (mirrors E001 at use/path level)",
     },
     Rule {
-        id: "E003",
-        kind: RuleKind::Static,
-        title: "the obs `trace` feature is enabled only through [features] forwarding, never hard-wired in [dependencies]",
-        paper: "repo policy (zero-cost tracing by default)",
-    },
-    Rule {
         id: "E004",
         kind: RuleKind::Static,
         title: "hot-path files are panic-free: no .unwrap()/.expect()/panic!/todo!/unimplemented! outside tests",
@@ -61,12 +55,6 @@ pub const CATALOG: &[Rule] = &[
         kind: RuleKind::Static,
         title: "hot-path files use fixed-point arithmetic only: no f32/f64 outside tests",
         paper: "§3.2 (16-bit saturating integers); floats live in introspection modules",
-    },
-    Rule {
-        id: "E006",
-        kind: RuleKind::Static,
-        title: "recorder buffer reads outside obs sit behind `if <Recorder>::ACTIVE`, #[cfg(feature = …)], or tests: Tracer (.events()/.dropped()/.emitted(), EventRing, TraceEvent) and Profiler (.record_sample()/.records())",
-        paper: "repo policy (per-event recorders must cost nothing when compiled out)",
     },
     Rule {
         id: "E007",

@@ -15,8 +15,7 @@
 //!   are floats.
 //!
 //! Token positions are byte offsets, which the region helpers below
-//! use to answer "is this occurrence inside a `#[cfg(test)]` item /
-//! a `#[cfg(feature = …)]` item / an `if Tracer::ACTIVE { … }` block".
+//! use to answer "is this occurrence inside a `#[cfg(test)]` item".
 
 /// Token class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,16 +398,6 @@ pub fn in_regions(pos: usize, regions: &[Region]) -> bool {
 /// Byte regions of items gated by `#[cfg(…)]` attributes whose
 /// argument mentions `test` (e.g. `#[cfg(test)] mod tests { … }`).
 pub fn test_regions(toks: &[Token]) -> Vec<Region> {
-    attr_regions(toks, "test")
-}
-
-/// Byte regions of items gated by `#[cfg(…)]` attributes whose
-/// argument mentions `feature` (e.g. `#[cfg(feature = "trace")]`).
-pub fn feature_regions(toks: &[Token]) -> Vec<Region> {
-    attr_regions(toks, "feature")
-}
-
-fn attr_regions(toks: &[Token], marker: &str) -> Vec<Region> {
     let mut out = Vec::new();
     let mut k = 0;
     while k + 3 < toks.len() {
@@ -422,7 +411,7 @@ fn attr_regions(toks: &[Token], marker: &str) -> Vec<Region> {
             continue;
         }
         let attr_start = toks[k].pos;
-        // Scan the cfg argument list for the marker identifier.
+        // Scan the cfg argument list for `test`.
         let mut depth = 1usize;
         let mut j = k + 4;
         let mut found = false;
@@ -431,7 +420,7 @@ fn attr_regions(toks: &[Token], marker: &str) -> Vec<Region> {
                 depth += 1;
             } else if is_punct(&toks[j], ')') {
                 depth -= 1;
-            } else if toks[j].kind == TokKind::Ident && toks[j].text == marker {
+            } else if toks[j].kind == TokKind::Ident && toks[j].text == "test" {
                 found = true;
             }
             j += 1;
@@ -459,42 +448,6 @@ fn attr_regions(toks: &[Token], marker: &str) -> Vec<Region> {
             }
         }
         k = j;
-    }
-    out
-}
-
-/// Byte regions of the then-blocks of `if … <recorder>::ACTIVE … { … }`
-/// (e.g. `Tracer::ACTIVE`, `Profiler::ACTIVE`). The else-branch
-/// (recording compiled out) is deliberately NOT exempt.
-pub fn active_regions(toks: &[Token], recorder: &str) -> Vec<Region> {
-    let mut out = Vec::new();
-    for k in 0..toks.len() {
-        if !(toks[k].kind == TokKind::Ident
-            && toks[k].text == recorder
-            && matches!(toks.get(k + 1), Some(t) if is_punct(t, ':'))
-            && matches!(toks.get(k + 2), Some(t) if is_punct(t, ':'))
-            && matches!(toks.get(k + 3), Some(t) if t.kind == TokKind::Ident && t.text == "ACTIVE"))
-        {
-            continue;
-        }
-        // Must be an `if` condition: look back a few tokens for `if`
-        // (covers `if Tracer::ACTIVE`, `if x && Tracer::ACTIVE`, and
-        // the `execmig_obs::Tracer::ACTIVE` path form).
-        let lo = k.saturating_sub(8);
-        if !toks[lo..k]
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text == "if")
-        {
-            continue;
-        }
-        // The guarded block is the first brace after the condition.
-        let mut j = k + 4;
-        while j < toks.len() && !is_punct(&toks[j], '{') {
-            j += 1;
-        }
-        if let Some(end) = brace_end(toks, j) {
-            out.push((toks[j].pos, end));
-        }
     }
     out
 }
@@ -602,45 +555,5 @@ mod tests {
         let unwrap_pos = src.find("unwrap").expect("present");
         assert!(in_regions(unwrap_pos, &regions));
         assert!(!in_regions(0, &regions));
-    }
-
-    #[test]
-    fn feature_region_covers_use_decl() {
-        let src = "#[cfg(feature = \"trace\")]\nuse execmig_obs::EventRing;\nfn f() {}\n";
-        let toks = lex(src);
-        let regions = feature_regions(&toks);
-        assert_eq!(regions.len(), 1);
-        assert!(in_regions(
-            src.find("EventRing").expect("present"),
-            &regions
-        ));
-        assert!(!in_regions(src.find("fn f").expect("present"), &regions));
-    }
-
-    #[test]
-    fn tracer_active_gates_then_block_only() {
-        let src = "fn f(t: &T) { if Tracer::ACTIVE { t.events(); } else { t.events(); } }";
-        let toks = lex(src);
-        let regions = active_regions(&toks, "Tracer");
-        assert_eq!(regions.len(), 1);
-        let first = src.find("events").expect("present");
-        let second = src.rfind("events").expect("present");
-        assert!(in_regions(first, &regions));
-        assert!(!in_regions(second, &regions));
-    }
-
-    #[test]
-    fn profiler_active_gates_like_tracer() {
-        let src = "fn f(p: &P) { if Profiler::ACTIVE && p.sample_due(n) { p.records(); } }";
-        let toks = lex(src);
-        // Each recorder's gate covers only its own `ACTIVE` blocks.
-        assert!(active_regions(&toks, "Tracer").is_empty());
-        let regions = active_regions(&toks, "Profiler");
-        assert_eq!(regions.len(), 1);
-        assert!(in_regions(src.find("records").expect("present"), &regions));
-        assert!(!in_regions(
-            src.find("sample_due").expect("present"),
-            &regions
-        ));
     }
 }

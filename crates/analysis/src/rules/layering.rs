@@ -1,8 +1,7 @@
 //! E001/E002: the crate-layering DAG.
 //!
 //! The workspace layers as `trace → cache → core → machine →
-//! experiments`, with `obs` a side layer any crate may use (its
-//! *trace* feature is a separate concern, rule E003), `check` — the
+//! experiments`, with `obs` a side layer any crate may use, `check` — the
 //! differential reference model — a leaf beside `experiments` (it may
 //! see everything up to `machine`, and `experiments` may drive it),
 //! and the root facade / bench harness on top. `model` — the

@@ -1,9 +1,8 @@
-//! The static rules (E001–E009, E012, E013). Each module covers one
+//! The static rules (E001, E002, E004, E005, E007–E009, E012, E013). Each module covers one
 //! concern and pushes [`Diagnostic`]s tagged with catalog ids.
 
 pub mod concurrency;
 pub mod exhaustive;
-pub mod featuregate;
 pub mod hotpath;
 pub mod hygiene;
 pub mod layering;
@@ -15,7 +14,6 @@ use crate::workspace::Workspace;
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     layering::check(ws, &mut diags);
-    featuregate::check(ws, &mut diags);
     hotpath::check(ws, &mut diags);
     exhaustive::check(ws, &mut diags);
     hygiene::check(ws, &mut diags);

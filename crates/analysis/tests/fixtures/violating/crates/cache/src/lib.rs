@@ -1,7 +1,7 @@
 //! Fixture crate mirroring `execmig-cache`, seeded with violations.
 
 use execmig_machine::Machine; // E002: names a crate above its layer
-use execmig_obs::Tracer; // fine: obs is a side layer
+use execmig_obs::EventRing; // fine: obs is a side layer
 
 pub mod cache;
 pub mod spin;
@@ -11,13 +11,8 @@ pub struct ProbeConfig {
     pub depth: u64,
 }
 
-pub fn drain(t: &Tracer) -> usize {
-    t.events().len() // E006: ungated ring-buffer read
-}
-
-pub fn sample(p: &mut execmig_obs::Profiler, c: &execmig_obs::ProfileCumulative) -> usize {
-    p.record_sample(c); // E006: ungated sampler write
-    p.records().len() // E006: ungated sampler read
+pub fn retained(r: &EventRing) -> usize {
+    r.len()
 }
 
 pub fn head(v: &[u64]) -> u64 {

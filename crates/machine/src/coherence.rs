@@ -99,7 +99,7 @@ impl ToJson for Protocol {
 
 /// The slice of machine state a coherence hook may touch: the per-core
 /// L2s, the optional L3, and the stats block. The L1s, controller,
-/// tracer, and update bus stay protocol-independent and remain in
+/// event ring, and update bus stay protocol-independent and remain in
 /// `Machine`.
 #[derive(Debug)]
 pub struct CoherenceCtx<'a> {
@@ -144,7 +144,7 @@ impl CoherenceCtx<'_> {
 }
 
 /// The protocol-specific hooks of the L2 coherence scheme. `Machine`
-/// owns the skeleton (per-access counters, tracer events, controller
+/// owns the skeleton (per-access counters, recorded events, controller
 /// consultation) and delegates the coherence decisions here.
 pub trait CoherenceProtocol {
     /// Serves an L2 miss for `line` on the active core: source the data

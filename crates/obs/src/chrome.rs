@@ -21,9 +21,9 @@
 //! trace — simulated time as process 0, wall-clock time as process 1,
 //! side by side in the same viewer.
 //!
-//! Everything here is plain data transformation: it runs identically
-//! with or without the `trace` feature (the event and profile inputs
-//! are just empty slices when tracing is compiled out).
+//! Everything here is plain data transformation: a run with no
+//! recorder attached passes empty event and profile slices and still
+//! renders a valid (residency-only) trace.
 
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;

@@ -1,12 +1,16 @@
 //! Fixed-capacity event ring buffer.
 //!
-//! The tracer stores the most recent events in a preallocated ring:
-//! pushes never allocate after construction, and when the ring is full
-//! the oldest event is overwritten (the `dropped` counter records how
-//! many were lost). This bounds tracing memory on billion-instruction
-//! runs while keeping the interesting tail — the steady state — intact.
+//! A machine with an attached event ring stores the most recent events
+//! in a preallocated ring: pushes never allocate after construction,
+//! and when the ring is full the oldest event is overwritten (the
+//! `dropped` counter records how many were lost). This bounds tracing
+//! memory on billion-instruction runs while keeping the interesting
+//! tail — the steady state — intact.
 
 use crate::event::TraceEvent;
+
+/// Default ring capacity: the 64 Ki most recent events.
+pub const DEFAULT_CAPACITY: usize = 64 << 10;
 
 /// A wraparound buffer of the most recent [`TraceEvent`]s.
 #[derive(Debug, Clone)]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example migration_timeline -- [bench] [instr]`
 //!
 //! Each window is one `ProfileRecord` between two cumulative snapshots
-//! of the machine, so this works without the `trace` feature. Pass
+//! of the machine, so it needs no attached profiler. Pass
 //! `--json` to dump the record array (per-core residency, transition
 //! flips, affinity-table hits and misses, bus bytes, …) for plotting.
 

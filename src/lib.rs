@@ -14,7 +14,8 @@
 //! - [`check`] — differential checking: a naive reference machine, a
 //!   lockstep differ, and a trace-shrinking fuzzer
 //! - [`experiments`] — runners that regenerate every table and figure
-//! - [`obs`] — observability: feature-gated event tracing, metrics
+//! - [`obs`] — observability: an event ring and interval profiler
+//!   attached to a machine at run time, metrics
 //!   (counters/gauges/log-2 histograms), JSON/CSV/Prometheus exporters,
 //!   run manifests, and span timers
 //!

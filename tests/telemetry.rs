@@ -4,8 +4,7 @@
 //! (2 % of run time), the wall-clock flight recorder must serve live
 //! per-family span latencies on `/spans` within the same budget, and —
 //! the hard promise — `MachineStats` must be bit-identical with
-//! telemetry on and off. The recorders are real in every build, so all
-//! of this holds with or without the `trace` feature.
+//! telemetry on and off.
 //!
 //! The HTTP client here is hand-rolled on `TcpStream`, matching the
 //! repo's dependency-free discipline (and exercising the server with a
