@@ -1,7 +1,7 @@
 //! Live telemetry hub: lock-free progress aggregation for running
 //! sweeps.
 //!
-//! The tracer and profiler answer questions *after* a run; the hub
+//! The event ring and profiler answer questions *after* a run; the hub
 //! answers them *during* one. Workers (sweep threads, long machine
 //! runs) publish small fixed-size progress [`Beat`]s — instructions
 //! retired, misses, migrations, `F`/`A_R`, worker state — into

@@ -1,7 +1,7 @@
 //! Wall-clock flight recorder: causal span tracing and latency
 //! self-profiling for the simulator's *own* execution.
 //!
-//! The tracer, profiler, and hub all measure *simulated* time —
+//! The event ring, profiler, and hub all measure *simulated* time —
 //! instructions, misses, migrations. This module measures where the
 //! simulator spends *wall-clock* time: which runner stage, which
 //! machine block, which differ case. Three consumers hang off it:
