@@ -57,12 +57,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "§3.2 (16-bit saturating integers); floats live in introspection modules",
     },
     Rule {
-        id: "E007",
-        kind: RuleKind::Static,
-        title: "every MachineStats counter (including nested bus stats) is registered by name in Machine::metrics",
-        paper: "§4–§5 (every reported quantity must reach the exporters)",
-    },
-    Rule {
         id: "E008",
         kind: RuleKind::Static,
         title: "every exported `pub struct *Config` has a ToJson impl in its crate",

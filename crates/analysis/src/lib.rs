@@ -5,8 +5,8 @@
 //! The workspace keeps two kinds of structural promises that `rustc`
 //! cannot check: architectural ones (crate layering, dependency-freedom,
 //! concurrency discipline) and paper-fidelity ones (the Fig 2
-//! datapath is panic-free fixed-point code; every counter reaches the
-//! metrics registry; every config serialises into run manifests).
+//! datapath is panic-free fixed-point code; every config serialises
+//! into run manifests).
 //! This crate enforces them from source, with a hand-rolled lexer so
 //! doc examples, strings, and comments never trip a rule.
 //!

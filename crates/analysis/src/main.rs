@@ -52,10 +52,11 @@ fn main() -> ExitCode {
             if json {
                 println!("{}", diag::render_json(&diags));
             } else {
-                println!(
-                    "execmig-lint: workspace clean ({} rules)",
-                    catalog::CATALOG.len()
-                );
+                let rules = catalog::CATALOG
+                    .iter()
+                    .filter(|r| r.kind == catalog::RuleKind::Static)
+                    .count();
+                println!("execmig-lint: workspace clean ({rules} static rules)");
             }
             ExitCode::SUCCESS
         }

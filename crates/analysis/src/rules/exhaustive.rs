@@ -1,72 +1,14 @@
-//! E007/E008: exhaustiveness of the observability surface.
-//!
-//! - **E007**: every counter field of `MachineStats` (and of any
-//!   nested `*Stats` struct it embeds, prefixed with the field name,
-//!   e.g. `bus.reg_bytes` → `"bus_reg_bytes"`) must appear as a string
-//!   literal somewhere in the machine crate — which in practice means
-//!   the `Machine::metrics` registry. Adding a counter without
-//!   exporting it is the classic silent observability gap.
-//! - **E008**: every `pub struct …Config` in the workspace must have a
-//!   `ToJson` impl in its crate (via `impl_to_json!` or a manual
-//!   `impl ToJson for …`), so run manifests can capture the full
-//!   configuration that produced a result.
+//! E008: every `pub struct …Config` in the workspace must have a
+//! `ToJson` impl in its crate (via `impl_to_json!` or a manual
+//! `impl ToJson for …`), so run manifests can capture the full
+//! configuration that produced a result.
 
 use crate::diag::Diagnostic;
-use crate::lexer::{self, TokKind, Token};
+use crate::lexer::{self, TokKind};
 use crate::workspace::{CrateInfo, Workspace};
 
-/// Runs E007 and E008.
+/// Runs E008.
 pub fn check(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    check_metrics(ws, diags);
-    check_configs(ws, diags);
-}
-
-fn check_metrics(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    let Some(mach) = ws.get("execmig-machine") else {
-        return;
-    };
-    let Some(stats) = find_struct(mach, "MachineStats") else {
-        return;
-    };
-    let mut expected: Vec<(String, String, u32)> = Vec::new(); // (literal, file, line)
-    for f in &stats.fields {
-        if f.ty == "u64" {
-            expected.push((f.name.clone(), stats.file.clone(), f.line));
-        } else if f.ty.ends_with("Stats") {
-            if let Some(nested) = find_struct(mach, &f.ty) {
-                for sub in &nested.fields {
-                    if sub.ty == "u64" {
-                        expected.push((
-                            format!("{}_{}", f.name, sub.name),
-                            nested.file.clone(),
-                            sub.line,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    for (literal, file, line) in expected {
-        let registered = mach.files.iter().any(|f| {
-            f.toks
-                .iter()
-                .any(|t| t.kind == TokKind::Str && t.text == literal)
-        });
-        if !registered {
-            diags.push(Diagnostic::new(
-                "E007",
-                &file,
-                line,
-                format!(
-                    "MachineStats counter `{literal}` is never registered by name \
-                     in the metrics registry"
-                ),
-            ));
-        }
-    }
-}
-
-fn check_configs(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     for krate in &ws.crates {
         if krate.name == "execmig-analysis" || krate.name == "execmig-model" {
             // The linter and the interleaving checker sit outside the
@@ -125,73 +67,4 @@ fn has_to_json(krate: &CrateInfo, name: &str) -> bool {
                     && w[3].text == name)
         })
     })
-}
-
-struct StructDef {
-    file: String,
-    fields: Vec<Field>,
-}
-
-struct Field {
-    name: String,
-    ty: String,
-    line: u32,
-}
-
-/// Finds `struct <name> { … }` in the crate and extracts its `pub`
-/// fields as (name, first type identifier) pairs.
-fn find_struct(krate: &CrateInfo, name: &str) -> Option<StructDef> {
-    for file in &krate.files {
-        let toks = &file.toks;
-        for k in 0..toks.len().saturating_sub(2) {
-            if !(toks[k].kind == TokKind::Ident
-                && toks[k].text == "struct"
-                && toks[k + 1].kind == TokKind::Ident
-                && toks[k + 1].text == name
-                && lexer::is_punct(&toks[k + 2], '{'))
-            {
-                continue;
-            }
-            return Some(StructDef {
-                file: file.rel.clone(),
-                fields: fields_of(toks, k + 2),
-            });
-        }
-    }
-    None
-}
-
-fn fields_of(toks: &[Token], open: usize) -> Vec<Field> {
-    let mut fields = Vec::new();
-    let mut depth = 0usize;
-    let mut k = open;
-    while k < toks.len() {
-        if lexer::is_punct(&toks[k], '{') {
-            depth += 1;
-        } else if lexer::is_punct(&toks[k], '}') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth == 1
-            && toks[k].kind == TokKind::Ident
-            && toks[k].text == "pub"
-            && matches!(toks.get(k + 1), Some(n) if n.kind == TokKind::Ident)
-            && matches!(toks.get(k + 2), Some(c) if lexer::is_punct(c, ':'))
-        {
-            let ty = toks[k + 3..]
-                .iter()
-                .find(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-                .unwrap_or_default();
-            fields.push(Field {
-                name: toks[k + 1].text.clone(),
-                ty,
-                line: toks[k + 1].line,
-            });
-            k += 2;
-        }
-        k += 1;
-    }
-    fields
 }

@@ -1,5 +1,6 @@
-//! The static rules (E001, E002, E004, E005, E007–E009, E012, E013). Each module covers one
-//! concern and pushes [`Diagnostic`]s tagged with catalog ids.
+//! The static rules (E001, E002, E004, E005, E008, E009, E012, E013).
+//! Each module covers one concern and pushes [`Diagnostic`]s tagged
+//! with catalog ids.
 
 pub mod concurrency;
 pub mod exhaustive;

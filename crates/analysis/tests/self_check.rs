@@ -65,10 +65,10 @@ fn loader_sees_all_members() {
     }
 }
 
-/// The coherence seam added in PR 8 must sit inside the layering
-/// gate's scan set — if the walker ever skipped these files, E002
-/// would silently stop policing the protocol modules' layer
-/// references (and E007/E008 their counters).
+/// The coherence modules must sit inside the layering gate's scan
+/// set — if the walker ever skipped these files, E002 would silently
+/// stop policing the protocol modules' layer references (and E008
+/// their configs).
 #[test]
 fn layering_scan_covers_the_coherence_modules() {
     let ws = execmig_analysis::workspace::load(workspace_root()).expect("workspace loads");

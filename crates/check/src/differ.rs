@@ -78,59 +78,24 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// Per-`MachineStats` observable list, shared by the per-step and the
-/// end-of-run comparison.
+/// Per-`MachineStats` observables, shared by the per-step and the
+/// end-of-run comparison: `stats.<name>` for each
+/// [`MachineStats::counters`] entry, `bus.<field>` for the update-bus
+/// ones. This runs after every access, so equal stats return before
+/// the counter lists are built, and names are formatted only for
+/// values that differ.
 fn stats_diffs(m: &MachineStats, r: &MachineStats, out: &mut Vec<FieldDiff>) {
-    let pairs: [(&str, u64, u64); 24] = [
-        ("stats.instructions", m.instructions, r.instructions),
-        ("stats.accesses", m.accesses, r.accesses),
-        ("stats.ifetches", m.ifetches, r.ifetches),
-        ("stats.loads", m.loads, r.loads),
-        ("stats.stores", m.stores, r.stores),
-        ("stats.il1_misses", m.il1_misses, r.il1_misses),
-        ("stats.dl1_misses", m.dl1_misses, r.dl1_misses),
-        ("stats.l1_requests", m.l1_requests, r.l1_requests),
-        ("stats.l2_accesses", m.l2_accesses, r.l2_accesses),
-        ("stats.l2_misses", m.l2_misses, r.l2_misses),
-        (
-            "stats.l2_to_l2_forwards",
-            m.l2_to_l2_forwards,
-            r.l2_to_l2_forwards,
-        ),
-        ("stats.l3_fetches", m.l3_fetches, r.l3_fetches),
-        ("stats.l3_writebacks", m.l3_writebacks, r.l3_writebacks),
-        ("stats.migrations", m.migrations, r.migrations),
-        (
-            "stats.store_broadcast_updates",
-            m.store_broadcast_updates,
-            r.store_broadcast_updates,
-        ),
-        ("stats.prefetch_fills", m.prefetch_fills, r.prefetch_fills),
-        ("stats.l3_misses", m.l3_misses, r.l3_misses),
-        ("stats.invalidations", m.invalidations, r.invalidations),
-        (
-            "stats.coherence_updates",
-            m.coherence_updates,
-            r.coherence_updates,
-        ),
-        (
-            "stats.coherence_bus_bytes",
-            m.coherence_bus_bytes,
-            r.coherence_bus_bytes,
-        ),
-        ("bus.reg_bytes", m.bus.reg_bytes, r.bus.reg_bytes),
-        ("bus.store_bytes", m.bus.store_bytes, r.bus.store_bytes),
-        ("bus.branch_bytes", m.bus.branch_bytes, r.bus.branch_bytes),
-        (
-            "bus.l1_mirror_bytes",
-            m.bus.l1_mirror_bytes,
-            r.bus.l1_mirror_bytes,
-        ),
-    ];
-    for (name, a, b) in pairs {
+    if m == r {
+        return;
+    }
+    for ((name, a), (_, b)) in m.counters().into_iter().zip(r.counters()) {
         if a != b {
+            let field = match name.strip_prefix("bus_") {
+                Some(bus) => format!("bus.{bus}"),
+                None => format!("stats.{name}"),
+            };
             out.push(FieldDiff {
-                field: name.to_string(),
+                field,
                 machine: i128::from(a),
                 reference: i128::from(b),
             });
@@ -579,6 +544,21 @@ machine state:
 reference state:
   active core 0; 43 accesses, 8 l2 misses, 0 migrations";
         assert_eq!(report.to_string(), expected);
+    }
+
+    #[test]
+    fn stats_diffs_names_counters_and_bus_fields() {
+        let machine = MachineStats::default();
+        let mut reference = machine;
+        reference.l2_misses = 3;
+        reference.bus.reg_bytes = 9;
+        let mut diffs = Vec::new();
+        stats_diffs(&machine, &reference, &mut diffs);
+        let fields: Vec<(&str, i128, i128)> = diffs
+            .iter()
+            .map(|d| (d.field.as_str(), d.machine, d.reference))
+            .collect();
+        assert_eq!(fields, [("stats.l2_misses", 0, 3), ("bus.reg_bytes", 0, 9)]);
     }
 
     #[test]

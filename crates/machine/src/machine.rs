@@ -243,42 +243,17 @@ impl Machine {
     }
 
     /// The machine's metrics as a named registry: every
-    /// [`MachineStats`] counter, per-core occupancy counters, the
-    /// migration inter-arrival / filter-dwell / affinity-age
-    /// histograms, and controller gauges. Registry snapshots delta
-    /// cleanly across windows (see `execmig_obs::Registry`).
+    /// [`MachineStats::counters`] entry plus `bus_update_bytes`,
+    /// per-core occupancy counters, the migration inter-arrival /
+    /// filter-dwell / affinity-age histograms, and controller gauges.
+    /// Registry snapshots delta cleanly across windows (see
+    /// `execmig_obs::Registry`).
     pub fn metrics(&self) -> Registry {
-        let s = &self.stats;
         let mut r = Registry::new();
-        for (name, v) in [
-            ("instructions", s.instructions),
-            ("accesses", s.accesses),
-            ("ifetches", s.ifetches),
-            ("loads", s.loads),
-            ("stores", s.stores),
-            ("il1_misses", s.il1_misses),
-            ("dl1_misses", s.dl1_misses),
-            ("l1_requests", s.l1_requests),
-            ("l2_accesses", s.l2_accesses),
-            ("l2_misses", s.l2_misses),
-            ("l2_to_l2_forwards", s.l2_to_l2_forwards),
-            ("l3_fetches", s.l3_fetches),
-            ("l3_writebacks", s.l3_writebacks),
-            ("migrations", s.migrations),
-            ("store_broadcast_updates", s.store_broadcast_updates),
-            ("prefetch_fills", s.prefetch_fills),
-            ("l3_misses", s.l3_misses),
-            ("invalidations", s.invalidations),
-            ("coherence_updates", s.coherence_updates),
-            ("coherence_bus_bytes", s.coherence_bus_bytes),
-            ("bus_reg_bytes", s.bus.reg_bytes),
-            ("bus_store_bytes", s.bus.store_bytes),
-            ("bus_branch_bytes", s.bus.branch_bytes),
-            ("bus_l1_mirror_bytes", s.bus.l1_mirror_bytes),
-            ("bus_update_bytes", s.bus.update_bus_bytes()),
-        ] {
+        for (name, v) in self.stats.counters() {
             r.counter(name, v);
         }
+        r.counter("bus_update_bytes", self.stats.bus.update_bus_bytes());
         for (c, &instr) in self
             .core_instructions
             .iter()
@@ -1142,6 +1117,13 @@ mod tests {
         m.run(&mut *w, 3_000_000);
         let r = m.metrics();
         let s = m.stats();
+        for (name, v) in s.counters() {
+            assert_eq!(r.counter_value(name), Some(v), "{name}");
+        }
+        assert_eq!(
+            r.counter_value("bus_update_bytes"),
+            Some(s.bus.update_bus_bytes())
+        );
         assert_eq!(r.counter_value("l2_misses"), Some(s.l2_misses));
         assert_eq!(r.counter_value("migrations"), Some(s.migrations));
         assert_eq!(r.counter_value("instructions"), Some(s.instructions));
@@ -1162,6 +1144,55 @@ mod tests {
                 assert_eq!(h.count(), m.controller().unwrap().stats().migrations)
             }
             other => panic!("filter_dwell_requests {other:?}"),
+        }
+    }
+
+    /// `ProfileRecord` is written out by hand in obs, which cannot see
+    /// machine types: every field it shares with `counters()` by name
+    /// must carry the same count.
+    #[test]
+    fn profiled_counters_match_machine_stats_by_name() {
+        use execmig_obs::{Json, ToJson};
+        for protocol in Protocol::ALL {
+            let mut m = Machine::new(MachineConfig {
+                protocol,
+                ..MachineConfig::four_core_migration()
+            });
+            m.attach_recorders(ProfileConfig::default());
+            let mut w = suite::by_name("em3d").unwrap();
+            m.run(&mut *w, 1_000_000);
+            let record =
+                ProfileRecord::between(&ProfileCumulative::default(), &m.profile_cumulative());
+            let Json::Obj(fields) = record.to_json() else {
+                panic!("a ProfileRecord renders as a JSON object");
+            };
+            let counters = m.stats().counters();
+            let mut shared = Vec::new();
+            for (key, value) in &fields {
+                if let Some(&(name, v)) = counters.iter().find(|(n, _)| n == key) {
+                    assert_eq!(*value, Json::UInt(v), "{protocol:?} {name}");
+                    shared.push(name);
+                }
+            }
+            assert_eq!(
+                shared,
+                [
+                    "il1_misses",
+                    "dl1_misses",
+                    "l2_misses",
+                    "l3_misses",
+                    "migrations",
+                    "invalidations",
+                    "coherence_updates"
+                ]
+            );
+            // Each protocol moves its own coherence counter, so the
+            // comparison above is never just 0 against 0.
+            match protocol {
+                Protocol::Mesi => assert!(m.stats().invalidations > 0),
+                Protocol::Dragon => assert!(m.stats().coherence_updates > 0),
+                Protocol::MigrationMode => {}
+            }
         }
     }
 

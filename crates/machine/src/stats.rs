@@ -1,38 +1,6 @@
 //! Event counters collected by the machine.
 
 use crate::bus::UpdateBusStats;
-use execmig_obs::impl_to_json;
-
-impl_to_json!(UpdateBusStats {
-    reg_bytes,
-    store_bytes,
-    branch_bytes,
-    l1_mirror_bytes
-});
-
-impl_to_json!(MachineStats {
-    instructions,
-    accesses,
-    ifetches,
-    loads,
-    stores,
-    il1_misses,
-    dl1_misses,
-    l1_requests,
-    l2_accesses,
-    l2_misses,
-    l2_to_l2_forwards,
-    l3_fetches,
-    l3_writebacks,
-    migrations,
-    store_broadcast_updates,
-    prefetch_fills,
-    l3_misses,
-    invalidations,
-    coherence_updates,
-    coherence_bus_bytes,
-    bus
-});
 
 /// Event counters for one simulation run.
 ///
@@ -92,6 +60,70 @@ pub struct MachineStats {
 }
 
 impl MachineStats {
+    /// Every counter as a `(registry name, value)` pair, in declaration
+    /// order; the update-bus fields carry a `bus_` prefix. This is the
+    /// one list of counter names: `Machine::metrics` registers it and
+    /// the lockstep differ compares it. The destructure names every
+    /// field with no `..`, so a counter added to either struct but left
+    /// off this list fails to compile.
+    pub fn counters(&self) -> [(&'static str, u64); 24] {
+        let MachineStats {
+            instructions,
+            accesses,
+            ifetches,
+            loads,
+            stores,
+            il1_misses,
+            dl1_misses,
+            l1_requests,
+            l2_accesses,
+            l2_misses,
+            l2_to_l2_forwards,
+            l3_fetches,
+            l3_writebacks,
+            migrations,
+            store_broadcast_updates,
+            prefetch_fills,
+            l3_misses,
+            invalidations,
+            coherence_updates,
+            coherence_bus_bytes,
+            bus:
+                UpdateBusStats {
+                    reg_bytes,
+                    store_bytes,
+                    branch_bytes,
+                    l1_mirror_bytes,
+                },
+        } = *self;
+        [
+            ("instructions", instructions),
+            ("accesses", accesses),
+            ("ifetches", ifetches),
+            ("loads", loads),
+            ("stores", stores),
+            ("il1_misses", il1_misses),
+            ("dl1_misses", dl1_misses),
+            ("l1_requests", l1_requests),
+            ("l2_accesses", l2_accesses),
+            ("l2_misses", l2_misses),
+            ("l2_to_l2_forwards", l2_to_l2_forwards),
+            ("l3_fetches", l3_fetches),
+            ("l3_writebacks", l3_writebacks),
+            ("migrations", migrations),
+            ("store_broadcast_updates", store_broadcast_updates),
+            ("prefetch_fills", prefetch_fills),
+            ("l3_misses", l3_misses),
+            ("invalidations", invalidations),
+            ("coherence_updates", coherence_updates),
+            ("coherence_bus_bytes", coherence_bus_bytes),
+            ("bus_reg_bytes", reg_bytes),
+            ("bus_store_bytes", store_bytes),
+            ("bus_branch_bytes", branch_bytes),
+            ("bus_l1_mirror_bytes", l1_mirror_bytes),
+        ]
+    }
+
     fn per_event(&self, events: u64) -> f64 {
         if events == 0 {
             f64::INFINITY

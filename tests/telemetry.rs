@@ -84,8 +84,8 @@ fn machine_stats_bit_identical_with_telemetry_on() {
         let mut w = suite::by_name(name).expect("suite workload");
         observed.run_observed(&mut *w, budget, &worker, 0, 0, BEAT_PERIOD_INSTR);
 
-        // Registry equality covers every counter Machine registers —
-        // and E007 guarantees that is every counter MachineStats has.
+        // Registry equality covers every counter Machine registers,
+        // which is every `MachineStats::counters()` entry.
         assert_eq!(
             plain.metrics(),
             observed.metrics(),
