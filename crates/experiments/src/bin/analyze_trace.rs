@@ -15,7 +15,7 @@ use execmig_cache::{LruStack, StackProfile};
 use execmig_core::{Splitter4, Splitter4Config};
 use execmig_experiments::l1filter::L1Filter;
 use execmig_experiments::manifest::ManifestEmitter;
-use execmig_experiments::report::arg_flag;
+use execmig_experiments::report::{arg_flag, fmt_ratio};
 use execmig_machine::perf::break_even_pmig;
 use execmig_machine::{Machine, MachineConfig};
 use execmig_obs::Json;
@@ -88,8 +88,7 @@ fn main() {
     };
     let base = run_machine(MachineConfig::single_core());
     let mig = run_machine(MachineConfig::four_core_migration());
-    let ratio = (mig.l2_misses as f64 / mig.instructions.max(1) as f64)
-        / (base.l2_misses as f64 / base.instructions.max(1) as f64).max(f64::MIN_POSITIVE);
+    let ratio = mig.l2_miss_ratio(&base);
     let break_even = break_even_pmig(&base, &mig);
 
     em.budget(instructions);
@@ -154,7 +153,7 @@ fn main() {
         mig.instr_per_l2_miss(),
         mig.migrations
     );
-    println!("  L2-miss ratio: {ratio:.2}");
+    println!("  L2-miss ratio: {}", fmt_ratio(ratio));
     match break_even {
         Some(be) if be > 1.0 => {
             println!("  => migration helps whenever P_mig < {be:.0} L2-miss penalties")

@@ -34,7 +34,7 @@ fn main() {
         let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
             Some(name) => coherence_compare::run_benchmark(&name, instructions),
-            None => coherence_compare::run_all_observed(instructions, threads, telemetry.obs()),
+            None => coherence_compare::run_all(instructions, threads, telemetry.obs()),
         }
     };
     telemetry.finish();

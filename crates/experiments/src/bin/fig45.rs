@@ -32,7 +32,7 @@ fn main() {
         let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
             Some(name) => vec![fig45::run_benchmark(&name, &config)],
-            None => fig45::run_all_observed(&config, threads, telemetry.obs()),
+            None => fig45::run_all(&config, threads, telemetry.obs()),
         }
     };
     telemetry.finish();

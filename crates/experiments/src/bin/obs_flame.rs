@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use execmig_experiments::report::{arg_flag, arg_u64, arg_value};
 use execmig_experiments::runner::Obs;
 use execmig_experiments::table2;
+use execmig_machine::Protocol;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
 use execmig_obs::{render_wall_trace, wall, Budget, Family, Wall};
@@ -57,7 +58,12 @@ fn main() {
         let rows = {
             // The sweep root span: runner tasks parent to it.
             let _sweep = wall::span(Family::Sweep);
-            table2::run_all_observed(instructions, threads, Obs::new(None, Some(&recorder)))
+            table2::run_all(
+                instructions,
+                threads,
+                Protocol::MigrationMode,
+                Obs::new(None, Some(&recorder)),
+            )
         };
         // ord: Relaxed — flag only; sampler.join() synchronises.
         stop.store(true, Ordering::Relaxed);

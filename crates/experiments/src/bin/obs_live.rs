@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use execmig_experiments::report::{arg_flag, arg_u64, arg_value};
 use execmig_experiments::table2;
 use execmig_experiments::telemetry::Telemetry;
+use execmig_machine::Protocol;
 use execmig_obs::model::sync::{AtomicBool, Ordering};
 use execmig_obs::model::thread;
 use execmig_obs::{wall, Budget, Family, Hub, Json, Registry, Wall};
@@ -86,7 +87,12 @@ fn main() {
         let rows = {
             // The sweep root span: runner tasks parent to it.
             let _sweep = wall::span(Family::Sweep);
-            table2::run_all_observed(instructions, threads, telemetry.obs())
+            table2::run_all(
+                instructions,
+                threads,
+                Protocol::MigrationMode,
+                telemetry.obs(),
+            )
         };
         // ord: Relaxed — flag only; monitor.join() synchronises.
         stop.store(true, Ordering::Relaxed);

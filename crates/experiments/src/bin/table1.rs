@@ -35,7 +35,7 @@ fn main() {
         // The sweep root span: every runner task parents to it, so
         // `/spans` and the flamegraph see one causal tree per run.
         let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
-        table1::run_all_observed(instructions, threads, telemetry.obs())
+        table1::run_all(instructions, threads, telemetry.obs())
     };
     telemetry.finish();
     em.stats(

@@ -38,8 +38,13 @@ fn main() {
         // The sweep root span: runner tasks parent to it across threads.
         let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
         match arg_value(&args, "--bench") {
-            Some(name) => vec![table2::run_benchmark_with(&name, instructions, protocol)],
-            None => table2::run_all_observed_with(instructions, threads, protocol, telemetry.obs()),
+            Some(name) => vec![table2::run_benchmark_with(
+                &name,
+                instructions,
+                protocol,
+                None,
+            )],
+            None => table2::run_all(instructions, threads, protocol, telemetry.obs()),
         }
     };
     telemetry.finish();

@@ -16,7 +16,7 @@
 use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::suite;
 
-use crate::runner::ObsCtx;
+use crate::runner::{Obs, ObsCtx};
 
 /// One (benchmark, protocol) cell of the comparison.
 #[derive(Debug, Clone)]
@@ -72,89 +72,60 @@ execmig_obs::impl_to_json!(CompareRow {
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> Vec<CompareRow> {
-    run_benchmark_observed(name, instructions, None)
+    rows(name, instructions, None)
 }
 
-/// As [`run_benchmark`], with live telemetry beats when an [`ObsCtx`]
-/// is present (the simulation path is identical either way).
-///
-/// # Panics
-///
-/// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_observed(
-    name: &str,
-    instructions: u64,
-    ctx: Option<&ObsCtx<'_>>,
-) -> Vec<CompareRow> {
-    let mut rows = Vec::with_capacity(Protocol::ALL.len());
-    let mut migration_rate = f64::NAN;
-    for protocol in Protocol::ALL {
-        let config = MachineConfig {
-            protocol,
-            ..MachineConfig::four_core_migration()
-        };
-        let mut m = Machine::new(config);
-        let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        match ctx {
-            Some(c) => m.run_observed(
-                &mut *w,
-                instructions,
-                c.worker,
-                c.task,
-                c.tasks_done,
-                crate::telemetry::BEAT_PERIOD_INSTR,
-            ),
-            None => m.run(&mut *w, instructions),
-        }
-        let s = m.stats();
-        let instr = s.instructions.max(1) as f64;
-        let rate = s.l2_misses as f64 / instr;
-        if protocol == Protocol::MigrationMode {
-            migration_rate = rate;
-        }
-        rows.push(CompareRow {
-            name: name.to_string(),
-            protocol: protocol.as_str().to_string(),
-            instructions: s.instructions,
-            l2_misses: s.l2_misses,
-            l2_misses_per_kinstr: rate * 1000.0,
-            miss_ratio_vs_migration: if migration_rate > 0.0 {
-                rate / migration_rate
-            } else {
-                f64::NAN
-            },
-            migrations: s.migrations,
-            invalidations: s.invalidations,
-            coherence_updates: s.coherence_updates,
-            invalidations_per_kinstr: s.invalidations as f64 / instr * 1000.0,
-            updates_per_kinstr: s.coherence_updates as f64 / instr * 1000.0,
-            coherence_bytes_per_instr: s.coherence_bus_bytes as f64 / instr,
-            update_bus_bytes_per_instr: s.bus.update_bus_bytes() as f64 / instr,
-        });
-    }
-    rows
-}
-
-/// Runs the whole suite; rows are grouped by benchmark, migration mode
-/// first within each group.
-pub fn run_all(instructions: u64, threads: usize) -> Vec<CompareRow> {
-    run_all_observed(instructions, threads, crate::runner::Obs::none())
-}
-
-/// Runs the whole suite with live observability into `obs` (hub beats
-/// and/or wall-clock spans, when given).
-pub fn run_all_observed(
-    instructions: u64,
-    threads: usize,
-    obs: crate::runner::Obs<'_>,
-) -> Vec<CompareRow> {
+/// Runs the whole suite on `threads` workers, with live observability
+/// into `obs` (hub beats and/or wall-clock spans, when given;
+/// [`Obs::none`] for neither). Rows are grouped by benchmark, migration
+/// mode first within each group.
+pub fn run_all(instructions: u64, threads: usize, obs: Obs<'_>) -> Vec<CompareRow> {
     crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
-        run_benchmark_observed(name, instructions, ctx.as_ref())
+        rows(name, instructions, ctx.as_ref())
     })
     .0
     .into_iter()
     .flatten()
     .collect()
+}
+
+/// The three protocol machines over one generated stream
+/// (`Machine::run_shared`), beating from the last (Dragon) when an
+/// [`ObsCtx`] is present; the beats only read counters.
+fn rows(name: &str, instructions: u64, ctx: Option<&ObsCtx<'_>>) -> Vec<CompareRow> {
+    let mut machines = Protocol::ALL.map(|protocol| {
+        Machine::new(MachineConfig {
+            protocol,
+            ..MachineConfig::four_core_migration()
+        })
+    });
+    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    Machine::run_shared(&mut machines, &mut *w, instructions, ctx);
+    // `Protocol::ALL` lists migration mode first.
+    let migration = *machines[0].stats();
+    Protocol::ALL
+        .iter()
+        .zip(&machines)
+        .map(|(protocol, m)| {
+            let s = m.stats();
+            let instr = s.instructions.max(1) as f64;
+            CompareRow {
+                name: name.to_string(),
+                protocol: protocol.as_str().to_string(),
+                instructions: s.instructions,
+                l2_misses: s.l2_misses,
+                l2_misses_per_kinstr: s.l2_miss_rate_per_instr() * 1000.0,
+                miss_ratio_vs_migration: s.l2_miss_ratio(&migration),
+                migrations: s.migrations,
+                invalidations: s.invalidations,
+                coherence_updates: s.coherence_updates,
+                invalidations_per_kinstr: s.invalidations as f64 / instr * 1000.0,
+                updates_per_kinstr: s.coherence_updates as f64 / instr * 1000.0,
+                coherence_bytes_per_instr: s.coherence_bus_bytes as f64 / instr,
+                update_bus_bytes_per_instr: s.bus.update_bus_bytes() as f64 / instr,
+            }
+        })
+        .collect()
 }
 
 /// Renders the comparison table.

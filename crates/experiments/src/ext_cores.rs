@@ -57,26 +57,30 @@ fn machine_for(cores: usize) -> Machine {
     })
 }
 
-/// Sweeps core counts for one benchmark.
+/// Sweeps core counts for one benchmark: one machine per count, all
+/// replaying one generated stream. Ratios are against the first
+/// count's machine.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a suite benchmark.
+/// Panics if `name` is not a suite benchmark or a count is not 1, 2, 4
+/// or 8.
 pub fn sweep(name: &str, core_counts: &[usize], instructions: u64) -> Vec<CoreSweepPoint> {
-    let mut baseline_rate = None;
+    let mut machines: Vec<Machine> = core_counts.iter().map(|&c| machine_for(c)).collect();
+    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    let Some(base) = machines.first().map(|m| *m.stats()) else {
+        return Vec::new();
+    };
     core_counts
         .iter()
-        .map(|&cores| {
-            let mut machine = machine_for(cores);
-            let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-            machine.run(&mut *w, instructions);
+        .zip(&machines)
+        .map(|(&cores, machine)| {
             let s = machine.stats();
-            let rate = s.l2_misses as f64 / s.instructions.max(1) as f64;
-            let base = *baseline_rate.get_or_insert(rate);
             CoreSweepPoint {
                 name: name.to_string(),
                 cores,
-                ratio: if base > 0.0 { rate / base } else { f64::NAN },
+                ratio: s.l2_miss_ratio(&base),
                 migration_ipe: s.instr_per_migration(),
                 l2_ipe: s.instr_per_l2_miss(),
             }

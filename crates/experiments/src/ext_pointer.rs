@@ -12,7 +12,7 @@
 //! misses are.
 
 use execmig_core::ControllerConfig;
-use execmig_machine::{Machine, MachineConfig};
+use execmig_machine::{Machine, MachineConfig, MachineStats};
 use execmig_trace::suite;
 
 /// Result of one benchmark under both filter settings.
@@ -38,39 +38,38 @@ execmig_obs::impl_to_json!(PointerFilterRow {
     migr_per_minstr_pointer
 });
 
-fn run_one(name: &str, pointer_filter: bool, instructions: u64) -> (f64, f64) {
-    let mut baseline = Machine::new(MachineConfig::single_core());
-    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    baseline.run(&mut *w, instructions);
-
-    let mut migration = Machine::new(MachineConfig {
-        controller: Some(ControllerConfig {
-            pointer_filter,
-            ..ControllerConfig::paper_4core()
-        }),
-        ..MachineConfig::four_core_migration()
-    });
-    let mut w = suite::by_name(name).expect("suite benchmark");
-    migration.run(&mut *w, instructions);
-
-    let b = baseline.stats();
-    let m = migration.stats();
-    let ratio = (m.l2_misses as f64 / m.instructions.max(1) as f64)
-        / (b.l2_misses as f64 / b.instructions.max(1) as f64).max(f64::MIN_POSITIVE);
-    let migr = m.migrations as f64 * 1e6 / m.instructions.max(1) as f64;
-    (ratio, migr)
-}
-
-/// Runs one benchmark with and without pointer filtering.
+/// Runs one benchmark with and without pointer filtering: the
+/// single-core baseline and both four-core machines replay one
+/// generated stream.
+///
+/// # Panics
+///
+/// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> PointerFilterRow {
-    let (ratio_plain, migr_plain) = run_one(name, false, instructions);
-    let (ratio_pointer, migr_pointer) = run_one(name, true, instructions);
+    let migration = |pointer_filter| {
+        Machine::new(MachineConfig {
+            controller: Some(ControllerConfig {
+                pointer_filter,
+                ..ControllerConfig::paper_4core()
+            }),
+            ..MachineConfig::four_core_migration()
+        })
+    };
+    let mut machines = [
+        Machine::new(MachineConfig::single_core()),
+        migration(false),
+        migration(true),
+    ];
+    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    let [baseline, plain, pointer] = machines.each_ref().map(Machine::stats);
+    let migr = |m: &MachineStats| m.migrations as f64 * 1e6 / m.instructions.max(1) as f64;
     PointerFilterRow {
         name: name.to_string(),
-        ratio_plain,
-        migr_per_minstr_plain: migr_plain,
-        ratio_pointer,
-        migr_per_minstr_pointer: migr_pointer,
+        ratio_plain: plain.l2_miss_ratio(baseline),
+        migr_per_minstr_plain: migr(plain),
+        ratio_pointer: pointer.l2_miss_ratio(baseline),
+        migr_per_minstr_pointer: migr(pointer),
     }
 }
 

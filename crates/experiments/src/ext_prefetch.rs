@@ -40,37 +40,39 @@ execmig_obs::impl_to_json!(PrefetchRow {
     both
 });
 
-fn misses_per_kinstr(config: MachineConfig, name: &str, instructions: u64) -> f64 {
-    let mut machine = Machine::new(config);
-    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    machine.run(&mut *w, instructions);
-    let s = machine.stats();
-    s.l2_misses as f64 * 1000.0 / s.instructions.max(1) as f64
-}
-
-/// Runs one benchmark through the 2×2 grid at `degree`-deep prefetch.
+/// Runs one benchmark through the 2×2 grid at `degree`-deep prefetch:
+/// the four machines replay one generated stream.
+///
+/// # Panics
+///
+/// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, degree: u32, instructions: u64) -> PrefetchRow {
     let prefetch = Some(PrefetchConfig { degree });
+    let mut machines = [
+        MachineConfig::single_core(),
+        MachineConfig {
+            prefetch,
+            ..MachineConfig::single_core()
+        },
+        MachineConfig::four_core_migration(),
+        MachineConfig {
+            prefetch,
+            ..MachineConfig::four_core_migration()
+        },
+    ]
+    .map(Machine::new);
+    let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
+    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    let [base, base_prefetch, migration, both] = machines.each_ref().map(|m| {
+        let s = m.stats();
+        s.l2_misses as f64 * 1000.0 / s.instructions.max(1) as f64
+    });
     PrefetchRow {
         name: name.to_string(),
-        base: misses_per_kinstr(MachineConfig::single_core(), name, instructions),
-        base_prefetch: misses_per_kinstr(
-            MachineConfig {
-                prefetch,
-                ..MachineConfig::single_core()
-            },
-            name,
-            instructions,
-        ),
-        migration: misses_per_kinstr(MachineConfig::four_core_migration(), name, instructions),
-        both: misses_per_kinstr(
-            MachineConfig {
-                prefetch,
-                ..MachineConfig::four_core_migration()
-            },
-            name,
-            instructions,
-        ),
+        base,
+        base_prefetch,
+        migration,
+        both,
     }
 }
 

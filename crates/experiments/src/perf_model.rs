@@ -38,21 +38,21 @@ execmig_obs::impl_to_json!(PerfRow {
     speedup_pmig60
 });
 
-/// Runs the per-benchmark analysis.
+/// Runs the per-benchmark analysis: the single-core baseline and the
+/// four-core migration machine replay one generated stream.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> PerfRow {
-    let mut baseline = Machine::new(MachineConfig::single_core());
+    let mut machines = [
+        Machine::new(MachineConfig::single_core()),
+        Machine::new(MachineConfig::four_core_migration()),
+    ];
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    baseline.run(&mut *w, instructions);
-    let mut migration = Machine::new(MachineConfig::four_core_migration());
-    let mut w = suite::by_name(name).expect("suite benchmark");
-    migration.run(&mut *w, instructions);
+    Machine::run_shared(&mut machines, &mut *w, instructions, None);
 
-    let b = baseline.stats();
-    let m = migration.stats();
+    let [b, m] = machines.each_ref().map(Machine::stats);
     let at = |pmig: f64| {
         PerfModel {
             pmig,

@@ -8,7 +8,9 @@ use std::time::Instant;
 use execmig_obs::model::sync::Mutex;
 use execmig_obs::model::thread;
 use execmig_obs::wall::{self, Family};
-use execmig_obs::{Beat, Hub, HubWorker, Wall, WorkerState};
+use execmig_obs::{Beat, Hub, Wall, WorkerState};
+
+pub use execmig_obs::ObsCtx;
 
 /// Wall-clock timings of one [`parallel_map_observed`] run: which
 /// worker ran which task, when, and for how long.
@@ -116,19 +118,6 @@ impl<'a> Obs<'a> {
     }
 }
 
-/// What an observed task needs to publish consistent mid-task beats:
-/// the worker's hub handle plus the task coordinates the runner already
-/// announced in its claim beat.
-#[derive(Debug)]
-pub struct ObsCtx<'a> {
-    /// The claiming worker's producer handle.
-    pub worker: &'a HubWorker,
-    /// The task index being executed.
-    pub task: u64,
-    /// Tasks this worker had completed before this one.
-    pub tasks_done: u64,
-}
-
 /// Applies `f` to every item on up to `threads` worker threads,
 /// preserving input order, and returns a [`RunnerReport`] of per-task
 /// timings. Live progress beats go into a telemetry [`Hub`] and
@@ -143,8 +132,10 @@ pub struct ObsCtx<'a> {
 /// publishes a `Running` beat on every task claim and completion, and a
 /// final `Done` beat when the queue drains — so `/progress` shows which
 /// task every worker is on while the sweep runs. The closure receives
-/// an [`ObsCtx`] (when a hub is given) to publish finer-grained beats
-/// mid-task, e.g. via `Machine::run_observed`.
+/// an [`ObsCtx`] (when a hub is given, with a
+/// [`BEAT_PERIOD_INSTR`](crate::telemetry::BEAT_PERIOD_INSTR) beat
+/// period) to publish finer-grained beats mid-task, e.g. via
+/// `Machine::run_shared`.
 ///
 /// With a wall attached, each worker additionally claims wall slot `w`
 /// as its thread context ([`wall::attach`]) and records one
@@ -247,6 +238,7 @@ where
                             worker,
                             task: i as u64,
                             tasks_done,
+                            beat_period: crate::telemetry::BEAT_PERIOD_INSTR,
                         });
                         let outcome = {
                             let _run_span = wall::span(Family::Run);

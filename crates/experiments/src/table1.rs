@@ -8,7 +8,7 @@
 //! quantity the rest of the evaluation actually depends on.
 
 use crate::l1filter::L1Filter;
-use crate::runner::ObsCtx;
+use crate::runner::{Obs, ObsCtx};
 use execmig_obs::{Beat, WorkerState};
 use execmig_trace::{suite, LineSize};
 
@@ -47,27 +47,29 @@ execmig_obs::impl_to_json!(Table1Row {
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> Table1Row {
-    run_benchmark_observed(name, instructions, None)
+    row(name, instructions, None)
 }
 
-/// As [`run_benchmark`], publishing a live telemetry beat every
-/// [`BEAT_PERIOD_INSTR`](crate::telemetry::BEAT_PERIOD_INSTR) retired
-/// instructions when an [`ObsCtx`] is present. The beats only read the
-/// workload's instruction counter — results are identical either way.
-///
-/// # Panics
-///
-/// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_observed(
-    name: &str,
-    instructions: u64,
-    ctx: Option<&ObsCtx<'_>>,
-) -> Table1Row {
+/// Runs the whole suite on `threads` workers, with live observability
+/// into `obs` (hub beats and/or wall-clock spans, when given;
+/// [`Obs::none`] for neither).
+pub fn run_all(instructions: u64, threads: usize, obs: Obs<'_>) -> Vec<Table1Row> {
+    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
+        row(name, instructions, ctx.as_ref())
+    })
+    .0
+}
+
+/// One benchmark's row, publishing a live telemetry beat every
+/// [`ObsCtx::beat_period`] retired instructions when an [`ObsCtx`] is
+/// present. The beats only read the workload's instruction counter —
+/// results are identical either way.
+fn row(name: &str, instructions: u64, ctx: Option<&ObsCtx<'_>>) -> Table1Row {
     let info = suite::info(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut w = suite::by_name(name).expect("suite benchmark");
     let mut filter = L1Filter::paper(LineSize::DEFAULT);
     // Without a context the first beat never comes due.
-    let mut next_beat = ctx.map_or(u64::MAX, |_| crate::telemetry::BEAT_PERIOD_INSTR);
+    let mut next_beat = ctx.map_or(u64::MAX, |c| c.beat_period);
     while w.instructions() < instructions {
         let access = w.next_access();
         let _ = filter.filter(access);
@@ -80,8 +82,8 @@ pub fn run_benchmark_observed(
                     instructions: w.instructions(),
                     ..Beat::default()
                 });
+                next_beat = w.instructions() + c.beat_period;
             }
-            next_beat = w.instructions() + crate::telemetry::BEAT_PERIOD_INSTR;
         }
     }
     let stats = filter.stats();
@@ -95,24 +97,6 @@ pub fn run_benchmark_observed(
         il1_per_kinstr: stats.il1_misses as f64 * 1000.0 / instr as f64,
         dl1_per_kinstr: stats.dl1_misses as f64 * 1000.0 / instr as f64,
     }
-}
-
-/// Runs the whole suite on `threads` workers.
-pub fn run_all(instructions: u64, threads: usize) -> Vec<Table1Row> {
-    run_all_observed(instructions, threads, crate::runner::Obs::none())
-}
-
-/// Runs the whole suite with live observability into `obs` (hub beats
-/// and/or wall-clock spans, when given).
-pub fn run_all_observed(
-    instructions: u64,
-    threads: usize,
-    obs: crate::runner::Obs<'_>,
-) -> Vec<Table1Row> {
-    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
-        run_benchmark_observed(name, instructions, ctx.as_ref())
-    })
-    .0
 }
 
 /// Renders rows as the paper's Table 1 (plus density columns).

@@ -12,7 +12,7 @@
 use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::suite;
 
-use crate::runner::ObsCtx;
+use crate::runner::{Obs, ObsCtx};
 
 /// One Table 2 row.
 #[derive(Debug, Clone)]
@@ -67,86 +67,40 @@ execmig_obs::impl_to_json!(Table2Row {
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> Table2Row {
-    run_benchmark_observed(name, instructions, None)
+    run_benchmark_with(name, instructions, Protocol::MigrationMode, None)
 }
 
 /// As [`run_benchmark`], with the four-core machine running the given
 /// L2 coherence backend instead of migration mode's (the single-core
-/// baseline is protocol-independent). `Protocol::MigrationMode`
-/// reproduces [`run_benchmark`] exactly.
+/// baseline is protocol-independent), and with live telemetry beats
+/// from the four-core machine when an [`ObsCtx`] is present. Both
+/// machines replay one generated stream (`Machine::run_shared`); the
+/// beats only read counters, so the row is the same with telemetry on
+/// or off.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_with(name: &str, instructions: u64, protocol: Protocol) -> Table2Row {
-    run_benchmark_observed_with(name, instructions, protocol, None)
-}
-
-/// As [`run_benchmark`], with live telemetry beats from both machine
-/// runs when an [`ObsCtx`] is present. The simulation path is identical
-/// either way (`Machine::run_observed` only *reads* the counters), so
-/// the row — and the underlying `MachineStats` — are bit-identical with
-/// telemetry on or off.
-///
-/// # Panics
-///
-/// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_observed(
-    name: &str,
-    instructions: u64,
-    ctx: Option<&ObsCtx<'_>>,
-) -> Table2Row {
-    run_benchmark_observed_with(name, instructions, Protocol::MigrationMode, ctx)
-}
-
-/// The fully-general form: telemetry *and* protocol selection.
-///
-/// # Panics
-///
-/// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_observed_with(
+pub fn run_benchmark_with(
     name: &str,
     instructions: u64,
     protocol: Protocol,
     ctx: Option<&ObsCtx<'_>>,
 ) -> Table2Row {
     let info = suite::info(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-
-    let mut baseline = Machine::new(MachineConfig::single_core());
+    let mut machines = [
+        Machine::new(MachineConfig::single_core()),
+        Machine::new(MachineConfig {
+            protocol,
+            ..MachineConfig::four_core_migration()
+        }),
+    ];
     let mut w = suite::by_name(name).expect("suite benchmark");
-    match ctx {
-        Some(c) => baseline.run_observed(
-            &mut *w,
-            instructions,
-            c.worker,
-            c.task,
-            c.tasks_done,
-            crate::telemetry::BEAT_PERIOD_INSTR,
-        ),
-        None => baseline.run(&mut *w, instructions),
-    }
+    Machine::run_shared(&mut machines, &mut *w, instructions, ctx);
 
-    let mut migration = Machine::new(MachineConfig {
-        protocol,
-        ..MachineConfig::four_core_migration()
-    });
-    let mut w = suite::by_name(name).expect("suite benchmark");
-    match ctx {
-        Some(c) => migration.run_observed(
-            &mut *w,
-            instructions,
-            c.worker,
-            c.task,
-            c.tasks_done,
-            crate::telemetry::BEAT_PERIOD_INSTR,
-        ),
-        None => migration.run(&mut *w, instructions),
-    }
-
+    let [baseline, migration] = &machines;
     let b = baseline.stats();
     let m = migration.stats();
-    let base_rate = b.l2_misses as f64 / b.instructions.max(1) as f64;
-    let mig_rate = m.l2_misses as f64 / m.instructions.max(1) as f64;
     Table2Row {
         name: name.to_string(),
         class: info.class.to_string(),
@@ -154,11 +108,7 @@ pub fn run_benchmark_observed_with(
         l1_ipe: b.instr_per_l1_miss(),
         l2_ipe: b.instr_per_l2_miss(),
         l2x4_ipe: m.instr_per_l2_miss(),
-        ratio: if base_rate > 0.0 {
-            mig_rate / base_rate
-        } else {
-            f64::NAN
-        },
+        ratio: m.l2_miss_ratio(b),
         migration_ipe: m.instr_per_migration(),
         migrations: m.migrations,
         paper_ratio: info.paper_ratio,
@@ -171,30 +121,17 @@ pub fn run_benchmark_observed_with(
     }
 }
 
-/// Runs the whole suite.
-pub fn run_all(instructions: u64, threads: usize) -> Vec<Table2Row> {
-    run_all_observed(instructions, threads, crate::runner::Obs::none())
-}
-
-/// Runs the whole suite with live observability into `obs` (hub beats
-/// and/or wall-clock spans, when given).
-pub fn run_all_observed(
-    instructions: u64,
-    threads: usize,
-    obs: crate::runner::Obs<'_>,
-) -> Vec<Table2Row> {
-    run_all_observed_with(instructions, threads, Protocol::MigrationMode, obs)
-}
-
-/// Runs the whole suite under the given L2 coherence backend.
-pub fn run_all_observed_with(
+/// Runs the whole suite on `threads` workers under the given L2
+/// coherence backend, with live observability into `obs` (hub beats
+/// and/or wall-clock spans, when given; [`Obs::none`] for neither).
+pub fn run_all(
     instructions: u64,
     threads: usize,
     protocol: Protocol,
-    obs: crate::runner::Obs<'_>,
+    obs: Obs<'_>,
 ) -> Vec<Table2Row> {
     crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
-        run_benchmark_observed_with(name, instructions, protocol, ctx.as_ref())
+        run_benchmark_with(name, instructions, protocol, ctx.as_ref())
     })
     .0
 }
@@ -275,7 +212,7 @@ mod tests {
     #[test]
     fn protocol_override_reaches_the_machine() {
         let mig = run_benchmark("art", 2_000_000);
-        let mesi = run_benchmark_with("art", 2_000_000, Protocol::Mesi);
+        let mesi = run_benchmark_with("art", 2_000_000, Protocol::Mesi, None);
         // The single-core baseline is protocol-independent...
         assert_eq!(mig.l1_ipe, mesi.l1_ipe);
         assert_eq!(mig.l2_ipe, mesi.l2_ipe);

@@ -25,11 +25,13 @@ use execmig_obs::{wall, Hub, MetricsProvider, Registry, TelemetryServer, Wall};
 use crate::report::arg_value;
 use crate::runner::Obs;
 
-/// Default retired-instruction interval between mid-task beats
-/// (`Machine::run_observed` and the sweep loops): frequent enough that
-/// `/progress` moves visibly, rare enough that publishing stays deep
-/// under the [`execmig_obs::Budget`] (a publish is ~100 ns; at
-/// one per million instructions the hub costs well below 0.1 %).
+/// Retired-instruction interval between mid-task beats: the
+/// [`ObsCtx::beat_period`](crate::runner::ObsCtx::beat_period) the
+/// runner hands every observed task (`Machine::run_shared` and the
+/// Table 1 loop beat on it). Frequent enough that `/progress` moves
+/// visibly, rare enough that publishing stays deep under the
+/// [`execmig_obs::Budget`] (a publish is ~100 ns; at one per million
+/// instructions the hub costs well below 0.1 %).
 pub const BEAT_PERIOD_INSTR: u64 = 1_000_000;
 
 /// A metrics [`Registry`] shareable with the `/metrics` endpoint:

@@ -30,14 +30,23 @@
 //! - **Update-bus accounting** (§2.3) and a **migration-protocol model**
 //!   (§2.2) quantify the bandwidth and the penalty `P_mig`.
 //!
+//! [`Machine::run`] drives one machine; [`Machine::run_shared`]
+//! replays one generated stream into several, the way Table 2 compares
+//! the single-core baseline with the migration machine:
+//!
 //! ```
 //! use execmig_machine::{Machine, MachineConfig};
 //! use execmig_trace::suite;
 //!
-//! let mut baseline = Machine::new(MachineConfig::single_core());
+//! let mut pair = [
+//!     Machine::new(MachineConfig::single_core()),
+//!     Machine::new(MachineConfig::four_core_migration()),
+//! ];
 //! let mut w = suite::by_name("art").unwrap();
-//! baseline.run(&mut *w, 200_000);
-//! assert!(baseline.stats().l2_misses > 0);
+//! Machine::run_shared(&mut pair, &mut *w, 200_000, None);
+//! let [baseline, migration] = pair.each_ref().map(Machine::stats);
+//! assert!(baseline.l2_misses > 0);
+//! assert!(migration.l2_miss_ratio(baseline).is_finite());
 //! ```
 
 pub mod branch;

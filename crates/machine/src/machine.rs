@@ -3,8 +3,8 @@
 use execmig_cache::{Cache, FillIfAbsent};
 use execmig_core::MigrationController;
 use execmig_obs::{
-    wall, Beat, EventKind, EventRing, Family, Histogram, HubWorker, ProfileConfig,
-    ProfileCumulative, Profiler, Registry, TraceEvent, WorkerState,
+    wall, Beat, EventKind, EventRing, Family, Histogram, ObsCtx, ProfileConfig, ProfileCumulative,
+    Profiler, Registry, TraceEvent, WorkerState,
 };
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
 
@@ -277,30 +277,44 @@ impl Machine {
     /// instructions have retired. Can be called repeatedly; the budget
     /// is absolute (total instructions since the workload started).
     ///
-    /// The loop is block-stepping: events are buffered
-    /// [`BLOCK_EVENTS`](Self::BLOCK_EVENTS) at a time through
-    /// `Workload::fill_block` and replayed with
-    /// [`run_block`](Self::run_block), whose observable state is
-    /// bit-identical to stepping the events one at a time.
+    /// The one-machine case of [`run_shared`](Self::run_shared), with
+    /// no progress beats.
     pub fn run<W: Workload + ?Sized>(&mut self, workload: &mut W, instructions: u64) {
-        self.drive(workload, instructions, None, |_| {});
+        Self::run_shared(std::slice::from_mut(self), workload, instructions, None);
     }
 
-    /// The one fill/replay driver behind [`run`](Self::run) and
-    /// [`run_observed`](Self::run_observed). With a `beat_period`, each
-    /// fill is capped at the next beat boundary, so the first event
-    /// crossing it ends its block, and `on_beat` runs after that block:
-    /// beats land at exactly the instruction counts a per-step loop
-    /// would report.
-    fn drive<W: Workload + ?Sized>(
-        &mut self,
+    /// Runs every machine in `machines` over one `workload` stream
+    /// until at least `instructions` dynamic instructions have retired:
+    /// the one fill/replay loop. Each block of up to
+    /// [`BLOCK_EVENTS`](Self::BLOCK_EVENTS) events is generated once
+    /// with `Workload::fill_block` and replayed into every machine with
+    /// [`run_block`](Self::run_block), so each machine ends in exactly
+    /// the state a [`run`](Self::run) over its own fresh copy of the
+    /// stream would leave — stats, caches, profiler records and event
+    /// ring alike. The budget is absolute, as for `run`.
+    ///
+    /// With a `progress` context, a live [`Beat`] built from the *last*
+    /// machine's counters is published every
+    /// [`ObsCtx::beat_period`] retired instructions, plus one final
+    /// beat at the budget unless the last in-loop beat already reported
+    /// it. Each fill is capped at the next beat boundary, so beats land
+    /// at exactly the instruction counts a per-step loop would report.
+    /// One `machine/block` wall span covers each beat period. Beats and
+    /// spans only read counters: the simulation is the same with or
+    /// without them.
+    pub fn run_shared<W: Workload + ?Sized>(
+        machines: &mut [Machine],
         workload: &mut W,
         instructions: u64,
-        beat_period: Option<u64>,
-        mut on_beat: impl FnMut(&Self),
+        progress: Option<&ObsCtx<'_>>,
     ) {
-        let mut next_beat =
-            beat_period.map_or(u64::MAX, |p| workload.instructions().saturating_add(p));
+        let period = progress.map_or(u64::MAX, |c| c.beat_period.max(1));
+        let mut next_beat = workload.instructions().saturating_add(period);
+        let mut last_beat_at = None;
+        // One wall-clock span per beat period, recorded into the calling
+        // thread's attached flight-recorder context (a no-op when
+        // unattached).
+        let mut block_span = progress.map(|_| wall::span(Family::MachineBlock));
         let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(Self::BLOCK_EVENTS);
         loop {
             buf.clear();
@@ -308,61 +322,38 @@ impl Machine {
             if workload.fill_block(&mut buf, until, Self::BLOCK_EVENTS) == 0 {
                 break;
             }
-            self.run_block(&buf);
-            let now = self.stats.instructions;
-            if let Some(period) = beat_period {
-                if now >= next_beat {
-                    on_beat(self);
-                    next_beat = now.saturating_add(period);
+            for m in machines.iter_mut() {
+                m.run_block(&buf);
+            }
+            let Some(c) = progress else {
+                continue;
+            };
+            let now = buf[buf.len() - 1].instructions;
+            if now >= next_beat {
+                if let Some(m) = machines.last() {
+                    c.worker
+                        .publish(m.progress_beat(WorkerState::Running, c.task, c.tasks_done));
                 }
+                last_beat_at = Some(now);
+                next_beat = now.saturating_add(period);
+                // Close the finished period's span before opening the
+                // next, so the guards nest LIFO on the thread's span
+                // stack.
+                block_span.take();
+                block_span = Some(wall::span(Family::MachineBlock));
             }
         }
-    }
-
-    /// Like [`run`](Self::run), publishing live progress beats into a
-    /// telemetry hub every `beat_period` retired instructions (plus one
-    /// final beat when the budget is reached).
-    ///
-    /// The beats are pure reads of the machine's counters — the
-    /// simulation path is byte-for-byte the one [`run`](Self::run)
-    /// takes, so [`MachineStats`] stay bit-identical with telemetry on
-    /// or off.
-    ///
-    /// `task` and `tasks_done` identify the caller's unit of work; they
-    /// pass through into every beat unchanged (the hub merge keeps the
-    /// newest beat per worker, so mixed publishers should agree on
-    /// them).
-    pub fn run_observed<W: Workload + ?Sized>(
-        &mut self,
-        workload: &mut W,
-        instructions: u64,
-        worker: &HubWorker,
-        task: u64,
-        tasks_done: u64,
-        beat_period: u64,
-    ) {
-        let mut last_beat_at: Option<u64> = None;
-        // One wall-clock span per beat-period block, recorded into the
-        // calling thread's attached flight-recorder context (a no-op
-        // when unattached). The spans are pure timers — the simulation
-        // path stays byte-for-byte `run`'s.
-        let mut block_span = Some(wall::span(Family::MachineBlock));
-        self.drive(workload, instructions, Some(beat_period.max(1)), |m| {
-            worker.publish(m.progress_beat(WorkerState::Running, task, tasks_done));
-            last_beat_at = Some(m.stats.instructions);
-            // Close the finished block before opening the next, so the
-            // guards nest LIFO on the thread's span stack.
-            block_span.take();
-            block_span = Some(wall::span(Family::MachineBlock));
-        });
-        // Close the trailing block before the final beat is published.
+        // Close the trailing period's span before the final beat.
         block_span.take();
         // Final beat — skipped when the last in-loop beat already
         // reported this exact instruction count (a budget landing on a
         // beat boundary), which would double-count the publish in the
         // hub's `HubOverhead` self-accounting.
-        if last_beat_at != Some(self.stats.instructions) {
-            worker.publish(self.progress_beat(WorkerState::Running, task, tasks_done));
+        if let (Some(c), Some(m)) = (progress, machines.last()) {
+            if last_beat_at != Some(workload.instructions()) {
+                c.worker
+                    .publish(m.progress_beat(WorkerState::Running, c.task, c.tasks_done));
+            }
         }
     }
 
@@ -1446,40 +1437,79 @@ mod tests {
         }
     }
 
-    /// `run_observed` publishes exactly one beat per period crossing
+    /// `run_shared` publishes exactly one beat per period crossing
     /// plus one final beat — unless the budget lands *on* a beat
     /// boundary, in which case the final publish would report the same
     /// instruction count twice and is skipped. `CircularWorkload`
     /// retires exactly one instruction per event, so beat positions
-    /// are exact and the expected counts are closed-form.
+    /// are exact and the expected counts are closed-form. Every beat
+    /// carries the last machine's counters.
     #[test]
     fn observed_run_publishes_one_beat_per_period() {
-        let beats_for = |budget: u64, period: u64| {
+        let machines = || {
+            [
+                Machine::new(MachineConfig::single_core()),
+                Machine::new(MachineConfig::four_core_migration()),
+            ]
+        };
+        let observed = |budget: u64, period: u64| {
             let hub = Hub::with_workers(1);
             let worker = hub.worker(0).expect("first claim");
-            let mut m = Machine::new(MachineConfig::single_core());
-            let mut w = CircularWorkload::new(4096);
-            m.run_observed(&mut w, budget, &worker, 0, 0, period);
-            assert_eq!(m.stats().instructions, budget);
-            hub.overhead().beats
+            let ctx = ObsCtx {
+                worker: &worker,
+                task: 3,
+                tasks_done: 2,
+                beat_period: period,
+            };
+            let mut ms = machines();
+            Machine::run_shared(
+                &mut ms,
+                &mut CircularWorkload::new(4096),
+                budget,
+                Some(&ctx),
+            );
+            assert!(ms.iter().all(|m| m.stats().instructions == budget));
+            (ms, hub)
         };
+        // The newest beat in the hub, and the beat a machine would
+        // publish now.
+        let published = |hub: &Hub| {
+            let w = &hub.snapshot().workers[0];
+            Beat {
+                state: w.state,
+                task: w.task,
+                tasks_done: w.tasks_done,
+                instructions: w.instructions,
+                l2_misses: w.l2_misses,
+                migrations: w.migrations,
+                f_value: w.f_value,
+                a_r: w.a_r,
+                bus_bytes: w.bus_bytes,
+            }
+        };
+        let beat_of = |m: &Machine| m.progress_beat(WorkerState::Running, 3, 2);
         // Budget on a beat boundary: the in-loop beats at 1000, 2000,
-        // 3000, 4000 already cover the end state; no trailing beat.
-        assert_eq!(beats_for(4000, 1000), 4, "final beat double-counted");
-        // Budget off the boundary: 4 in-loop beats plus the trailing
-        // one reporting the final 4500.
-        assert_eq!(beats_for(4500, 1000), 5);
+        // 3000, 4000 already cover the end state; no trailing beat. The
+        // newest is the in-loop beat at 4000, from the last machine.
+        let (ms, hub) = observed(4000, 1000);
+        assert_eq!(hub.overhead().beats, 4, "final beat double-counted");
+        assert_eq!(published(&hub), beat_of(&ms[1]));
+        // The single-core machine has no controller, hence no `A_R`:
+        // its beat would have differed.
+        assert_ne!(published(&hub), beat_of(&ms[0]));
         // Budget below one period: only the trailing beat fires.
-        assert_eq!(beats_for(500, 1000), 1);
+        let (_, hub) = observed(500, 1000);
+        assert_eq!(hub.overhead().beats, 1);
+        // Budget off the boundary: 4 in-loop beats plus the trailing
+        // one reporting the final 4500, from the last machine.
+        let (ms, hub) = observed(4500, 1000);
+        assert_eq!(hub.overhead().beats, 5);
+        assert_eq!(published(&hub), beat_of(&ms[1]));
         // Observability must not perturb the simulation.
-        let hub = Hub::with_workers(1);
-        let worker = hub.worker(0).expect("first claim");
-        let mut observed = Machine::new(MachineConfig::single_core());
-        let mut w = CircularWorkload::new(4096);
-        observed.run_observed(&mut w, 4500, &worker, 0, 0, 1000);
-        let mut plain = Machine::new(MachineConfig::single_core());
-        let mut w = CircularWorkload::new(4096);
-        plain.run(&mut w, 4500);
-        assert_eq!(observed.stats(), plain.stats());
+        let mut plain = machines();
+        Machine::run_shared(&mut plain, &mut CircularWorkload::new(4096), 4500, None);
+        for (p, o) in plain.iter().zip(&ms) {
+            assert_eq!(p.stats(), o.stats());
+        }
     }
 }

@@ -157,12 +157,20 @@ impl MachineStats {
         self.per_event(self.dl1_misses)
     }
 
-    /// L2 misses per instruction (convenience for rate plots).
+    /// L2 misses per instruction (0 before the first instruction).
     pub fn l2_miss_rate_per_instr(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
+        self.l2_misses as f64 / self.instructions.max(1) as f64
+    }
+
+    /// L2 misses per instruction relative to `baseline`'s: Table 2's
+    /// "ratio" column, below 1 when this run misses less. NaN when the
+    /// baseline has no L2 misses to compare against.
+    pub fn l2_miss_ratio(&self, baseline: &MachineStats) -> f64 {
+        let base = baseline.l2_miss_rate_per_instr();
+        if base > 0.0 {
+            self.l2_miss_rate_per_instr() / base
         } else {
-            self.l2_misses as f64 / self.instructions as f64
+            f64::NAN
         }
     }
 }
@@ -194,5 +202,19 @@ mod tests {
         assert_eq!(s.instr_per_migration(), 250.0);
         assert_eq!(s.instr_per_l1_miss(), 10.0);
         assert_eq!(s.l2_miss_rate_per_instr(), 0.01);
+    }
+
+    #[test]
+    fn l2_miss_ratio_needs_baseline_misses() {
+        let run = |instructions, l2_misses| MachineStats {
+            instructions,
+            l2_misses,
+            ..MachineStats::default()
+        };
+        assert_eq!(run(1000, 5).l2_miss_ratio(&run(2000, 20)), 0.5);
+        // A baseline without L2 misses (or without instructions) has no
+        // rate to divide by.
+        assert!(run(1000, 5).l2_miss_ratio(&run(1000, 0)).is_nan());
+        assert!(run(0, 0).l2_miss_ratio(&run(0, 0)).is_nan());
     }
 }

@@ -572,6 +572,22 @@ impl HubWorker {
     }
 }
 
+/// What an observed task needs to publish consistent mid-task beats:
+/// the worker's hub handle, the task coordinates the sweep runner
+/// already announced in its claim beat, and how many retired
+/// instructions apart the beats fall.
+#[derive(Debug)]
+pub struct ObsCtx<'a> {
+    /// The claiming worker's producer handle.
+    pub worker: &'a HubWorker,
+    /// The task index being executed.
+    pub task: u64,
+    /// Tasks this worker had completed before this one.
+    pub tasks_done: u64,
+    /// Retired instructions between mid-task beats.
+    pub beat_period: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

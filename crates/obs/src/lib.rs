@@ -63,8 +63,8 @@ pub use event::{EventKind, TraceEvent};
 pub use export::{escape_label_value, to_csv, to_prometheus, PromKind, PromWriter};
 pub use http::{parse_request, response, HttpError, Request};
 pub use hub::{
-    Beat, HealthReport, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker, WorkerProgress,
-    WorkerState,
+    Beat, HealthReport, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker, ObsCtx,
+    WorkerProgress, WorkerState,
 };
 pub use json::{Json, JsonParseError, ToJson};
 pub use manifest::{RunManifest, Stopwatch};

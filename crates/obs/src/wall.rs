@@ -57,7 +57,8 @@ pub enum Family {
     Run,
     /// Buffering the result and publishing the completion beat.
     Complete,
-    /// One observed machine block (`Machine::run_observed` beat period).
+    /// One beat period of an observed `Machine::run_shared` (every
+    /// machine in the slice, over one stream).
     MachineBlock,
     /// One differ suite-lockstep case.
     DifferCase,

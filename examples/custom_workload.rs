@@ -82,14 +82,14 @@ fn main() {
         instructions / 1_000_000
     );
 
-    let mut baseline = Machine::new(MachineConfig::single_core());
-    baseline.run(&mut GatherStencil::new(42), instructions);
+    // Both machines replay one generated stream.
+    let mut pair = [
+        Machine::new(MachineConfig::single_core()),
+        Machine::new(MachineConfig::four_core_migration()),
+    ];
+    Machine::run_shared(&mut pair, &mut GatherStencil::new(42), instructions, None);
 
-    let mut migration = Machine::new(MachineConfig::four_core_migration());
-    migration.run(&mut GatherStencil::new(42), instructions);
-
-    let b = baseline.stats();
-    let m = migration.stats();
+    let [b, m] = pair.each_ref().map(Machine::stats);
     println!(
         "baseline : L2 miss every {:>6.0} instructions",
         b.instr_per_l2_miss()
@@ -99,8 +99,7 @@ fn main() {
         m.instr_per_l2_miss(),
         m.instr_per_migration()
     );
-    let ratio =
-        (m.l2_misses as f64 / m.instructions as f64) / (b.l2_misses as f64 / b.instructions as f64);
+    let ratio = m.l2_miss_ratio(b);
     println!(
         "L2-miss ratio: {ratio:.2} ({}).",
         if ratio < 0.9 {

@@ -29,18 +29,16 @@ fn main() {
         instructions / 1_000_000
     );
 
-    // Baseline: one core, one 512 KB L2.
-    let mut baseline = Machine::new(MachineConfig::single_core());
+    // Baseline (one core, one 512 KB L2) and migration machine (4
+    // cores, §4.2 controller), both fed one generated stream.
+    let mut pair = [
+        Machine::new(MachineConfig::single_core()),
+        Machine::new(MachineConfig::four_core_migration()),
+    ];
     let mut w = suite::by_name(bench).expect("suite benchmark");
-    baseline.run(&mut *w, instructions);
+    Machine::run_shared(&mut pair, &mut *w, instructions, None);
 
-    // Migration machine: 4 cores, §4.2 controller.
-    let mut migration = Machine::new(MachineConfig::four_core_migration());
-    let mut w = suite::by_name(bench).expect("suite benchmark");
-    migration.run(&mut *w, instructions);
-
-    let b = baseline.stats();
-    let m = migration.stats();
+    let [b, m] = pair.each_ref().map(Machine::stats);
     println!("                      baseline    migration");
     println!(
         "instr / L1 miss     {:>10.0}   {:>10.0}",
@@ -53,8 +51,7 @@ fn main() {
         m.instr_per_l2_miss()
     );
     println!("migrations          {:>10}   {:>10}", "-", m.migrations);
-    let ratio =
-        (m.l2_misses as f64 / m.instructions as f64) / (b.l2_misses as f64 / b.instructions as f64);
+    let ratio = m.l2_miss_ratio(b);
     println!(
         "\nL2-miss ratio (migration/baseline): {ratio:.2}  (paper reports {:.2})",
         info.paper_ratio

@@ -5,8 +5,9 @@
 mod common;
 
 use common::instr_budget;
-use execution_migration::core::ControllerConfig;
-use execution_migration::machine::{Machine, MachineConfig};
+use execution_migration::core::{ControllerConfig, SplitWays};
+use execution_migration::machine::{Machine, MachineConfig, PrefetchConfig, Protocol};
+use execution_migration::obs::{EventRing, Hub, ObsCtx, ProfileConfig, Profiler};
 use execution_migration::trace::{suite, Workload};
 
 /// The whole pipeline is deterministic: two identical runs produce
@@ -154,4 +155,90 @@ fn two_core_machine_runs() {
     m.run(&mut *w, instr_budget(3_000_000));
     assert!(m.stats().l2_misses > 0);
     assert!(m.active_core() < 2);
+}
+
+/// One generated stream replayed into several machines
+/// (`Machine::run_shared`) leaves each exactly where its own `run` over
+/// a fresh stream does: the whole metrics registry, plus the profiler
+/// records and event ring of the machine with recorders attached —
+/// with and without a hub worker taking beats.
+fn check_shared_stream(name: &str) {
+    let budget = instr_budget(1_000_000);
+    let four_core = MachineConfig::four_core_migration;
+    let configs = [
+        MachineConfig::single_core(),
+        four_core(),
+        MachineConfig {
+            protocol: Protocol::Mesi,
+            ..four_core()
+        },
+        MachineConfig {
+            protocol: Protocol::Dragon,
+            ..four_core()
+        },
+        MachineConfig {
+            cores: 8,
+            controller: Some(ControllerConfig {
+                ways: SplitWays::Eight,
+                ..ControllerConfig::paper_4core()
+            }),
+            ..MachineConfig::single_core()
+        },
+        MachineConfig {
+            prefetch: Some(PrefetchConfig { degree: 4 }),
+            ..four_core()
+        },
+    ];
+    // Recorders ride on the migration machine.
+    let machines = || {
+        let mut ms: Vec<Machine> = configs.iter().cloned().map(Machine::new).collect();
+        ms[1].attach_recorders(ProfileConfig::default());
+        ms
+    };
+    let mut separate = machines();
+    for m in &mut separate {
+        m.run(&mut *suite::by_name(name).unwrap(), budget);
+    }
+    let recorded = &separate[1];
+    assert!(recorded.profiler().is_some_and(|p| !p.records().is_empty()));
+    assert!(recorded.events().is_some_and(|r| !r.to_vec().is_empty()));
+
+    let hub = Hub::with_workers(1);
+    let worker = hub.worker(0).expect("slot 0");
+    let ctx = ObsCtx {
+        worker: &worker,
+        task: 0,
+        tasks_done: 0,
+        beat_period: budget / 8,
+    };
+    for progress in [None, Some(&ctx)] {
+        let mut shared = machines();
+        let mut w = suite::by_name(name).unwrap();
+        Machine::run_shared(&mut shared, &mut *w, budget, progress);
+        for (i, (s, m)) in shared.iter().zip(&separate).enumerate() {
+            let how = format!("{name}, machine {i}, hub {}", progress.is_some());
+            assert_eq!(s.metrics(), m.metrics(), "{how}");
+            assert_eq!(
+                s.profiler().map(Profiler::records),
+                m.profiler().map(Profiler::records),
+                "{how}"
+            );
+            assert_eq!(
+                s.events().map(EventRing::to_vec),
+                m.events().map(EventRing::to_vec),
+                "{how}"
+            );
+        }
+    }
+    assert!(hub.overhead().beats >= 8, "the hub run took beats");
+}
+
+#[test]
+fn shared_art_stream_matches_separate_runs() {
+    check_shared_stream("art");
+}
+
+#[test]
+fn shared_mcf_stream_matches_separate_runs() {
+    check_shared_stream("mcf");
 }

@@ -156,12 +156,12 @@ fn table2_migration_frequency_under_control_full() {
 /// so a positive break-even P_mig exists.
 fn check_break_even_pmig(budget: u64) {
     for name in ["art", "health"] {
-        let mut baseline = Machine::new(MachineConfig::single_core());
-        let mut w = suite::by_name(name).unwrap();
-        baseline.run(&mut *w, budget);
-        let mut migration = Machine::new(MachineConfig::four_core_migration());
-        let mut w = suite::by_name(name).unwrap();
-        migration.run(&mut *w, budget);
+        let mut pair = [
+            Machine::new(MachineConfig::single_core()),
+            Machine::new(MachineConfig::four_core_migration()),
+        ];
+        Machine::run_shared(&mut pair, &mut *suite::by_name(name).unwrap(), budget, None);
+        let [baseline, migration] = &pair;
         let be = break_even_pmig(baseline.stats(), migration.stats())
             .unwrap_or_else(|| panic!("{name} made no migrations"));
         assert!(be > 5.0, "{name}: break-even P_mig {be}");

@@ -21,7 +21,7 @@ use execution_migration::experiments::runner::parallel_map_observed;
 use execution_migration::experiments::telemetry::{Telemetry, BEAT_PERIOD_INSTR};
 use execution_migration::machine::{Machine, MachineConfig};
 use execution_migration::obs::wall;
-use execution_migration::obs::{json, Budget, Family, Hub, HubConfig, Json};
+use execution_migration::obs::{json, Budget, Family, Hub, HubConfig, Json, ObsCtx};
 use execution_migration::trace::suite;
 
 /// One blocking `GET path` against the telemetry server; returns
@@ -80,9 +80,16 @@ fn machine_stats_bit_identical_with_telemetry_on() {
 
         let hub = Hub::new(HubConfig::with_workers(1));
         let worker = hub.worker(0).expect("slot 0");
-        let mut observed = Machine::new(MachineConfig::four_core_migration());
+        let ctx = ObsCtx {
+            worker: &worker,
+            task: 0,
+            tasks_done: 0,
+            beat_period: BEAT_PERIOD_INSTR,
+        };
+        let mut observed = [Machine::new(MachineConfig::four_core_migration())];
         let mut w = suite::by_name(name).expect("suite workload");
-        observed.run_observed(&mut *w, budget, &worker, 0, 0, BEAT_PERIOD_INSTR);
+        Machine::run_shared(&mut observed, &mut *w, budget, Some(&ctx));
+        let [observed] = observed;
 
         // Registry equality covers every counter Machine registers,
         // which is every `MachineStats::counters()` entry.
@@ -162,20 +169,10 @@ fn four_worker_sweep_serves_live_progress() {
             // The sweep root span: worker task spans parent to it.
             let _sweep = wall::span(Family::Sweep);
             parallel_map_observed(names.to_vec(), threads, telemetry.obs(), |name, ctx| {
-                let mut m = Machine::new(MachineConfig::four_core_migration());
+                let mut m = [Machine::new(MachineConfig::four_core_migration())];
                 let mut w = suite::by_name(name).expect("suite workload");
-                match &ctx {
-                    Some(c) => m.run_observed(
-                        &mut *w,
-                        budget,
-                        c.worker,
-                        c.task,
-                        c.tasks_done,
-                        BEAT_PERIOD_INSTR,
-                    ),
-                    None => m.run(&mut *w, budget),
-                }
-                m.stats().l2_misses
+                Machine::run_shared(&mut m, &mut *w, budget, ctx.as_ref());
+                m[0].stats().l2_misses
             })
         };
         done.store(true, Ordering::Release);
