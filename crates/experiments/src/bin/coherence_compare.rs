@@ -4,21 +4,18 @@
 //! instruction, per workload.
 //!
 //! Usage: `coherence_compare [--instr N] [--threads N] [--bench NAME]
-//!                 [--csv] [--json] [--no-manifest] [--manifest-dir DIR]
-//!                 [--serve-telemetry ADDR]`
+//!                 [--csv] [--json] [--no-manifest] [--manifest-dir DIR]`
 
 use execmig_experiments::coherence_compare;
 use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::{arg_flag, arg_u64, arg_value};
-use execmig_experiments::runner::default_threads;
-use execmig_experiments::telemetry::Telemetry;
+use execmig_experiments::runner::{default_threads, Obs};
 use execmig_obs::{Json, ToJson};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let instructions = arg_u64(&args, "--instr", 50_000_000);
     let threads = arg_u64(&args, "--threads", default_threads(18) as u64) as usize;
-    let telemetry = Telemetry::from_args(&args, threads);
     let mut em = ManifestEmitter::start("coherence_compare", &args);
     em.budget(instructions);
     em.config(
@@ -29,15 +26,10 @@ fn main() {
             .field("protocols", ["migration", "mesi", "dragon"]),
     );
 
-    let rows = {
-        // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
-        match arg_value(&args, "--bench") {
-            Some(name) => coherence_compare::run_benchmark(&name, instructions),
-            None => coherence_compare::run_all(instructions, threads, telemetry.obs()),
-        }
+    let rows = match arg_value(&args, "--bench") {
+        Some(name) => coherence_compare::run_benchmark(&name, instructions),
+        None => coherence_compare::run_all(instructions, threads, Obs::none()),
     };
-    telemetry.finish();
     em.stats(
         Json::object()
             .field("rows", rows.len())

@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig3 [--buckets N] [--protocol migration|mesi|dragon]
 //!               [--csv] [--json] [--no-manifest]
-//!               [--manifest-dir DIR] [--serve-telemetry ADDR]`
+//!               [--manifest-dir DIR]`
 //!
 //! Figure 3 models the affinity algorithm alone (no Machine is built),
 //! so `--protocol` does not change any number; it is validated and
@@ -12,8 +12,7 @@
 use execmig_experiments::fig3::{bucket_means, run, Fig3Config};
 use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::{arg_flag, arg_protocol, arg_u64};
-use execmig_experiments::runner::parallel_map_observed;
-use execmig_experiments::telemetry::Telemetry;
+use execmig_experiments::runner::parallel_map;
 use execmig_obs::{Json, ToJson};
 
 fn main() {
@@ -21,19 +20,11 @@ fn main() {
     let buckets = arg_u64(&args, "--buckets", 40) as usize;
     let csv = arg_flag(&args, "--csv");
     let json = arg_flag(&args, "--json");
-    let telemetry = Telemetry::from_args(&args, 2);
     let mut em = ManifestEmitter::start("fig3", &args);
     let mut stream_stats = Vec::new();
 
     let configs = vec![Fig3Config::circular(), Fig3Config::half_random()];
-    let (results, _report) = {
-        // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
-        parallel_map_observed(configs.clone(), 2, telemetry.obs(), |config, _ctx| {
-            run(config)
-        })
-    };
-    telemetry.finish();
+    let results = parallel_map(configs.clone(), 2, run);
 
     for (config, result) in configs.into_iter().zip(results) {
         let label = match config.stream {

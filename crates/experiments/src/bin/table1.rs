@@ -3,8 +3,7 @@
 //!
 //! Usage: `table1 [--instr N] [--threads N]
 //!                 [--protocol migration|mesi|dragon] [--csv] [--json]
-//!                 [--no-manifest] [--manifest-dir DIR]
-//!                 [--serve-telemetry ADDR]`
+//!                 [--no-manifest] [--manifest-dir DIR]`
 //!
 //! Table 1 is a single-core L1 characterisation, so `--protocol` does
 //! not change any number; it is validated and recorded in the manifest
@@ -14,14 +13,12 @@ use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::{arg_flag, arg_protocol, arg_u64};
 use execmig_experiments::runner::default_threads;
 use execmig_experiments::table1;
-use execmig_experiments::telemetry::Telemetry;
 use execmig_obs::{Json, ToJson};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let instructions = arg_u64(&args, "--instr", 50_000_000);
     let threads = arg_u64(&args, "--threads", default_threads(18) as u64) as usize;
-    let telemetry = Telemetry::from_args(&args, threads);
     let mut em = ManifestEmitter::start("table1", &args);
     em.budget(instructions);
     em.config(
@@ -31,13 +28,7 @@ fn main() {
             .field("protocol", arg_protocol(&args)),
     );
 
-    let rows = {
-        // The sweep root span: every runner task parents to it, so
-        // `/spans` and the flamegraph see one causal tree per run.
-        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
-        table1::run_all(instructions, threads, telemetry.obs())
-    };
-    telemetry.finish();
+    let rows = table1::run_all(instructions, threads);
     em.stats(
         Json::object()
             .field("rows", rows.len())

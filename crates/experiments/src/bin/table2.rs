@@ -4,8 +4,7 @@
 //!
 //! Usage: `table2 [--instr N] [--threads N] [--bench NAME]
 //!                 [--protocol migration|mesi|dragon] [--csv]
-//!                 [--json] [--no-manifest] [--manifest-dir DIR]
-//!                 [--serve-telemetry ADDR]`
+//!                 [--json] [--no-manifest] [--manifest-dir DIR]`
 //!
 //! `--protocol` swaps the four-core machine's L2 coherence backend
 //! (default: the paper's migration mode); the single-core baseline
@@ -13,9 +12,8 @@
 
 use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::{arg_flag, arg_protocol, arg_u64, arg_value};
-use execmig_experiments::runner::default_threads;
+use execmig_experiments::runner::{default_threads, Obs};
 use execmig_experiments::table2;
-use execmig_experiments::telemetry::Telemetry;
 use execmig_obs::{Json, ToJson};
 
 fn main() {
@@ -23,7 +21,6 @@ fn main() {
     let instructions = arg_u64(&args, "--instr", 100_000_000);
     let threads = arg_u64(&args, "--threads", default_threads(18) as u64) as usize;
     let protocol = arg_protocol(&args);
-    let telemetry = Telemetry::from_args(&args, threads);
     let mut em = ManifestEmitter::start("table2", &args);
     em.budget(instructions);
     em.config(
@@ -34,20 +31,15 @@ fn main() {
             .field("protocol", protocol),
     );
 
-    let rows = {
-        // The sweep root span: runner tasks parent to it across threads.
-        let _sweep = execmig_obs::wall::span(execmig_obs::Family::Sweep);
-        match arg_value(&args, "--bench") {
-            Some(name) => vec![table2::run_benchmark_with(
-                &name,
-                instructions,
-                protocol,
-                None,
-            )],
-            None => table2::run_all(instructions, threads, protocol, telemetry.obs()),
-        }
+    let rows = match arg_value(&args, "--bench") {
+        Some(name) => vec![table2::run_benchmark_with(
+            &name,
+            instructions,
+            protocol,
+            None,
+        )],
+        None => table2::run_all(instructions, threads, protocol, Obs::none()),
     };
-    telemetry.finish();
     em.stats(
         Json::object()
             .field("rows", rows.len())

@@ -146,17 +146,9 @@ pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Con
     }
 }
 
-/// Runs the whole suite on `threads` workers, with per-task live
-/// observability into `obs` (when given; [`Obs::none`] for neither):
-/// the runner's claim/done beats show which benchmark each worker is
-/// on, and wall-clock spans time each task.
-///
-/// [`Obs::none`]: crate::runner::Obs::none
-pub fn run_all(config: &Fig45Config, threads: usize, obs: crate::runner::Obs<'_>) -> Vec<Fig45Row> {
-    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, _ctx| {
-        run_benchmark(name, config)
-    })
-    .0
+/// Runs the whole suite on `threads` workers, in suite order.
+pub fn run_all(config: &Fig45Config, threads: usize) -> Vec<Fig45Row> {
+    crate::runner::parallel_map(suite::names(), threads, |name| run_benchmark(name, config))
 }
 
 /// Renders the curves as a table: one row per benchmark and size.

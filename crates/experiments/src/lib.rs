@@ -47,6 +47,5 @@ pub mod report;
 pub mod runner;
 pub mod table1;
 pub mod table2;
-pub mod telemetry;
 
 pub use report::TextTable;

@@ -1,6 +1,5 @@
 //! Thread-parallel experiment execution, with per-task timings,
-//! optional live-telemetry hub beats, and wall-clock flight-recorder
-//! spans.
+//! optional progress-hub beats, and wall-clock flight-recorder spans.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -11,6 +10,13 @@ use execmig_obs::wall::{self, Family};
 use execmig_obs::{Beat, Hub, Wall, WorkerState};
 
 pub use execmig_obs::ObsCtx;
+
+/// Retired-instruction interval between mid-task beats: the
+/// [`ObsCtx::beat_period`] the runner hands every task it runs with a
+/// hub (`Machine::run_shared` beats on it). Rare enough that publishing
+/// stays deep under the [`execmig_obs::Budget`] (a publish is ~100 ns;
+/// at one per million instructions the hub costs well below 0.1 %).
+pub const BEAT_PERIOD_INSTR: u64 = 1_000_000;
 
 /// Wall-clock timings of one [`parallel_map_observed`] run: which
 /// worker ran which task, when, and for how long.
@@ -84,9 +90,9 @@ where
 }
 
 /// The observability sinks one observed run publishes into: the
-/// live-telemetry [`Hub`] (simulated-time progress beats) and the
-/// wall-clock [`Wall`] flight recorder (span latencies). Either side
-/// may be absent; [`Obs::none`] observes nothing.
+/// progress [`Hub`] (simulated-time progress beats) and the wall-clock
+/// [`Wall`] flight recorder (span latencies). Either side may be
+/// absent; [`Obs::none`] observes nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Obs<'a> {
     /// The hub workers publish claim/completion beats into.
@@ -120,9 +126,8 @@ impl<'a> Obs<'a> {
 
 /// Applies `f` to every item on up to `threads` worker threads,
 /// preserving input order, and returns a [`RunnerReport`] of per-task
-/// timings. Live progress beats go into a telemetry [`Hub`] and
-/// wall-clock spans into a [`Wall`] flight recorder (both via `obs`,
-/// either optional).
+/// timings. Progress beats go into a [`Hub`] and wall-clock spans into
+/// a [`Wall`] flight recorder (both via `obs`, either optional).
 ///
 /// Workers pull `(index, item)` pairs off one shared queue and buffer
 /// results and timings locally, so the per-task path takes a single
@@ -130,20 +135,19 @@ impl<'a> Obs<'a> {
 ///
 /// Each worker thread claims its hub slot once (`hub.worker(w)`) and
 /// publishes a `Running` beat on every task claim and completion, and a
-/// final `Done` beat when the queue drains — so `/progress` shows which
-/// task every worker is on while the sweep runs. The closure receives
-/// an [`ObsCtx`] (when a hub is given, with a
-/// [`BEAT_PERIOD_INSTR`](crate::telemetry::BEAT_PERIOD_INSTR) beat
-/// period) to publish finer-grained beats mid-task, e.g. via
-/// `Machine::run_shared`.
+/// final `Done` beat when the queue drains, so a hub snapshot shows
+/// which task every worker is on. The closure receives an [`ObsCtx`]
+/// (when a hub is given, with a [`BEAT_PERIOD_INSTR`] beat period) to
+/// publish finer-grained beats mid-task, e.g. via `Machine::run_shared`.
 ///
 /// With a wall attached, each worker additionally claims wall slot `w`
 /// as its thread context ([`wall::attach`]) and records one
 /// `runner/task` span per task — with `runner/claim`, `runner/run`,
 /// and `runner/complete` children — parented to whatever span the
-/// *calling* thread had open (e.g. the binaries' `sweep` root), so
-/// `/spans` and the flamegraph see the full causal tree. Task closures
-/// open further spans (e.g. `machine/block`) with no extra plumbing.
+/// *calling* thread had open (e.g. `obs_flame`'s `sweep` root), so the
+/// flamegraph and the wall trace see the full causal tree. Task
+/// closures open further spans (e.g. `machine/block`) with no extra
+/// plumbing.
 ///
 /// With `obs` as [`Obs::none`] nothing is published or recorded, and
 /// the results are the same either way.
@@ -238,7 +242,7 @@ where
                             worker,
                             task: i as u64,
                             tasks_done,
-                            beat_period: crate::telemetry::BEAT_PERIOD_INSTR,
+                            beat_period: BEAT_PERIOD_INSTR,
                         });
                         let outcome = {
                             let _run_span = wall::span(Family::Run);

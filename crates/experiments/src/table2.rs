@@ -72,11 +72,10 @@ pub fn run_benchmark(name: &str, instructions: u64) -> Table2Row {
 
 /// As [`run_benchmark`], with the four-core machine running the given
 /// L2 coherence backend instead of migration mode's (the single-core
-/// baseline is protocol-independent), and with live telemetry beats
-/// from the four-core machine when an [`ObsCtx`] is present. Both
-/// machines replay one generated stream (`Machine::run_shared`); the
-/// beats only read counters, so the row is the same with telemetry on
-/// or off.
+/// baseline is protocol-independent), and with progress beats from
+/// the four-core machine when an [`ObsCtx`] is present. Both machines
+/// replay one generated stream (`Machine::run_shared`); the beats only
+/// read counters, so the row is the same with or without them.
 ///
 /// # Panics
 ///

@@ -46,8 +46,6 @@ fn done_beats_are_never_lost() {
                 // Roomy ring: a dropped beat is legal, but this test
                 // pins the *lossless* path so the Done beat must land.
                 ring_capacity: 16,
-                heartbeat_us: 1_000_000,
-                stall_beats: 1_000,
             });
             let (out, _report) =
                 parallel_map_observed(vec![1u64, 2], 2, Obs::hub_only(&hub), |x, _ctx| x + 1);

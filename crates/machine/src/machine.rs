@@ -293,15 +293,17 @@ impl Machine {
     /// stream would leave — stats, caches, profiler records and event
     /// ring alike. The budget is absolute, as for `run`.
     ///
-    /// With a `progress` context, a live [`Beat`] built from the *last*
+    /// With a `progress` context, a [`Beat`] built from the *last*
     /// machine's counters is published every
     /// [`ObsCtx::beat_period`] retired instructions, plus one final
     /// beat at the budget unless the last in-loop beat already reported
     /// it. Each fill is capped at the next beat boundary, so beats land
     /// at exactly the instruction counts a per-step loop would report.
-    /// One `machine/block` wall span covers each beat period. Beats and
-    /// spans only read counters: the simulation is the same with or
-    /// without them.
+    ///
+    /// On a thread with an attached wall, `machine/block` spans cover
+    /// the call: one per beat period with a `progress` context, one for
+    /// the whole call without. Beats and spans only read counters: the
+    /// simulation is the same with or without them.
     pub fn run_shared<W: Workload + ?Sized>(
         machines: &mut [Machine],
         workload: &mut W,
@@ -311,10 +313,10 @@ impl Machine {
         let period = progress.map_or(u64::MAX, |c| c.beat_period.max(1));
         let mut next_beat = workload.instructions().saturating_add(period);
         let mut last_beat_at = None;
-        // One wall-clock span per beat period, recorded into the calling
-        // thread's attached flight-recorder context (a no-op when
-        // unattached).
-        let mut block_span = progress.map(|_| wall::span(Family::MachineBlock));
+        // One wall-clock span per beat period (the whole call without a
+        // progress context), recorded into the calling thread's attached
+        // flight-recorder context (a no-op when unattached).
+        let mut block_span = wall::span(Family::MachineBlock);
         let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(Self::BLOCK_EVENTS);
         loop {
             buf.clear();
@@ -339,12 +341,12 @@ impl Machine {
                 // Close the finished period's span before opening the
                 // next, so the guards nest LIFO on the thread's span
                 // stack.
-                block_span.take();
-                block_span = Some(wall::span(Family::MachineBlock));
+                drop(block_span);
+                block_span = wall::span(Family::MachineBlock);
             }
         }
         // Close the trailing period's span before the final beat.
-        block_span.take();
+        drop(block_span);
         // Final beat — skipped when the last in-loop beat already
         // reported this exact instruction count (a budget landing on a
         // beat boundary), which would double-count the publish in the
@@ -357,7 +359,7 @@ impl Machine {
         }
     }
 
-    /// The machine's counters as one telemetry [`Beat`] (the live-hub
+    /// The machine's counters as one progress [`Beat`] (the hub
     /// analogue of [`profile_cumulative`](Self::profile_cumulative)).
     pub fn progress_beat(&self, state: WorkerState, task: u64, tasks_done: u64) -> Beat {
         let (f_value, a_r) = match &self.controller {

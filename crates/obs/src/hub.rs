@@ -1,15 +1,12 @@
-//! Live telemetry hub: lock-free progress aggregation for running
-//! sweeps.
+//! Progress hub: lock-free progress aggregation for sweeps.
 //!
-//! The event ring and profiler answer questions *after* a run; the hub
-//! answers them *during* one. Workers (sweep threads, long machine
-//! runs) publish small fixed-size progress [`Beat`]s — instructions
-//! retired, misses, migrations, `F`/`A_R`, worker state — into
-//! per-worker [`Ring`]s. A single aggregator (whoever calls
-//! [`Hub::snapshot`], serialised internally) drains the rings and
-//! merges them into an epoch-stamped [`HubSnapshot`] that the serving
-//! edge ([`crate::serve`]) renders as `/progress` JSON and `/healthz`
-//! verdicts.
+//! Workers (sweep threads, long machine runs) publish small fixed-size
+//! progress [`Beat`]s — instructions retired, misses, migrations,
+//! `F`/`A_R`, worker state — into per-worker [`Ring`]s. A single
+//! aggregator (whoever calls [`Hub::snapshot`], serialised internally)
+//! drains the rings and merges them into an epoch-stamped
+//! [`HubSnapshot`]. The sweep runner and `Machine::run_shared`
+//! publish; only tests read the snapshots.
 //!
 //! **No mutex on the hot path.** A publish is one [`Ring::push`]: a
 //! handful of relaxed stores and one release store of the ring head; a
@@ -33,23 +30,16 @@
 //! compile-time twin: an unobserved run simply has no hub (and so no
 //! [`HubWorker`] to publish through).
 
-use crate::json::{Json, ToJson};
 use crate::model::sync::{Arc, Mutex};
 use crate::spsc::Ring;
 use std::time::Instant;
 
 /// `u64` words per encoded [`Beat`] in the ring (the last is the
 /// ring's sequence stamp).
-pub const BEAT_WORDS: usize = 12;
+pub const BEAT_WORDS: usize = 10;
 
 /// Default ring capacity (beats buffered per worker between merges).
 pub const DEFAULT_RING_CAPACITY: usize = 64;
-
-/// Default expected beat interval for the stall watchdog, µs.
-pub const DEFAULT_HEARTBEAT_US: u64 = 1_000_000;
-
-/// Default missed-beat count before a worker is flagged stalled.
-pub const DEFAULT_STALL_BEATS: u64 = 3;
 
 /// What a worker is doing, as of its latest beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,15 +54,6 @@ pub enum WorkerState {
 }
 
 impl WorkerState {
-    /// Stable string form (used by JSON and Prometheus labels).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WorkerState::Idle => "idle",
-            WorkerState::Running => "running",
-            WorkerState::Done => "done",
-        }
-    }
-
     fn encode(self) -> u64 {
         match self {
             WorkerState::Idle => 0,
@@ -90,15 +71,9 @@ impl WorkerState {
     }
 }
 
-impl ToJson for WorkerState {
-    fn to_json(&self) -> Json {
-        Json::Str(self.as_str().to_string())
-    }
-}
-
 /// One progress heartbeat. Counter fields are cumulative from the
 /// worker's point of view (the merge keeps the newest beat, it does not
-/// sum them); the hub-clock stamp is added by [`HubWorker::publish`].
+/// sum them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Beat {
     /// Worker state.
@@ -131,7 +106,7 @@ impl Beat {
         }
     }
 
-    fn encode(&self, wall_us: u64) -> [u64; BEAT_WORDS] {
+    fn encode(&self) -> [u64; BEAT_WORDS] {
         [
             self.state.encode(),
             self.task,
@@ -142,41 +117,32 @@ impl Beat {
             self.f_value as u64,
             self.a_r as u64,
             self.bus_bytes,
-            wall_us,
-            0,
             0, // the ring's sequence stamp
         ]
     }
 
-    fn decode(words: &[u64; BEAT_WORDS]) -> (Beat, u64) {
-        (
-            Beat {
-                state: WorkerState::decode(words[0]),
-                task: words[1],
-                tasks_done: words[2],
-                instructions: words[3],
-                l2_misses: words[4],
-                migrations: words[5],
-                f_value: words[6] as i64,
-                a_r: words[7] as i64,
-                bus_bytes: words[8],
-            },
-            words[9],
-        )
+    fn decode(words: &[u64; BEAT_WORDS]) -> Beat {
+        Beat {
+            state: WorkerState::decode(words[0]),
+            task: words[1],
+            tasks_done: words[2],
+            instructions: words[3],
+            l2_misses: words[4],
+            migrations: words[5],
+            f_value: words[6] as i64,
+            a_r: words[7] as i64,
+            bus_bytes: words[8],
+        }
     }
 }
 
-/// Hub sizing and watchdog thresholds.
+/// Hub sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
     /// Worker slots (fixed at construction).
     pub workers: usize,
     /// Beats buffered per worker between merges. Must be ≥ 2.
     pub ring_capacity: usize,
-    /// Expected beat interval for the stall watchdog, µs.
-    pub heartbeat_us: u64,
-    /// Beats a running worker may miss before `/healthz` flags it.
-    pub stall_beats: u64,
 }
 
 impl HubConfig {
@@ -185,22 +151,13 @@ impl HubConfig {
         HubConfig {
             workers,
             ring_capacity: DEFAULT_RING_CAPACITY,
-            heartbeat_us: DEFAULT_HEARTBEAT_US,
-            stall_beats: DEFAULT_STALL_BEATS,
         }
-    }
-
-    /// µs of silence after which a running worker counts as stalled.
-    pub fn stall_after_us(&self) -> u64 {
-        self.heartbeat_us.saturating_mul(self.stall_beats.max(1))
     }
 }
 
 crate::impl_to_json!(HubConfig {
     workers,
-    ring_capacity,
-    heartbeat_us,
-    stall_beats
+    ring_capacity
 });
 
 /// One worker's merged progress, as of the snapshot epoch.
@@ -230,35 +187,6 @@ pub struct WorkerProgress {
     pub a_r: i64,
     /// Update-bus bytes.
     pub bus_bytes: u64,
-    /// Hub-clock stamp of the newest beat, µs.
-    pub wall_us: u64,
-    /// µs between the newest beat and the snapshot.
-    pub age_us: u64,
-}
-
-crate::impl_to_json!(WorkerProgress {
-    worker,
-    state,
-    beats,
-    dropped,
-    task,
-    tasks_done,
-    instructions,
-    l2_misses,
-    migrations,
-    f_value,
-    a_r,
-    bus_bytes,
-    wall_us,
-    age_us
-});
-
-impl WorkerProgress {
-    /// True when the worker claims to be running but has been silent
-    /// past the watchdog threshold.
-    pub fn stalled(&self, stall_after_us: u64) -> bool {
-        self.state == WorkerState::Running && self.beats > 0 && self.age_us > stall_after_us
-    }
 }
 
 /// What the hub's own instrumentation cost.
@@ -278,15 +206,6 @@ pub struct HubOverhead {
     pub merge_ns: u64,
 }
 
-crate::impl_to_json!(HubOverhead {
-    beats,
-    dropped,
-    bytes,
-    publish_ns,
-    merges,
-    merge_ns
-});
-
 impl HubOverhead {
     /// Total observability nanoseconds (publish + merge).
     pub fn total_ns(&self) -> u64 {
@@ -299,8 +218,6 @@ impl HubOverhead {
 pub struct HubSnapshot {
     /// Bumped on every merge that ran (even if no new beats arrived).
     pub epoch: u64,
-    /// Hub-clock time of the merge, µs.
-    pub taken_us: u64,
     /// Per-worker progress rows, one per slot.
     pub workers: Vec<WorkerProgress>,
     /// Hub self-accounting at merge time.
@@ -318,53 +235,9 @@ impl HubSnapshot {
         self.workers.iter().map(|w| w.tasks_done).sum()
     }
 
-    /// Workers flagged by the stall watchdog.
-    pub fn stalled_workers(&self, stall_after_us: u64) -> Vec<usize> {
-        self.workers
-            .iter()
-            .filter(|w| w.stalled(stall_after_us))
-            .map(|w| w.worker)
-            .collect()
-    }
-
     /// True when every worker reported [`WorkerState::Done`].
     pub fn all_done(&self) -> bool {
         !self.workers.is_empty() && self.workers.iter().all(|w| w.state == WorkerState::Done)
-    }
-}
-
-impl ToJson for HubSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("epoch", self.epoch)
-            .field("taken_us", self.taken_us)
-            .field("total_instructions", self.total_instructions())
-            .field("total_tasks_done", self.total_tasks_done())
-            .field("workers", &self.workers)
-            .field("overhead", self.overhead)
-    }
-}
-
-/// `/healthz` verdict derived from a snapshot plus the watchdog config.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthReport {
-    /// No running worker has missed its beat budget.
-    pub ok: bool,
-    /// Worker slots configured.
-    pub workers: usize,
-    /// Stalled worker indices.
-    pub stalled: Vec<usize>,
-    /// Snapshot epoch the verdict was computed from.
-    pub epoch: u64,
-}
-
-impl ToJson for HealthReport {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("status", if self.ok { "ok" } else { "stalled" }.to_string())
-            .field("workers", self.workers)
-            .field("stalled", &self.stalled)
-            .field("epoch", self.epoch)
     }
 }
 
@@ -378,12 +251,11 @@ struct AggState {
 
 struct HubInner {
     config: HubConfig,
-    started: Instant,
     rings: Vec<Ring<BEAT_WORDS>>,
     agg: Mutex<AggState>,
 }
 
-/// The live telemetry hub.
+/// The progress hub.
 ///
 /// Cheap to clone — clones share the same rings and merge state.
 #[derive(Clone)]
@@ -419,7 +291,6 @@ impl Hub {
         Hub {
             inner: Arc::new(HubInner {
                 config,
-                started: Instant::now(),
                 rings,
                 agg: Mutex::new(AggState {
                     workers,
@@ -434,17 +305,6 @@ impl Hub {
     /// A hub with the default config for `workers` slots.
     pub fn with_workers(workers: usize) -> Hub {
         Hub::new(HubConfig::with_workers(workers))
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> HubConfig {
-        self.inner.config
-    }
-
-    /// µs since the hub was created (the hub clock beats and snapshots
-    /// are stamped with).
-    pub fn now_us(&self) -> u64 {
-        self.inner.started.elapsed().as_micros() as u64
     }
 
     /// Claims worker slot `index`'s producer handle. Each slot has
@@ -473,7 +333,7 @@ impl Hub {
         let mut agg = self.agg_lock();
         for (ring, row) in self.inner.rings.iter().zip(agg.workers.iter_mut()) {
             ring.drain(|words| {
-                let (beat, wall_us) = Beat::decode(words);
+                let beat = Beat::decode(words);
                 row.state = beat.state;
                 row.task = beat.task;
                 row.tasks_done = beat.tasks_done;
@@ -483,25 +343,15 @@ impl Hub {
                 row.f_value = beat.f_value;
                 row.a_r = beat.a_r;
                 row.bus_bytes = beat.bus_bytes;
-                row.wall_us = wall_us;
                 row.beats += 1;
             });
             row.dropped = ring.dropped();
-        }
-        let now_us = self.now_us();
-        for row in agg.workers.iter_mut() {
-            row.age_us = if row.beats == 0 {
-                0
-            } else {
-                now_us.saturating_sub(row.wall_us)
-            };
         }
         agg.epoch += 1;
         agg.merges += 1;
         agg.merge_ns += t0.elapsed().as_nanos() as u64;
         HubSnapshot {
             epoch: agg.epoch,
-            taken_us: now_us,
             workers: agg.workers.clone(),
             overhead: self.overhead_locked(&agg),
         }
@@ -522,19 +372,6 @@ impl Hub {
             publish_ns: rings.iter().map(Ring::cost_ns).sum(),
             merges: agg.merges,
             merge_ns: agg.merge_ns,
-        }
-    }
-
-    /// Merges and reduces to the `/healthz` verdict using the
-    /// configured watchdog thresholds.
-    pub fn health(&self) -> HealthReport {
-        let snap = self.snapshot();
-        let stalled = snap.stalled_workers(self.inner.config.stall_after_us());
-        HealthReport {
-            ok: stalled.is_empty(),
-            workers: snap.workers.len(),
-            stalled,
-            epoch: snap.epoch,
         }
     }
 }
@@ -560,14 +397,13 @@ impl HubWorker {
         self.index
     }
 
-    /// Publishes one beat, stamped with the hub clock. A full ring
-    /// drops the beat and counts the drop — the caller never waits.
+    /// Publishes one beat. A full ring drops the beat and counts the
+    /// drop — the caller never waits.
     /// Publish cost is self-measured into [`HubOverhead::publish_ns`].
     pub fn publish(&self, beat: Beat) {
         let t0 = Instant::now();
         let ring = &self.inner.rings[self.index];
-        let wall_us = t0.duration_since(self.inner.started).as_micros() as u64;
-        ring.push(beat.encode(wall_us));
+        ring.push(beat.encode());
         ring.bill(t0.elapsed().as_nanos() as u64);
     }
 }
@@ -609,9 +445,8 @@ mod tests {
     #[test]
     fn beat_roundtrips_through_words() {
         let b = beat(1234, WorkerState::Running);
-        let (back, wall) = Beat::decode(&b.encode(99));
+        let back = Beat::decode(&b.encode());
         assert_eq!(back, b);
-        assert_eq!(wall, 99);
         // Negative F/A_R survive the u64 transit.
         assert_eq!(back.f_value, -5);
     }
@@ -622,18 +457,6 @@ mod tests {
             assert_eq!(WorkerState::decode(s.encode()), s);
         }
         assert_eq!(WorkerState::decode(99), WorkerState::Idle);
-        assert_eq!(WorkerState::Running.to_json().compact(), "\"running\"");
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let hub = Hub::with_workers(2);
-        let snap = hub.snapshot();
-        let j = snap.to_json();
-        assert!(j.get("epoch").is_some());
-        assert!(j.get("workers").is_some());
-        assert!(j.get("overhead").is_some());
-        assert!(j.get("total_instructions").is_some());
     }
 
     #[test]
@@ -665,7 +488,6 @@ mod tests {
         let hub = Hub::new(HubConfig {
             workers: 1,
             ring_capacity: 4,
-            ..HubConfig::with_workers(1)
         });
         let w = hub.worker(0).expect("claim");
         for k in 0..10u64 {
@@ -734,28 +556,6 @@ mod tests {
         assert!(o.beats > 0);
         assert!(o.merges >= 201);
         assert!(snap.epoch >= 201);
-    }
-
-    #[test]
-    fn stall_watchdog_flags_silent_running_worker() {
-        let hub = Hub::new(HubConfig {
-            workers: 2,
-            ring_capacity: 8,
-            heartbeat_us: 1, // 1 µs heartbeat: anything is late
-            stall_beats: 2,
-        });
-        let w = hub.worker(0).expect("claim");
-        w.publish(beat(10, WorkerState::Running));
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let health = hub.health();
-        assert!(!health.ok);
-        assert_eq!(health.stalled, vec![0], "only the running worker");
-        // A Done worker is never stalled, however silent.
-        w.publish(beat(20, WorkerState::Done));
-        let health = hub.health();
-        assert!(health.ok);
-        // Idle (beat-less) workers are not stalled either.
-        assert!(!health.stalled.contains(&1));
     }
 
     #[test]

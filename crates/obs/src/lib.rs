@@ -1,6 +1,6 @@
 //! Observability layer for the execution-migration workspace.
 //!
-//! Twelve pieces, all dependency-free:
+//! Ten pieces, all dependency-free:
 //!
 //! - [`ring`]: the fixed-capacity [`EventRing`] of typed events
 //!   ([`EventKind`]) with monotonic instruction timestamps — migrations,
@@ -18,12 +18,8 @@
 //!   [`EventRing`], loadable in `chrome://tracing`/Perfetto.
 //! - [`spsc`]: the one lock-free SPSC [`spsc::Ring`] the hub and the wall
 //!   record into, and the [`Budget`] that rates their self-billed cost.
-//! - [`hub`]: the live-telemetry [`Hub`] — per-worker beat rings with an
+//! - [`hub`]: the progress [`Hub`] — per-worker beat rings with an
 //!   epoch'd snapshot merge and overhead self-accounting.
-//! - [`http`]: a minimal, panic-free HTTP/1.1 request parser and
-//!   response writer (no third-party deps).
-//! - [`serve`]: the [`TelemetryServer`] serving `/metrics`,
-//!   `/progress`, `/spans`, and `/healthz` over the in-tree HTTP stack.
 //! - [`model`]: the concurrency shim — std `sync`/`thread` re-exports
 //!   in real builds, the `execmig-model` interleaving checker under
 //!   `--cfg execmig_model`. All thread/atomic use in the workspace
@@ -46,7 +42,6 @@
 pub mod chrome;
 pub mod event;
 pub mod export;
-pub mod http;
 pub mod hub;
 pub mod json;
 pub mod manifest;
@@ -54,24 +49,20 @@ pub mod metrics;
 pub mod model;
 pub mod profile;
 pub mod ring;
-pub mod serve;
 pub mod spsc;
 pub mod wall;
 
 pub use chrome::{merge_traces, render_wall_trace, ChromeTraceBuilder};
 pub use event::{EventKind, TraceEvent};
 pub use export::{escape_label_value, to_csv, to_prometheus, PromKind, PromWriter};
-pub use http::{parse_request, response, HttpError, Request};
 pub use hub::{
-    Beat, HealthReport, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker, ObsCtx,
-    WorkerProgress, WorkerState,
+    Beat, Hub, HubConfig, HubOverhead, HubSnapshot, HubWorker, ObsCtx, WorkerProgress, WorkerState,
 };
 pub use json::{Json, JsonParseError, ToJson};
 pub use manifest::{RunManifest, Stopwatch};
 pub use metrics::{Histogram, MetricValue, Registry};
 pub use profile::{ProfileConfig, ProfileCumulative, ProfileRecord, Profiler};
 pub use ring::EventRing;
-pub use serve::{MetricsProvider, TelemetryServer};
 pub use spsc::{Budget, BudgetVerdict};
 pub use wall::{
     Family, FamilyStats, RetainedSpan, ScopedSpan, StackCount, Wall, WallOverhead, WallSnapshot,

@@ -1,5 +1,5 @@
-//! The lock-free single-producer/single-consumer ring both live
-//! recorders are built on: the telemetry [`Hub`](crate::Hub) (progress
+//! The lock-free single-producer/single-consumer ring both concurrent
+//! recorders are built on: the progress [`Hub`](crate::Hub) (progress
 //! beats) and the wall-clock [`Wall`](crate::Wall) (closed spans), plus
 //! the [`Budget`] that judges what they cost.
 //!
@@ -218,16 +218,9 @@ pub struct BudgetVerdict {
     pub within: bool,
 }
 
-crate::impl_to_json!(BudgetVerdict {
-    fraction,
-    max_fraction,
-    within
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
 
     fn drained<const W: usize>(ring: &Ring<W>) -> Vec<[u64; W]> {
         let mut out = Vec::new();
@@ -290,9 +283,5 @@ mod tests {
         assert_eq!(v.max_fraction, 0.02);
         // Zero-length runs never fail the budget.
         assert!(budget.verdict(500_000, 0).within);
-        assert_eq!(
-            v.to_json().compact(),
-            "{\"fraction\":0.5,\"max_fraction\":0.02,\"within\":false}"
-        );
     }
 }

@@ -7,8 +7,8 @@
 //! machine block, which differ case. Three consumers hang off it:
 //!
 //! - **Latency histograms.** Every closed span lands in a per-family
-//!   log-2 [`Histogram`] (nanoseconds), so `/spans` and `/metrics` can
-//!   serve live p50/p99/p999 per span family while a sweep runs.
+//!   log-2 [`Histogram`] (nanoseconds), so a [`Wall::snapshot`] reports
+//!   p50/p99/p999 per span family.
 //! - **Flight recorder.** Each thread keeps its live span stack in a
 //!   fixed block of atomics; a sampler thread periodically snapshots
 //!   every stack ([`Wall::sample_stacks`]) and the accumulated counts
@@ -26,8 +26,8 @@
 //!
 //! **Self-accounting.** The wall measures its own cost — spans
 //! recorded, nanoseconds inside enter/exit, merge and sampling time —
-//! as [`WallOverhead`], which a [`Budget`] turns into a pass/fail
-//! verdict against a fraction of run time.
+//! as [`WallOverhead`], which a [`Budget`](crate::Budget) turns into a
+//! pass/fail verdict against a fraction of run time.
 //!
 //! **Off means unattached.** Spans are coarse (runner stages, beat
 //! periods, differ cases), so the wall has no compile-time twin: a
@@ -35,16 +35,16 @@
 //!
 //! **Span families are a closed enum.** [`Family`] names every span
 //! kind; the ring encodes a span's family as its index into
-//! [`Family::ALL`], which is also the row order of `/spans`.
+//! [`Family::ALL`], which is also the row order of
+//! [`WallSnapshot::families`].
 
-use crate::json::{Json, ToJson};
 use crate::metrics::Histogram;
 use crate::model::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::spsc::{Budget, BudgetVerdict, Ring};
+use crate::spsc::Ring;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-/// The span families, in `/spans` row order.
+/// The span families, in [`WallSnapshot::families`] row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// A whole experiment sweep (driver thread, parent of every task).
@@ -57,8 +57,8 @@ pub enum Family {
     Run,
     /// Buffering the result and publishing the completion beat.
     Complete,
-    /// One beat period of an observed `Machine::run_shared` (every
-    /// machine in the slice, over one stream).
+    /// One `Machine::run_shared` call (every machine in the slice, over
+    /// one stream), or one beat period of it when it publishes beats.
     MachineBlock,
     /// One differ suite-lockstep case.
     DifferCase,
@@ -80,8 +80,7 @@ impl Family {
         Family::DifferFuzz,
     ];
 
-    /// The family's name in `/spans`, Prometheus labels and collapsed
-    /// stacks.
+    /// The family's name in collapsed stacks and Chrome traces.
     pub fn name(self) -> &'static str {
         match self {
             Family::Sweep => "sweep",
@@ -93,12 +92,6 @@ impl Family {
             Family::DifferCase => "differ/case",
             Family::DifferFuzz => "differ/fuzz",
         }
-    }
-}
-
-impl ToJson for Family {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
     }
 }
 
@@ -138,16 +131,6 @@ pub struct FamilyStats {
     pub max_ns: u64,
 }
 
-crate::impl_to_json!(FamilyStats {
-    family,
-    count,
-    total_ns,
-    p50_ns,
-    p99_ns,
-    p999_ns,
-    max_ns
-});
-
 /// One closed span retained for Chrome export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetainedSpan {
@@ -165,15 +148,6 @@ pub struct RetainedSpan {
     pub dur_ns: u64,
 }
 
-crate::impl_to_json!(RetainedSpan {
-    id,
-    parent,
-    family,
-    thread,
-    start_ns,
-    dur_ns
-});
-
 /// One sampled live-stack shape and how often the sampler saw it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StackCount {
@@ -183,8 +157,6 @@ pub struct StackCount {
     /// Samples that observed this stack.
     pub count: u64,
 }
-
-crate::impl_to_json!(StackCount { stack, count });
 
 /// What the wall's own instrumentation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -209,18 +181,6 @@ pub struct WallOverhead {
     /// Nanoseconds inside sampling passes.
     pub sample_ns: u64,
 }
-
-crate::impl_to_json!(WallOverhead {
-    spans,
-    dropped,
-    retained_dropped,
-    bytes,
-    record_ns,
-    merges,
-    merge_ns,
-    samples,
-    sample_ns
-});
 
 impl WallOverhead {
     /// Total observability nanoseconds (record + merge + sample).
@@ -268,18 +228,6 @@ impl WallSnapshot {
             out.push('\n');
         }
         out
-    }
-}
-
-impl ToJson for WallSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("epoch", self.epoch)
-            .field("uptime_ns", self.uptime_ns)
-            .field("total_spans", self.total_spans())
-            .field("families", &self.families)
-            .field("collapsed", &self.collapsed)
-            .field("overhead", self.overhead)
     }
 }
 
@@ -528,12 +476,6 @@ impl Wall {
         }
     }
 
-    /// The default [`Budget`] verdict against the wall's own uptime —
-    /// the serving edge's "is tracing still cheap" answer.
-    pub fn budget_verdict(&self) -> BudgetVerdict {
-        Budget::default().verdict(self.overhead().total_ns(), self.now_ns())
-    }
-
     /// The retained closed spans (for Chrome export). Forces a merge
     /// first so freshly closed spans are included.
     pub fn spans(&self) -> Vec<RetainedSpan> {
@@ -759,10 +701,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Family::ALL.len(), "duplicate family name");
-        assert_eq!(
-            Family::MachineBlock.to_json().compact(),
-            "\"machine/block\""
-        );
     }
 
     #[test]
@@ -922,17 +860,6 @@ mod tests {
         let snap = wall.snapshot();
         assert_eq!(snap.total_spans(), 2, "sweep + task, no claim/run");
         assert_eq!(snap.family(Family::Claim).expect("claim row").count, 0);
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let wall = Wall::with_threads(1);
-        let j = wall.snapshot().to_json();
-        assert!(j.get("epoch").is_some());
-        assert!(j.get("families").is_some());
-        assert!(j.get("collapsed").is_some());
-        assert!(j.get("overhead").is_some());
-        assert!(j.get("total_spans").is_some());
     }
 
     #[cfg_attr(miri, ignore = "timed producer loops are too slow under miri")]

@@ -45,8 +45,6 @@ fn producers_hammering_full_rings_conserve_counts() {
     let hub = Hub::new(HubConfig {
         workers: WORKERS,
         ring_capacity: 2, // tiny: force the drop path constantly
-        heartbeat_us: 1_000_000,
-        stall_beats: 1_000,
     });
     let mut epochs_seen = 0u64;
     let mut last_epoch = 0u64;

@@ -148,7 +148,6 @@ mod recorders {
             let hub = Hub::new(HubConfig {
                 workers: 1,
                 ring_capacity: 2,
-                ..HubConfig::with_workers(1)
             });
             let w = hub.worker(0).expect("claim");
             let producer = thread::spawn(move || {

@@ -1,75 +1,88 @@
-//! Acceptance tests for the live-telemetry subsystem: a 4-worker sweep
-//! served over real TCP must report per-worker progress while running,
-//! the hub's self-accounted overhead must stay inside the [`Budget`]
-//! (2 % of run time), the wall-clock flight recorder must serve live
-//! per-family span latencies on `/spans` within the same budget, and —
-//! the hard promise — `MachineStats` must be bit-identical with
-//! telemetry on and off.
-//!
-//! The HTTP client here is hand-rolled on `TcpStream`, matching the
-//! repo's dependency-free discipline (and exercising the server with a
-//! client that is *not* its own parser's sibling).
+//! Acceptance tests for run-time observability: the progress hub and
+//! the wall-clock flight recorder. A 4-worker sweep with both attached
+//! must end with every worker `Done` and every task counted, record the
+//! runner's and the machine's span families, and keep both recorders'
+//! self-accounted overhead inside the [`Budget`] (2 % of run time).
+//! The hard promise: attaching them never changes a result —
+//! `MachineStats` and the experiments' JSON rows are bit-identical
+//! with observability on and off, at any thread count.
 
 mod common;
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use execution_migration::experiments::runner::parallel_map_observed;
-use execution_migration::experiments::telemetry::{Telemetry, BEAT_PERIOD_INSTR};
-use execution_migration::machine::{Machine, MachineConfig};
+use execution_migration::experiments::runner::{parallel_map_observed, Obs, BEAT_PERIOD_INSTR};
+use execution_migration::experiments::{coherence_compare, table2};
+use execution_migration::machine::{Machine, MachineConfig, Protocol};
 use execution_migration::obs::wall;
-use execution_migration::obs::{json, Budget, Family, Hub, HubConfig, Json, ObsCtx};
+use execution_migration::obs::{Budget, Family, Hub, HubConfig, ObsCtx, ToJson, Wall, WorkerState};
 use execution_migration::trace::suite;
 
-/// One blocking `GET path` against the telemetry server; returns
-/// `(status, body)`.
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to telemetry server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("set read timeout");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+/// What the drains of [`while_draining`] saw while the sweep ran.
+#[derive(Debug, Default)]
+struct LivePolls {
+    /// Hub snapshots that caught a worker running with instructions
+    /// retired, i.e. after a mid-task beat.
+    progress: u64,
+    /// Wall snapshots that already held closed spans.
+    spans: u64,
 }
 
-/// The workers array of a parsed `/progress` document.
-fn workers_of(doc: &Json) -> &[Json] {
-    match doc.get("workers") {
-        Some(Json::Arr(rows)) => rows,
-        other => panic!("/progress carries a workers array, got {other:?}"),
+/// Sets the flag when dropped, so the drain loop stops even if the
+/// sweep panics.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
-fn uint_field(row: &Json, name: &str) -> u64 {
-    match row.get(name) {
-        Some(Json::UInt(v)) => *v,
-        other => panic!("field {name} is a uint, got {other:?}"),
-    }
+/// Runs `sweep` on this thread while a second thread drains `hub` and
+/// `recorder` every 5 ms, as any reader of a long observed run must:
+/// each worker's rings hold a bounded number of beats and spans, and a
+/// full ring drops the newest. Returns the sweep's result and what the
+/// drains saw mid-run.
+fn while_draining<R>(hub: &Hub, recorder: &Wall, sweep: impl FnOnce() -> R) -> (R, LivePolls) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut live = LivePolls::default();
+            while !stop.load(Ordering::Acquire) {
+                let snap = hub.snapshot();
+                if snap
+                    .workers
+                    .iter()
+                    .any(|w| w.state == WorkerState::Running && w.instructions > 0)
+                {
+                    live.progress += 1;
+                }
+                let snap = recorder.snapshot();
+                for f in &snap.families {
+                    assert!(f.p50_ns <= f.p99_ns && f.p99_ns <= f.p999_ns);
+                }
+                if snap.total_spans() > 0 {
+                    live.spans += 1;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            live
+        });
+        let out = {
+            let _stop = StopOnDrop(&stop);
+            sweep()
+        };
+        (out, poller.join().expect("drain thread"))
+    })
 }
 
-/// Telemetry must observe, never perturb: a machine run with mid-run
-/// beats publishes the same counters — every registered metric, bit
-/// for bit — as the same run without them. Uses the migration config
-/// (the richest datapath: filter, A_R, coherence, bus) and two
-/// workloads with very different migration behaviour.
+/// Observability must observe, never perturb: a machine run with a hub
+/// `ObsCtx` and an attached wall registers the same counters — every
+/// metric, bit for bit — as the same run with both detached. Uses the
+/// migration config (the richest datapath: filter, A_R, coherence,
+/// bus) and two workloads with very different migration behaviour.
 #[test]
 fn machine_stats_bit_identical_with_telemetry_on() {
     let budget = common::instr_budget(2_000_000);
@@ -86,9 +99,12 @@ fn machine_stats_bit_identical_with_telemetry_on() {
             tasks_done: 0,
             beat_period: BEAT_PERIOD_INSTR,
         };
+        let recorder = Wall::with_threads(1);
+        assert!(wall::attach(&recorder, 0), "slot 0");
         let mut observed = [Machine::new(MachineConfig::four_core_migration())];
         let mut w = suite::by_name(name).expect("suite workload");
         Machine::run_shared(&mut observed, &mut *w, budget, Some(&ctx));
+        wall::detach();
         let [observed] = observed;
 
         // Registry equality covers every counter Machine registers,
@@ -96,99 +112,69 @@ fn machine_stats_bit_identical_with_telemetry_on() {
         assert_eq!(
             plain.metrics(),
             observed.metrics(),
-            "telemetry perturbed the {name} run"
+            "observability perturbed the {name} run"
         );
         let snap = hub.snapshot();
         assert_eq!(snap.workers.len(), 1);
         assert_eq!(snap.workers[0].instructions, budget);
+        let blocks = recorder
+            .snapshot()
+            .family(Family::MachineBlock)
+            .map(|f| f.count);
+        assert!(
+            blocks.is_some_and(|n| n > 0),
+            "{name}: no machine/block span recorded"
+        );
     }
 }
 
-/// The acceptance sweep: four workers, telemetry served on an
-/// ephemeral port, `/progress` polled over real TCP while the sweep
-/// runs. Asserts live per-worker progress and span quantiles mid-run,
-/// well-formed responses, and the 2 % overhead budget.
+/// The acceptance sweep: four workers with a hub and a wall attached,
+/// drained while they run. Mid-run snapshots show live progress and
+/// spans; every worker ends `Done` with every task counted, the
+/// runner's and the machine's span families record, and each
+/// recorder's overhead stays inside the 2 % budget.
 #[test]
-fn four_worker_sweep_serves_live_progress() {
+fn four_worker_sweep_records_progress_and_spans() {
     let threads = 4;
-    let telemetry = Telemetry::new(Some("127.0.0.1:0"), threads);
-    assert!(telemetry.serving(), "ephemeral bind succeeds");
-    let addr = telemetry.local_addr().expect("bound address");
+    let hub = Hub::with_workers(threads);
+    // One wall slot per worker plus a last one for this (driver)
+    // thread, which owns the sweep root span.
+    let recorder = Wall::with_threads(threads + 1);
+    assert!(wall::attach(&recorder, threads), "driver slot");
     let budget = common::instr_budget(3_000_000);
     let names = ["art", "mcf", "gzip", "gcc", "bzip2", "art", "mcf", "gzip"];
 
     let started = Instant::now();
-    let done = AtomicBool::new(false);
-    let (rows, live_polls, live_span_polls) = std::thread::scope(|scope| {
-        // Scrape /progress and /spans concurrently with the sweep and
-        // count the polls that caught a worker (or a span family)
-        // mid-flight.
-        let scraper = scope.spawn(|| {
-            let mut live_polls = 0u64;
-            let mut live_span_polls = 0u64;
-            while !done.load(Ordering::Acquire) {
-                let (status, body) = http_get(addr, "/progress");
-                assert_eq!(status, 200, "/progress answers while running");
-                let doc = json::parse(&body).expect("/progress is valid JSON");
-                let rows = workers_of(&doc);
-                assert_eq!(rows.len(), threads, "one row per worker slot");
-                let running = rows
-                    .iter()
-                    .filter(|r| {
-                        r.get("state") == Some(&Json::Str("running".into()))
-                            && uint_field(r, "instructions") > 0
-                    })
-                    .count();
-                if running > 0 {
-                    live_polls += 1;
-                }
-                let (status, body) = http_get(addr, "/spans");
-                assert_eq!(status, 200, "/spans answers while running");
-                let doc = json::parse(&body).expect("/spans is valid JSON");
-                if uint_field(&doc, "total_spans") > 0 {
-                    // Mid-run the recorder already serves per-family
-                    // quantiles for completed spans.
-                    let fams = match doc.get("families") {
-                        Some(Json::Arr(rows)) => rows,
-                        other => panic!("/spans carries a families array, got {other:?}"),
-                    };
-                    assert_eq!(fams.len(), Family::ALL.len());
-                    if fams.iter().any(|f| {
-                        uint_field(f, "count") > 0
-                            && uint_field(f, "p999_ns") >= uint_field(f, "p50_ns")
-                    }) {
-                        live_span_polls += 1;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            (live_polls, live_span_polls)
-        });
-
-        let (rows, _report) = {
-            // The sweep root span: worker task spans parent to it.
-            let _sweep = wall::span(Family::Sweep);
-            parallel_map_observed(names.to_vec(), threads, telemetry.obs(), |name, ctx| {
+    let ((rows, _report), live) = while_draining(&hub, &recorder, || {
+        // The sweep root span: worker task spans parent to it.
+        let _sweep = wall::span(Family::Sweep);
+        parallel_map_observed(
+            names.to_vec(),
+            threads,
+            Obs::new(Some(&hub), Some(&recorder)),
+            |name, ctx| {
                 let mut m = [Machine::new(MachineConfig::four_core_migration())];
                 let mut w = suite::by_name(name).expect("suite workload");
                 Machine::run_shared(&mut m, &mut *w, budget, ctx.as_ref());
                 m[0].stats().l2_misses
-            })
-        };
-        done.store(true, Ordering::Release);
-        let (live_polls, live_span_polls) = scraper.join().expect("scraper thread");
-        (rows, live_polls, live_span_polls)
+            },
+        )
     });
     let run_ns = started.elapsed().as_nanos() as u64;
+    wall::detach();
 
     assert_eq!(rows.len(), names.len());
     assert!(rows.iter().all(|&misses| misses > 0));
 
-    let hub = telemetry.hub().expect("serving implies a hub");
-    assert!(
-        live_polls > 0,
-        "no /progress poll caught a running worker mid-task"
-    );
+    // Tasks longer than a beat period publish mid-task beats, and run
+    // long enough for a 5 ms drain to catch them.
+    if budget > BEAT_PERIOD_INSTR {
+        assert!(
+            live.progress > 0,
+            "no drain caught a running worker mid-task"
+        );
+        assert!(live.spans > 0, "no drain caught a closed span mid-run");
+    }
     let snap = hub.snapshot();
     assert!(snap.all_done(), "every worker reported Done: {snap:?}");
     assert_eq!(snap.total_tasks_done(), names.len() as u64);
@@ -202,18 +188,18 @@ fn four_worker_sweep_serves_live_progress() {
     let verdict = Budget::default().verdict(overhead.total_ns(), run_ns);
     assert!(
         verdict.within,
-        "telemetry overhead {:.4} % exceeds the {:.0} % budget",
+        "hub overhead {:.4} % exceeds the {:.0} % budget",
         verdict.fraction * 100.0,
         verdict.max_fraction * 100.0
     );
 
-    assert!(
-        live_span_polls > 0,
-        "no /spans poll caught a span family with live quantiles"
-    );
-    let recorder = telemetry.wall().expect("serving implies a wall");
     let snap = recorder.snapshot();
-    for family in [Family::Sweep, Family::Task, Family::Run] {
+    for family in [
+        Family::Sweep,
+        Family::Task,
+        Family::Run,
+        Family::MachineBlock,
+    ] {
         let stats = snap.family(family).expect("every family has a row");
         assert!(stats.count > 0, "{} recorded no spans", family.name());
         assert!(stats.p50_ns <= stats.p99_ns && stats.p99_ns <= stats.p999_ns);
@@ -230,20 +216,75 @@ fn four_worker_sweep_serves_live_progress() {
         wall_verdict.fraction * 100.0,
         wall_verdict.max_fraction * 100.0
     );
+}
 
-    // The other endpoints answer well-formed.
-    let (status, health) = http_get(addr, "/healthz");
-    assert_eq!(status, 200, "no worker is stalled after the sweep");
-    assert!(health.contains("\"status\""));
-    let (status, metrics) = http_get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(metrics.contains("# TYPE execmig_hub_beats_total counter"));
-    assert!(metrics.contains("# TYPE execmig_wall_spans_total counter"));
-    let (status, spans) = http_get(addr, "/spans");
-    assert_eq!(status, 200);
-    assert!(spans.contains("\"families\"") && spans.contains("\"budget\""));
-    let (status, _) = http_get(addr, "/nope");
-    assert_eq!(status, 404);
+/// A wall with no hub still sees inside the machine: each
+/// `run_shared` task records exactly one `machine/block` span, nested
+/// under the runner's `runner/run` span for that task.
+#[test]
+fn wall_only_sweep_records_one_machine_block_per_task() {
+    let threads = 2;
+    let recorder = Wall::with_threads(threads);
+    let budget = common::instr_budget(200_000);
+    let names = ["art", "mcf", "gzip", "gcc"];
+    parallel_map_observed(
+        names.to_vec(),
+        threads,
+        Obs::new(None, Some(&recorder)),
+        |name, ctx| {
+            assert!(ctx.is_none(), "no hub, no progress context");
+            let mut m = [Machine::new(MachineConfig::four_core_migration())];
+            let mut w = suite::by_name(name).expect("suite workload");
+            Machine::run_shared(&mut m, &mut *w, budget, None);
+        },
+    );
 
-    telemetry.finish();
+    let spans = recorder.spans();
+    let family_of: HashMap<u64, Family> = spans.iter().map(|s| (s.id, s.family)).collect();
+    let blocks: Vec<_> = spans
+        .iter()
+        .filter(|s| s.family == Family::MachineBlock)
+        .collect();
+    assert_eq!(blocks.len(), names.len(), "one machine/block span per task");
+    for block in blocks {
+        assert_eq!(
+            family_of.get(&block.parent),
+            Some(&Family::Run),
+            "machine/block parents to runner/run"
+        );
+    }
+}
+
+/// Asserts that `sweep(threads, obs)`, a sweep's rows as the JSON its
+/// binary prints with `--json`, gives the same bytes three ways.
+fn assert_rows_identical(name: &str, sweep: impl Fn(usize, Obs<'_>) -> String) {
+    let serial = sweep(1, Obs::none());
+    assert_eq!(sweep(8, Obs::none()), serial, "{name}: 8 threads");
+    let hub = Hub::with_workers(2);
+    let recorder = Wall::with_threads(2);
+    let (observed, _) = while_draining(&hub, &recorder, || {
+        sweep(2, Obs::new(Some(&hub), Some(&recorder)))
+    });
+    assert_eq!(observed, serial, "{name}: 2 threads, hub and wall");
+    let tasks = suite::names().len() as u64;
+    assert_eq!(hub.snapshot().total_tasks_done(), tasks, "{name}: rows");
+}
+
+/// The experiments' JSON rows do not depend on how the sweep is run:
+/// `table2` and `coherence_compare` serialise to the same bytes on 1
+/// and 8 worker threads with observability detached, and on 2 threads
+/// with a hub and a wall attached.
+#[test]
+fn experiment_rows_identical_across_threads_and_observability() {
+    let budget = common::instr_budget(100_000);
+    assert_rows_identical("table2", |threads, obs| {
+        table2::run_all(budget, threads, Protocol::MigrationMode, obs)
+            .to_json()
+            .pretty()
+    });
+    assert_rows_identical("coherence_compare", |threads, obs| {
+        coherence_compare::run_all(budget, threads, obs)
+            .to_json()
+            .pretty()
+    });
 }
