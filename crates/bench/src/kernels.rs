@@ -2,11 +2,13 @@
 //! bench targets and the combined `suite` target that exports
 //! `BENCH_<n>.json` for the CI perf gate.
 //!
-//! Four kernels cover the simulator's cost structure end to end:
+//! Five kernels cover the simulator's cost structure end to end:
 //!
 //! - `caches` — the [`execmig_cache::Cache`] per-reference hot path
 //!   (fused lookup+fill via [`Cache::access`]), plus the
 //!   fully-associative LRU and Mattson-stack substrates;
+//! - `gen` — each generator engine alone, block by block through
+//!   [`Workload::fill_block`], as every machine run draws its stream;
 //! - `table1` — workload generation through the 16 KB fully-associative
 //!   L1 filter (the front half of every experiment);
 //! - `l1_replay` — the same L1 filter over a pre-generated access
@@ -19,7 +21,7 @@ use crate::{workload, LineStream};
 use execmig_cache::{Cache, CacheConfig, FullyAssocLru, LruStack};
 use execmig_experiments::l1filter::L1Filter;
 use execmig_machine::{Machine, MachineConfig};
-use execmig_trace::{LineAddr, LineSize, Workload};
+use execmig_trace::{LineAddr, LineSize, Workload, WorkloadEvent};
 use std::hint::black_box;
 
 /// Set-associative / skewed-associative per-reference throughput.
@@ -74,6 +76,45 @@ pub fn bench_stack(c: &mut Runner) {
                 stack.access(lines.next_line());
             }
             b.iter(|| black_box(stack.access(lines.next_line())));
+        });
+    }
+    g.finish();
+}
+
+/// Instructions generated per `gen` iteration.
+pub const GEN_INSTRS: u64 = 500_000;
+
+/// Events per `fill_block` call in the `gen` kernels: the machine's
+/// block size.
+pub const GEN_BLOCK: usize = 2048;
+
+/// One generator engine alone: a fresh suite workload, built off the
+/// clock, drawn to [`GEN_INSTRS`] through `fill_block` into one reused
+/// buffer of [`GEN_BLOCK`] events.
+pub fn bench_gen(c: &mut Runner) {
+    let mut g = c.benchmark_group("gen");
+    g.throughput(GEN_INSTRS);
+    g.sample_size(10);
+
+    // One benchmark per engine: sweep, pointer ring, hot random,
+    // code-heavy, block phase.
+    for name in ["art", "mcf", "gzip", "gcc", "bzip2"] {
+        g.bench_function(format!("{name}/500k_instr"), |b| {
+            let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(GEN_BLOCK);
+            b.iter_batched_ref(
+                || workload(name),
+                |w| {
+                    let mut events = 0;
+                    loop {
+                        buf.clear();
+                        let filled = w.fill_block(&mut buf, GEN_INSTRS, GEN_BLOCK);
+                        if filled == 0 {
+                            break events;
+                        }
+                        events += black_box(&buf).len();
+                    }
+                },
+            );
         });
     }
     g.finish();

@@ -56,7 +56,9 @@ fn main() {
             passes
         });
         let rows = {
-            // The sweep root span: runner tasks parent to it.
+            // The sweep root span: runner tasks parent to it. While this
+            // thread holds only this frame it is joining the workers,
+            // and the sampler skips it.
             let _sweep = wall::span(Family::Sweep);
             table2::run_all(
                 instructions,

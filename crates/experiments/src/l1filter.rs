@@ -54,6 +54,8 @@ impl L1Filter {
 
     /// Feeds one access; returns the missing line address if the access
     /// missed its L1 (i.e. it survives into the filtered stream).
+    /// `#[inline]`: callers in other crates run it once per access.
+    #[inline]
     pub fn filter(&mut self, access: Access) -> Option<LineAddr> {
         self.stats.accesses += 1;
         let line = self.line.line_of(access.addr);

@@ -417,9 +417,14 @@ impl Wall {
 
     /// One flight-recorder pass: reads every thread's live span stack
     /// and folds the observed shapes into the collapsed-stack counts.
-    /// Returns how many non-empty stacks were observed. Approximate by
-    /// design — a stack mutating mid-read yields a momentarily stale
-    /// (never torn) frame.
+    /// Returns how many stacks were folded. Approximate by design — a
+    /// stack mutating mid-read yields a momentarily stale (never torn)
+    /// frame.
+    ///
+    /// Empty stacks are skipped, and so is a stack that is exactly one
+    /// `sweep` frame: that is a sweep's driver joining its workers.
+    /// Worker stacks start at `runner/task`, parented to the sweep by
+    /// id only, so no working stack has that shape.
     pub fn sample_stacks(&self) -> usize {
         let t0 = Instant::now();
         let mut seen = 0usize;
@@ -430,7 +435,9 @@ impl Wall {
             // the depth became visible.
             let depth = slot.live_depth.load(Ordering::Acquire) as usize;
             let depth = depth.min(MAX_LIVE_DEPTH);
-            if depth == 0 {
+            // ord: Relaxed — covered by the Acquire depth load above.
+            let root = slot.live[0].load(Ordering::Relaxed);
+            if depth == 0 || (depth == 1 && root == Family::Sweep as u64) {
                 continue;
             }
             let mut stack = String::new();
@@ -790,8 +797,8 @@ mod tests {
     fn live_stack_sampling_collapses() {
         let wall = Wall::with_threads(1);
         let t = wall.thread(0).expect("claim");
-        let outer = t.enter(Family::Sweep);
-        let inner = t.enter(Family::Task);
+        let outer = t.enter(Family::Task);
+        let inner = t.enter(Family::Run);
         assert_eq!(wall.sample_stacks(), 1);
         assert_eq!(wall.sample_stacks(), 1);
         t.exit(inner);
@@ -802,17 +809,36 @@ mod tests {
         let deep = snap
             .collapsed
             .iter()
-            .find(|s| s.stack == "sweep;runner/task")
+            .find(|s| s.stack == "runner/task;runner/run")
             .expect("nested stack sampled");
         assert_eq!(deep.count, 2);
         let shallow = snap
             .collapsed
             .iter()
-            .find(|s| s.stack == "sweep")
+            .find(|s| s.stack == "runner/task")
             .expect("outer-only stack sampled");
         assert_eq!(shallow.count, 1);
-        assert!(snap.collapsed_text().contains("sweep;runner/task 2\n"));
+        assert!(snap.collapsed_text().contains("runner/task;runner/run 2\n"));
         assert_eq!(snap.overhead.samples, 4);
+    }
+
+    /// A driver holding only its `sweep` root is waiting, not working:
+    /// the sampler folds nothing for it, but still folds a sweep frame
+    /// with work under it, and the span itself is still recorded.
+    #[test]
+    fn idle_sweep_root_is_not_sampled() {
+        let wall = Wall::with_threads(1);
+        let t = wall.thread(0).expect("claim");
+        let root = t.enter(Family::Sweep);
+        assert_eq!(wall.sample_stacks(), 0, "bare sweep root skipped");
+        let task = t.enter(Family::Task);
+        assert_eq!(wall.sample_stacks(), 1, "sweep with work under it");
+        t.exit(task);
+        t.exit(root);
+        let snap = wall.snapshot();
+        assert_eq!(snap.collapsed_text(), "sweep;runner/task 1\n");
+        assert_eq!(snap.overhead.samples, 2);
+        assert!(wall.spans().iter().any(|s| s.family == Family::Sweep));
     }
 
     #[test]

@@ -57,6 +57,7 @@ impl Workload for CircularWorkload {
         "circular"
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         let e = self.pos;
         self.pos = (self.pos + 1) % self.n;
@@ -128,6 +129,7 @@ impl Workload for HalfRandomWorkload {
         "half_random"
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         if self.in_burst == self.m {
             self.in_burst = 0;

@@ -120,12 +120,14 @@ impl CodeFeed {
     }
 
     /// Credits `instrs` retired instructions toward future fetches.
+    #[inline]
     pub fn charge(&mut self, instrs: u64) {
         self.credit += instrs;
     }
 
     /// Returns the next pending instruction fetch, if the credited
     /// instructions have crossed into a new code line.
+    #[inline]
     pub fn next_ifetch(&mut self) -> Option<Access> {
         if self.credit < INSTRS_PER_LINE {
             return None;
@@ -159,13 +161,8 @@ impl CodeFeed {
                     if *repeats_left > 0 {
                         *repeats_left -= 1;
                     } else {
-                        // Move to another function.
-                        *current = if rng.chance(params.hot_permille, 1000) {
-                            rng.below(*hot_count as u64) as usize
-                        } else {
-                            rng.below(funcs.len() as u64) as usize
-                        };
-                        *repeats_left = rng.burst_len(params.loop_repeat_mean) - 1;
+                        (*current, *repeats_left) =
+                            next_function(rng, params, *hot_count, funcs.len());
                     }
                 }
                 l
@@ -173,6 +170,24 @@ impl CodeFeed {
         };
         Some(Access::ifetch(Addr::new(CODE_BASE + line * 64)))
     }
+}
+
+/// The code walk's move to another function: the callee's index and
+/// how many more times its body repeats. Runs once per function body
+/// walked, so it stays out of the per-fetch path.
+#[inline(never)]
+fn next_function(
+    rng: &mut Rng,
+    params: &CodeWalkParams,
+    hot_count: usize,
+    func_count: usize,
+) -> (usize, u64) {
+    let current = if rng.chance(params.hot_permille, 1000) {
+        rng.below(hot_count as u64) as usize
+    } else {
+        rng.below(func_count as u64) as usize
+    };
+    (current, rng.burst_len(params.loop_repeat_mean) - 1)
 }
 
 /// Parameters of a code-heavy benchmark model: a big code walk plus a
@@ -220,6 +235,7 @@ impl Workload for CodeHeavyWorkload {
         self.name
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         if let Some(f) = self.code.next_ifetch() {
             return f;
@@ -230,6 +246,7 @@ impl Workload for CodeHeavyWorkload {
         a
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         self.budget.total()
     }

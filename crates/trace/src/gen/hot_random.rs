@@ -92,16 +92,19 @@ impl HotRandomWorkload {
         }
     }
 
+    #[inline]
     fn hot_lines(&self) -> u64 {
         self.params.hot_bytes / 64
     }
 
     /// Byte address of the `line`-th line of the (possibly sliding)
     /// hot window.
+    #[inline]
     fn hot_addr(&self, line: u64) -> u64 {
         region_base(self.params.region) + (self.window_base + line) * 64
     }
 
+    #[inline(always)]
     fn data_addr(&mut self) -> u64 {
         if self.params.slide_every > 0 {
             self.since_slide += 1;
@@ -126,24 +129,37 @@ impl HotRandomWorkload {
             return addr;
         }
         if self.params.cold_bytes > 0 && self.rng.chance(self.params.cold_ppm, 1_000_000) {
-            // Cold excursion: the cold region lives past the hot
-            // region's maximum extent (window slides are bounded well
-            // below 1 GiB in any practical run).
-            let base = region_base(self.params.region);
-            let cold_lines = self.params.cold_bytes / 64;
-            let line = (1 << 22) + self.rng.below(cold_lines);
-            return base + line * 64;
+            return self.cold_addr();
         }
         let line = self.rng.below(self.hot_lines());
         if self.rng.chance(self.params.seq_run_permille, 1000) {
-            let len = self.rng.burst_len(self.params.run_lines_mean);
-            let mut start = line + 1;
-            if start == self.hot_lines() {
-                start = 0;
-            }
-            self.run = Some((start, len));
+            self.start_run(line);
         }
         self.hot_addr(line)
+    }
+
+    /// A cold excursion: the cold region lives past the hot region's
+    /// maximum extent (window slides are bounded well below 1 GiB in
+    /// any practical run).
+    #[cold]
+    #[inline(never)]
+    fn cold_addr(&mut self) -> u64 {
+        let base = region_base(self.params.region);
+        let cold_lines = self.params.cold_bytes / 64;
+        let line = (1 << 22) + self.rng.below(cold_lines);
+        base + line * 64
+    }
+
+    /// Starts a sequential run just past `line`. Drawing the run's
+    /// length loops, so it stays out of the per-access path.
+    #[inline(never)]
+    fn start_run(&mut self, line: u64) {
+        let len = self.rng.burst_len(self.params.run_lines_mean);
+        let mut start = line + 1;
+        if start == self.hot_lines() {
+            start = 0;
+        }
+        self.run = Some((start, len));
     }
 }
 
@@ -152,6 +168,11 @@ impl Workload for HotRandomWorkload {
         self.name
     }
 
+    // `always`, here and on `data_addr`: with a plain hint, LLVM keeps
+    // these bodies out of line in both `fill_block` loops that run them
+    // (this engine's and code-heavy's), and the RNG state goes through
+    // memory per event.
+    #[inline(always)]
     fn next_access(&mut self) -> Access {
         if let Some(f) = self.code.next_ifetch() {
             return f;
@@ -166,6 +187,7 @@ impl Workload for HotRandomWorkload {
         }
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         self.budget.total()
     }

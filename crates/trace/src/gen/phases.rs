@@ -86,11 +86,13 @@ impl BlockPhaseWorkload {
     }
 
     /// The byte base of the block currently being processed.
+    #[inline]
     pub fn current_block_base(&self) -> u64 {
         // Blocks live in one region, spaced a block apart.
         region_base(0) + self.block * self.params.block_bytes
     }
 
+    #[inline]
     fn next_data_addr(&mut self) -> u64 {
         let base = self.current_block_base();
         if self.rng.chance(self.params.random_permille, 1000) {
@@ -99,14 +101,22 @@ impl BlockPhaseWorkload {
         let addr = base + self.offset;
         self.offset += self.params.stride;
         if self.offset >= self.params.block_bytes {
-            self.offset = 0;
-            self.pass += 1;
-            if self.pass == self.params.passes_per_block {
-                self.pass = 0;
-                self.block = (self.block + 1) % self.params.blocks;
-            }
+            self.next_pass();
         }
         addr
+    }
+
+    /// Starts the next pass over the block, moving to the next block
+    /// after the last pass. Runs once per pass.
+    #[cold]
+    #[inline(never)]
+    fn next_pass(&mut self) {
+        self.offset = 0;
+        self.pass += 1;
+        if self.pass == self.params.passes_per_block {
+            self.pass = 0;
+            self.block = (self.block + 1) % self.params.blocks;
+        }
     }
 }
 
@@ -115,6 +125,7 @@ impl Workload for BlockPhaseWorkload {
         self.name
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         if let Some(f) = self.code.next_ifetch() {
             return f;
@@ -129,6 +140,7 @@ impl Workload for BlockPhaseWorkload {
         }
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         self.budget.total()
     }

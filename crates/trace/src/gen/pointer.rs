@@ -138,10 +138,15 @@ impl PointerRingWorkload {
         self.live * self.params.node_lines * 64
     }
 
+    #[inline]
     fn node_addr(&self, node: u32) -> u64 {
         region_base(0) + node as u64 * self.params.node_lines * 64
     }
 
+    /// Wraps the traversal to the next pass: grows the live set and
+    /// relinks on schedule. Runs once per pass, off the per-node path.
+    #[cold]
+    #[inline(never)]
     fn end_of_pass(&mut self) {
         self.pass += 1;
         if let Some(g) = self.params.growth {
@@ -156,6 +161,7 @@ impl PointerRingWorkload {
         }
     }
 
+    #[inline]
     fn remember(&mut self, node: u32) {
         let window = match self.params.revisit {
             Some((_, w)) => w as usize,
@@ -165,10 +171,16 @@ impl PointerRingWorkload {
             self.recent.push(node);
         } else {
             self.recent[self.recent_at] = node;
-            self.recent_at = (self.recent_at + 1) % window;
+            // `recent_at < window` always, so a compare replaces the
+            // modulo: this runs once per node step.
+            self.recent_at += 1;
+            if self.recent_at == window {
+                self.recent_at = 0;
+            }
         }
     }
 
+    #[inline]
     fn next_data_addr(&mut self) -> u64 {
         if self.line_in_node == 0 {
             if let Some((pm, _)) = self.params.revisit {
@@ -206,6 +218,7 @@ impl Workload for PointerRingWorkload {
         self.name
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         if let Some(f) = self.code.next_ifetch() {
             return f;
@@ -221,6 +234,7 @@ impl Workload for PointerRingWorkload {
         }
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         self.budget.total()
     }

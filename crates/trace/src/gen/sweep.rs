@@ -102,6 +102,7 @@ impl SweepWorkload {
         self.params.strides[(self.pass as usize) % self.params.strides.len()]
     }
 
+    #[inline]
     fn advance(&mut self) -> u64 {
         let size = self.params.arrays[self.array];
         let addr = self.bases[self.array] + self.offset;
@@ -110,15 +111,23 @@ impl SweepWorkload {
         // integer division on every access.
         self.offset += self.cur_stride;
         if self.offset >= size {
-            self.offset = 0;
-            self.array += 1;
-            if self.array == self.params.arrays.len() {
-                self.array = 0;
-                self.pass += 1;
-                self.cur_stride = self.stride();
-            }
+            self.next_array();
         }
         addr
+    }
+
+    /// Moves the sweep to the start of the next array, wrapping to the
+    /// next pass after the last. Runs once per array swept.
+    #[cold]
+    #[inline(never)]
+    fn next_array(&mut self) {
+        self.offset = 0;
+        self.array += 1;
+        if self.array == self.params.arrays.len() {
+            self.array = 0;
+            self.pass += 1;
+            self.cur_stride = self.stride();
+        }
     }
 }
 
@@ -127,6 +136,7 @@ impl Workload for SweepWorkload {
         self.name
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         if let Some(f) = self.code.next_ifetch() {
             return f;
@@ -148,6 +158,7 @@ impl Workload for SweepWorkload {
         }
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         self.budget.total()
     }

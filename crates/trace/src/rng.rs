@@ -63,6 +63,7 @@ impl Rng {
     }
 
     /// The next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -81,16 +82,29 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
-            let lo = m as u64;
-            if lo >= bound || lo >= bound.wrapping_neg() % bound {
-                return (m >> 64) as u64;
-            }
+        let m = (self.next_u64() as u128).wrapping_mul(bound as u128);
+        // `lo >= bound` accepts without computing the rejection
+        // threshold, which is below `bound`: nearly every draw ends here.
+        if m as u64 >= bound {
+            return (m >> 64) as u64;
         }
+        self.below_slow(bound, m)
+    }
+
+    /// The rest of [`below`](Self::below) after a draw whose low word
+    /// fell under `bound`: accept it if it clears the threshold,
+    /// otherwise redraw until one does.
+    #[cold]
+    #[inline(never)]
+    fn below_slow(&mut self, bound: u64, mut m: u128) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        while (m as u64) < threshold {
+            m = (self.next_u64() as u128).wrapping_mul(bound as u128);
+        }
+        (m >> 64) as u64
     }
 
     /// A uniform value in `[lo, hi)`.
@@ -108,6 +122,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `den == 0`.
+    #[inline]
     pub fn chance(&mut self, num: u64, den: u64) -> bool {
         assert!(den > 0);
         self.below(den) < num

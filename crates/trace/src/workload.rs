@@ -50,7 +50,18 @@ pub trait Workload {
     ///
     /// This is a provided method: each concrete workload monomorphizes
     /// its own copy, so a `dyn Workload` caller pays one virtual call
-    /// per *block* and the generator loop runs devirtualized inside.
+    /// per *block*. The loop inside is only as fast as what inlines
+    /// into it. An engine keeps its loop one flat body by marking
+    /// `next_access` `#[inline]`, together with every helper that runs
+    /// per event: its address step, [`CodeFeed`]'s fetch and charge,
+    /// [`InstrBudget::step`], and the [`Rng`] draws. Helpers for rare
+    /// branches, such as a pass wrap, a relink shuffle or the code
+    /// walk's switch to a new function, stay out of line. An engine
+    /// does not override this method: `next_access` is its one event
+    /// body, and `tests/streams.rs` pins both paths to one digest.
+    ///
+    /// [`CodeFeed`]: crate::gen::CodeFeed
+    /// [`Rng`]: crate::Rng
     fn fill_block(&mut self, buf: &mut Vec<WorkloadEvent>, until: u64, max_events: usize) -> usize {
         let mut filled = 0;
         while filled < max_events && self.instructions() < until {
@@ -79,23 +90,30 @@ pub struct WorkloadEvent {
 /// A boxed, owned workload.
 pub type BoxedWorkload = Box<dyn Workload + Send>;
 
+/// Every method forwards through the vtable. The forwards are
+/// `#[inline]` so a caller holding a box pays the one virtual call and
+/// nothing more.
 impl Workload for BoxedWorkload {
+    #[inline]
     fn name(&self) -> &str {
         (**self).name()
     }
 
+    #[inline]
     fn next_access(&mut self) -> Access {
         (**self).next_access()
     }
 
+    #[inline]
     fn instructions(&self) -> u64 {
         (**self).instructions()
     }
 
     // Forwarded explicitly: without this, the box would run the
-    // *default* body here — one virtual `next_access` per event —
+    // *default* body here, one virtual `next_access` per event,
     // instead of dispatching once into the concrete workload's
-    // monomorphized block filler.
+    // monomorphized loop, where `next_access` inlines.
+    #[inline]
     fn fill_block(&mut self, buf: &mut Vec<WorkloadEvent>, until: u64, max_events: usize) -> usize {
         (**self).fill_block(buf, until, max_events)
     }
@@ -143,6 +161,7 @@ impl InstrBudget {
 
     /// Advances by one access; returns the integer number of instructions
     /// charged for it.
+    #[inline]
     pub fn step(&mut self) -> u64 {
         self.acc_x256 += self.per_access_x256;
         let instrs = self.acc_x256 >> 8;
@@ -152,11 +171,13 @@ impl InstrBudget {
     }
 
     /// Charges extra instructions (e.g. for a computation-only phase).
+    #[inline]
     pub fn charge(&mut self, instrs: u64) {
         self.total += instrs;
     }
 
     /// Total instructions charged so far.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.total
     }

@@ -10,7 +10,7 @@
 mod common;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use execution_migration::experiments::runner::{parallel_map_observed, Obs, BEAT_PERIOD_INSTR};
@@ -253,6 +253,61 @@ fn wall_only_sweep_records_one_machine_block_per_task() {
             "machine/block parents to runner/run"
         );
     }
+}
+
+/// The folded stacks show work only. A driver holding its `sweep` root
+/// while it joins its workers folds no bare `sweep` line; the workers'
+/// `runner/task;runner/run` stacks still fold. Each task waits inside
+/// `runner/run` until the sampler has passed over it twice, so both
+/// stacks are live under the sampler whatever the host's speed.
+#[test]
+fn folded_stacks_skip_the_idle_sweep_driver() {
+    let threads = 2;
+    let recorder = Wall::with_threads(threads + 1);
+    assert!(wall::attach(&recorder, threads), "driver slot");
+    let passes = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                recorder.sample_stacks();
+                passes.fetch_add(1, Ordering::AcqRel);
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let _stop = StopOnDrop(&done);
+        let _sweep = wall::span(Family::Sweep);
+        parallel_map_observed(
+            vec![(); 4],
+            threads,
+            Obs::new(None, Some(&recorder)),
+            |(), _| {
+                let entered = passes.load(Ordering::Acquire);
+                while passes.load(Ordering::Acquire) < entered + 2 {
+                    std::thread::yield_now();
+                }
+            },
+        );
+    });
+    wall::detach();
+
+    let folded = recorder.snapshot().collapsed_text();
+    let stacks: Vec<&str> = folded
+        .lines()
+        .filter_map(|line| line.rsplit_once(' ').map(|(stack, _)| stack))
+        .collect();
+    assert!(
+        !stacks.contains(&"sweep"),
+        "the idle driver was folded:\n{folded}"
+    );
+    assert!(
+        stacks.contains(&"runner/task;runner/run"),
+        "no working stack folded:\n{folded}"
+    );
+    assert!(
+        recorder.spans().iter().any(|s| s.family == Family::Sweep),
+        "the sweep span is still recorded"
+    );
 }
 
 /// Asserts that `sweep(threads, obs)`, a sweep's rows as the JSON its
