@@ -1,5 +1,5 @@
 //! The combined perf-trajectory suite: caches + gen + table1 +
-//! l1_replay + table2 kernels in one run, exported as `BENCH_<n>.json`
+//! l1_replay + machine + table2 kernels in one run, exported as `BENCH_<n>.json`
 //! by the CI bench job (`cargo bench -p execmig-bench --bench suite --
 //! --quick --json-out BENCH_<n>.json`).
 
@@ -14,6 +14,7 @@ fn main() {
     kernels::bench_gen(&mut c);
     kernels::bench_table1(&mut c);
     kernels::bench_l1_replay(&mut c);
+    kernels::bench_machine(&mut c);
     kernels::bench_table2(&mut c);
     c.finish();
 }

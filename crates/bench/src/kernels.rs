@@ -2,7 +2,7 @@
 //! bench targets and the combined `suite` target that exports
 //! `BENCH_<n>.json` for the CI perf gate.
 //!
-//! Five kernels cover the simulator's cost structure end to end:
+//! Six kernels cover the simulator's cost structure end to end:
 //!
 //! - `caches` — the [`execmig_cache::Cache`] per-reference hot path
 //!   (fused lookup+fill via [`Cache::access`]), plus the
@@ -13,6 +13,9 @@
 //!   L1 filter (the front half of every experiment);
 //! - `l1_replay` — the same L1 filter over a pre-generated access
 //!   buffer, so the generator is off the clock;
+//! - `machine` — the machine alone (caches + coherence + controller)
+//!   over a pre-generated event buffer, under every configuration:
+//!   baseline, migration mode, MESI and Dragon;
 //! - `table2` — the full machine (caches + coherence + controller) per
 //!   simulated instruction, baseline vs migration mode.
 
@@ -20,7 +23,7 @@ use crate::harness::Runner;
 use crate::{workload, LineStream};
 use execmig_cache::{Cache, CacheConfig, FullyAssocLru, LruStack};
 use execmig_experiments::l1filter::L1Filter;
-use execmig_machine::{Machine, MachineConfig};
+use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::{LineAddr, LineSize, Workload, WorkloadEvent};
 use std::hint::black_box;
 
@@ -169,6 +172,62 @@ pub fn bench_l1_replay(c: &mut Runner) {
                 },
             );
         });
+    }
+    g.finish();
+}
+
+/// Instructions simulated per `machine` kernel iteration.
+pub const MACHINE_INSTRS: u64 = 1_000_000;
+
+/// The machine configurations the `machine` kernels time: the
+/// single-core baseline and the paper's four-core machine under each
+/// coherence backend.
+fn machine_configs() -> [(&'static str, MachineConfig); 4] {
+    let four = |protocol| MachineConfig {
+        protocol,
+        ..MachineConfig::four_core_migration()
+    };
+    [
+        ("base", MachineConfig::single_core()),
+        ("mig", four(Protocol::MigrationMode)),
+        ("mesi", four(Protocol::Mesi)),
+        ("dragon", four(Protocol::Dragon)),
+    ]
+}
+
+/// The machine alone: each benchmark's first [`MACHINE_INSTRS`]
+/// instructions are generated once, off the clock, into blocks of
+/// [`Machine::BLOCK_EVENTS`] events, and every sample replays them
+/// through a fresh machine with `run_block` — the generator stays off
+/// the clock, as in `l1_replay`.
+pub fn bench_machine(c: &mut Runner) {
+    let mut g = c.benchmark_group("machine");
+    g.throughput(MACHINE_INSTRS);
+    g.sample_size(10);
+
+    for name in ["art", "em3d"] {
+        let mut w = workload(name);
+        let mut blocks: Vec<Vec<WorkloadEvent>> = Vec::new();
+        loop {
+            let mut buf = Vec::with_capacity(Machine::BLOCK_EVENTS);
+            if w.fill_block(&mut buf, MACHINE_INSTRS, Machine::BLOCK_EVENTS) == 0 {
+                break;
+            }
+            blocks.push(buf);
+        }
+        for (cfg, config) in machine_configs() {
+            g.bench_function(format!("{cfg}/{name}/1M_instr"), |b| {
+                b.iter_batched_ref(
+                    || Machine::new(config.clone()),
+                    |m| {
+                        for block in &blocks {
+                            m.run_block(block);
+                        }
+                        black_box(m.stats().l2_misses)
+                    },
+                );
+            });
+        }
     }
     g.finish();
 }

@@ -39,7 +39,7 @@ pub mod fully_assoc;
 pub mod profile;
 pub mod stack;
 
-pub use cache::{AccessOutcome, Cache, CacheConfig, Evicted, FillIfAbsent, Indexing};
+pub use cache::{AccessOutcome, Cache, CacheConfig, Evicted, Indexing, Probe};
 pub use fully_assoc::FullyAssocLru;
 pub use profile::StackProfile;
 pub use stack::LruStack;

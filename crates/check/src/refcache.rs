@@ -325,13 +325,15 @@ impl RefCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use execmig_cache::{Cache, FillIfAbsent};
+    use execmig_cache::{Cache, Probe};
 
     fn configs() -> Vec<CacheConfig> {
         vec![
+            CacheConfig::set_associative(1 << 10, 1, 64), // direct-mapped
             CacheConfig::set_associative(1 << 10, 2, 64),
             CacheConfig::set_associative(4 << 10, 4, 64),
             CacheConfig::skewed(8 << 10, 4, 64),
+            CacheConfig::skewed(16 << 10, 8, 64),
             CacheConfig::set_associative(1 << 10, 16, 64), // fully associative
         ]
     }
@@ -373,11 +375,16 @@ mod tests {
                         );
                     }
                     3 => {
-                        let a = fast.fill_if_absent(line, m);
+                        // A probe that fills only on a miss, into the
+                        // victim it chose.
+                        let a = match fast.probe_at(line) {
+                            Probe::Hit(_) => None,
+                            Probe::Miss(victim) => Some(fast.fill_at(victim, line, m)),
+                        };
                         let b = naive.fill_if_absent(line, m);
                         match (a, b) {
-                            (FillIfAbsent::Present, None) => {}
-                            (FillIfAbsent::Filled(ea), Some(eb)) => assert_eq!(
+                            (None, None) => {}
+                            (Some(ea), Some(eb)) => assert_eq!(
                                 ea.map(|e| (e.line, e.modified)),
                                 eb.map(|e| (e.line, e.modified)),
                                 "fill_if_absent eviction step {i}"
@@ -390,14 +397,23 @@ mod tests {
                         naive.set_modified(line, m),
                         "set_modified step {i}"
                     ),
-                    5 => assert_eq!(
-                        fast.set_shared(line, m),
-                        naive.set_shared(line, m),
-                        "set_shared step {i}"
+                    5 => {
+                        let found = fast.find_at(line);
+                        if let Some(f) = found {
+                            fast.set_shared_at(f, m);
+                        }
+                        let hit = naive.set_shared(line, m);
+                        assert_eq!(found.is_some(), hit, "set_shared step {i}")
+                    }
+                    6 => assert_eq!(
+                        fast.find_at(line).map(|f| fast.shared_at(f)),
+                        naive.shared(line),
+                        "shared step {i}"
                     ),
-                    6 => assert_eq!(fast.shared(line), naive.shared(line), "shared step {i}"),
                     7 => assert_eq!(
-                        fast.invalidate(line).map(|e| (e.line, e.modified)),
+                        fast.find_at(line)
+                            .map(|f| fast.invalidate_at(f))
+                            .map(|e| (e.line, e.modified)),
                         naive.invalidate(line).map(|e| (e.line, e.modified)),
                         "invalidate step {i}"
                     ),

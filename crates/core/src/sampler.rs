@@ -59,10 +59,12 @@ impl Sampler {
         self.sampled_below
     }
 
-    /// `H(e) = e mod 31`, computed via the 5-bit block decomposition the
-    /// paper proposes for hardware.
+    /// `H(e) = e mod 31`. Software computes the remainder directly (a
+    /// constant divisor compiles to a multiply and shift); it equals the
+    /// 5-bit block sum [`mod31_blocks`] the paper proposes for hardware.
+    #[inline]
     pub fn hash(&self, line: u64) -> u64 {
-        mod31_blocks(line)
+        line % MODULUS
     }
 
     /// True if `line` participates in the affinity mechanisms.
@@ -83,7 +85,9 @@ impl Default for Sampler {
 }
 
 /// `e mod 31` via 5-bit blocks: because `2^5 ≡ 1 (mod 31)`, summing the
-/// 5-bit digits preserves the residue; iterate until the sum fits.
+/// 5-bit digits preserves the residue; iterate until the sum fits. This
+/// is the paper's hardware form (a carry-save adder and a small ROM);
+/// [`Sampler::hash`] computes the same value with a remainder.
 pub fn mod31_blocks(e: u64) -> u64 {
     let mut v = e;
     // Note `> 31`, not `>= 31`: 31 is a fixed point of the digit sum
@@ -116,6 +120,24 @@ mod tests {
         }
         for e in [u64::MAX, u64::MAX - 1, 1 << 63, 0x1f, 31, 32, 961] {
             assert_eq!(mod31_blocks(e), e % 31, "e = {e}");
+        }
+    }
+
+    #[test]
+    fn hash_equals_the_hardware_block_sum_on_random_lines() {
+        let s = Sampler::quarter();
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        for _ in 0..100_000 {
+            // SplitMix64: full-width values, high bits included.
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            assert_eq!(s.hash(z), mod31_blocks(z), "line {z:#x}");
+        }
+        for e in 0..100_000u64 {
+            assert_eq!(s.hash(e), mod31_blocks(e), "line {e}");
         }
     }
 

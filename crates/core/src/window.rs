@@ -87,7 +87,11 @@ impl RWindow {
         } else {
             let old = self.entries[self.at];
             self.entries[self.at] = (element, i_e);
-            self.at = (self.at + 1) % self.capacity;
+            // Wrap the circular pointer with a compare, not a divide.
+            self.at += 1;
+            if self.at == self.capacity {
+                self.at = 0;
+            }
             Some(old)
         }
     }

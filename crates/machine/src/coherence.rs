@@ -44,7 +44,7 @@
 //!   visible in `l3_fetches`/`l2_to_l2_forwards`/`l3_writebacks` and is
 //!   deliberately not double-counted here.
 
-use execmig_cache::Cache;
+use execmig_cache::{Cache, Probe};
 use execmig_obs::{Json, ToJson};
 use execmig_trace::LineAddr;
 
@@ -101,6 +101,11 @@ impl ToJson for Protocol {
 /// L2s, the optional L3, and the stats block. The L1s, controller,
 /// event ring, and update bus stay protocol-independent and remain in
 /// `Machine`.
+///
+/// Hooks probe each cache at most once per transaction: a remote copy
+/// is found once with `Cache::find_at` and edited by frame, and the
+/// active L2's miss fill goes to the victim frame the machine's own
+/// lookup chose.
 #[derive(Debug)]
 pub struct CoherenceCtx<'a> {
     /// Index of the core executing the access.
@@ -120,18 +125,22 @@ impl CoherenceCtx<'_> {
         self.stats.l3_fetches += 1;
         // With a finite L3, a fetch that misses it goes to memory.
         if let Some(l3) = self.l3.as_deref_mut() {
-            if !l3.lookup(line) {
-                self.stats.l3_misses += 1;
-                l3.fill(line, false);
+            match l3.probe_at(line) {
+                Probe::Hit(f) => l3.touch_at(f, false),
+                Probe::Miss(victim) => {
+                    self.stats.l3_misses += 1;
+                    l3.fill_at(victim, line, false);
+                }
             }
         }
     }
 
-    /// Fills `line` into the active L2 and retires the victim: a
-    /// modified victim is written back *and installed* into the finite
-    /// L3; a clean victim is dropped silently.
-    fn fill_active(&mut self, line: LineAddr, modified: bool) {
-        if let Some(evicted) = self.l2[self.active].fill(line, modified) {
+    /// Fills `line` into frame `victim` of the active L2 and retires
+    /// the line it held: a modified victim is written back *and
+    /// installed* into the finite L3; a clean victim is dropped
+    /// silently.
+    fn fill_active(&mut self, victim: usize, line: LineAddr, modified: bool) {
+        if let Some(evicted) = self.l2[self.active].fill_at(victim, line, modified) {
             if evicted.modified {
                 self.stats.l3_writebacks += 1;
                 // The write-back installs the line in the finite L3.
@@ -149,15 +158,18 @@ impl CoherenceCtx<'_> {
 pub trait CoherenceProtocol {
     /// Serves an L2 miss for `line` on the active core: source the data
     /// (remote L2 or L3), adjust remote copies, fill the active L2 in
-    /// the right state, and retire the fill victim. `store` is true for
-    /// the write-allocate path.
-    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, store: bool);
+    /// the right state, and retire the fill victim. `victim` is the
+    /// frame the active L2's miss probe chose (`Probe::Miss`); hooks
+    /// touch only remote L2s and the L3 before filling it, so it is
+    /// still the frame a line-keyed fill would pick. `store` is true
+    /// for the write-allocate path.
+    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool);
 
     /// Applies a store that hit the active L2 (the upgrade path).
     /// `frame` is the line's frame index in `ctx.l2[ctx.active]` as
-    /// returned by the hit probe (`Cache::lookup_at`), so the hook can
-    /// edit the active copy's state without re-scanning the set; it is
-    /// valid as long as the hook fills nothing into the active L2.
+    /// returned by the hit probe (`Probe::Hit`), so the hook can edit
+    /// the active copy's state without re-scanning the set; it is valid
+    /// as long as the hook fills nothing into the active L2.
     fn write_hit(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, frame: usize);
 
     /// Post-store bus work that runs after every store, hit or miss
@@ -184,12 +196,15 @@ pub trait CoherenceProtocol {
 pub struct MigrationMode;
 
 impl CoherenceProtocol for MigrationMode {
-    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, store: bool) {
+    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool) {
         let active = ctx.active;
         let mut forwarded = false;
         for (c, l2) in ctx.l2.iter_mut().enumerate() {
-            if c != active && l2.modified(line) == Some(true) {
-                l2.set_modified(line, false);
+            if c == active {
+                continue;
+            }
+            if let Some(f) = l2.find_at(line).filter(|&f| l2.modified_at(f)) {
+                l2.set_modified_at(f, false);
                 ctx.stats.l2_to_l2_forwards += 1;
                 ctx.stats.l3_writebacks += 1;
                 forwarded = true;
@@ -199,7 +214,7 @@ impl CoherenceProtocol for MigrationMode {
         if !forwarded {
             ctx.fetch_from_l3(line);
         }
-        ctx.fill_active(line, store);
+        ctx.fill_active(victim, line, store);
     }
 
     fn write_hit(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, frame: usize) {
@@ -232,7 +247,7 @@ impl CoherenceProtocol for MigrationMode {
 pub struct Mesi;
 
 impl CoherenceProtocol for Mesi {
-    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, store: bool) {
+    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool) {
         let active = ctx.active;
         if store {
             // BusRdX: every remote copy is invalidated. A modified
@@ -245,7 +260,8 @@ impl CoherenceProtocol for Mesi {
                 if c == active {
                     continue;
                 }
-                if let Some(ev) = l2.invalidate(line) {
+                if let Some(f) = l2.find_at(line) {
+                    let ev = l2.invalidate_at(f);
                     killed += 1;
                     if ev.modified {
                         ctx.stats.l2_to_l2_forwards += 1;
@@ -268,7 +284,7 @@ impl CoherenceProtocol for Mesi {
                 ctx.fetch_from_l3(line);
             }
             // The requester ends in M: modified, unshared.
-            ctx.fill_active(line, true);
+            ctx.fill_active(victim, line, true);
         } else {
             // BusRd: a modified owner does M→S with a flush (forward +
             // write-back); otherwise the first clean copy supplies the
@@ -280,12 +296,12 @@ impl CoherenceProtocol for Mesi {
                 if c == active {
                     continue;
                 }
-                if !l2.contains(line) {
+                let Some(f) = l2.find_at(line) else {
                     continue;
-                }
+                };
                 any_copy = true;
-                if l2.modified(line) == Some(true) {
-                    l2.set_modified(line, false);
+                if l2.modified_at(f) {
+                    l2.set_modified_at(f, false);
                     ctx.stats.l2_to_l2_forwards += 1;
                     ctx.stats.l3_writebacks += 1;
                     if let Some(l3) = ctx.l3.as_deref_mut() {
@@ -296,14 +312,14 @@ impl CoherenceProtocol for Mesi {
                     ctx.stats.l2_to_l2_forwards += 1;
                     supplied = true;
                 }
-                l2.set_shared(line, true);
+                l2.set_shared_at(f, true);
             }
             if !supplied {
                 ctx.fetch_from_l3(line);
             }
-            ctx.fill_active(line, false);
+            ctx.fill_active(victim, line, false);
             // S if anyone else holds it, E otherwise.
-            ctx.l2[active].set_shared(line, any_copy);
+            ctx.l2[active].set_shared_at(victim, any_copy);
         }
     }
 
@@ -316,7 +332,11 @@ impl CoherenceProtocol for Mesi {
             // `frame` stays valid.
             ctx.stats.coherence_bus_bytes += ADDR_BYTES;
             for (c, l2) in ctx.l2.iter_mut().enumerate() {
-                if c != active && l2.invalidate(line).is_some() {
+                if c == active {
+                    continue;
+                }
+                if let Some(f) = l2.find_at(line) {
+                    l2.invalidate_at(f);
                     ctx.stats.invalidations += 1;
                 }
             }
@@ -342,75 +362,76 @@ impl CoherenceProtocol for Mesi {
 pub struct Dragon;
 
 impl Dragon {
-    /// `BusUpd`: broadcast the written word. Remote copies snarf it
-    /// (and a remote owner degrades Sm→Sc); the writer ends Sm if a
-    /// sharer remains, M otherwise — the snoop result stands in for
-    /// the shared-line bus wire.
-    fn bus_update(ctx: &mut CoherenceCtx<'_>, line: LineAddr) {
+    /// `BusUpd` from a write hit on the active copy in `frame`:
+    /// broadcast the written word. Remote copies snarf it (and a remote
+    /// owner degrades Sm→Sc); the writer ends Sm if a sharer remains, M
+    /// otherwise — the snoop result stands in for the shared-line bus
+    /// wire.
+    fn bus_update(ctx: &mut CoherenceCtx<'_>, line: LineAddr, frame: usize) {
         let active = ctx.active;
         let mut sharers = false;
         for (c, l2) in ctx.l2.iter_mut().enumerate() {
             if c == active {
                 continue;
             }
-            if l2.contains(line) {
-                l2.set_modified(line, false);
-                l2.set_shared(line, true);
+            if let Some(f) = l2.find_at(line) {
+                l2.set_modified_at(f, false);
+                l2.set_shared_at(f, true);
                 ctx.stats.coherence_updates += 1;
                 sharers = true;
             }
         }
-        ctx.l2[active].set_modified(line, true);
+        ctx.l2[active].set_modified_at(frame, true);
+        ctx.l2[active].set_shared_at(frame, sharers);
         if sharers {
             ctx.stats.coherence_bus_bytes += ADDR_BYTES + UPDATE_WORD_BYTES;
-            ctx.l2[active].set_shared(line, true);
-        } else {
-            ctx.l2[active].set_shared(line, false);
         }
     }
 }
 
 impl CoherenceProtocol for Dragon {
-    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, store: bool) {
+    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool) {
         let active = ctx.active;
         // BusRd: a dirty owner (M or Sm) supplies the line and stays
         // dirty-shared — no memory write-back (Dragon's hallmark).
-        // Clean copies do not supply; memory (L3) does.
+        // Clean copies do not supply; memory (L3) does. A write miss is
+        // BusRd + BusUpd: in the same snoop each copy also snarfs the
+        // written word, so the old owner loses ownership (Sm→Sc) to the
+        // writer, which ends Sm — or M if no copy exists.
         let mut supplied = false;
         let mut any_copy = false;
         for (c, l2) in ctx.l2.iter_mut().enumerate() {
             if c == active {
                 continue;
             }
-            if l2.contains(line) {
-                any_copy = true;
-                if !supplied && l2.modified(line) == Some(true) {
-                    ctx.stats.l2_to_l2_forwards += 1;
-                    supplied = true;
-                }
-                l2.set_shared(line, true);
+            let Some(f) = l2.find_at(line) else {
+                continue;
+            };
+            any_copy = true;
+            if !supplied && l2.modified_at(f) {
+                ctx.stats.l2_to_l2_forwards += 1;
+                supplied = true;
+            }
+            l2.set_shared_at(f, true);
+            if store {
+                l2.set_modified_at(f, false);
+                ctx.stats.coherence_updates += 1;
             }
         }
         if !supplied {
             ctx.fetch_from_l3(line);
         }
-        ctx.fill_active(line, false);
-        ctx.l2[active].set_shared(line, any_copy);
-        if store {
-            if any_copy {
-                // Write miss = BusRd + BusUpd: the old owner loses
-                // ownership to the writer, which ends Sm.
-                Dragon::bus_update(ctx, line);
-            } else {
-                ctx.l2[active].set_modified(line, true);
-            }
+        ctx.fill_active(victim, line, store);
+        ctx.l2[active].set_shared_at(victim, any_copy);
+        if store && any_copy {
+            ctx.stats.coherence_bus_bytes += ADDR_BYTES + UPDATE_WORD_BYTES;
         }
     }
 
     fn write_hit(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, frame: usize) {
         let active = ctx.active;
         if ctx.l2[active].shared_at(frame) {
-            Dragon::bus_update(ctx, line);
+            Dragon::bus_update(ctx, line, frame);
         } else {
             // E→M / M→M: silent.
             ctx.l2[active].set_modified_at(frame, true);
@@ -428,11 +449,11 @@ impl CoherenceProtocol for Dragon {
 }
 
 impl CoherenceProtocol for Protocol {
-    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, store: bool) {
+    fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool) {
         match self {
-            Protocol::MigrationMode => MigrationMode.serve_miss(ctx, line, store),
-            Protocol::Mesi => Mesi.serve_miss(ctx, line, store),
-            Protocol::Dragon => Dragon.serve_miss(ctx, line, store),
+            Protocol::MigrationMode => MigrationMode.serve_miss(ctx, line, victim, store),
+            Protocol::Mesi => Mesi.serve_miss(ctx, line, victim, store),
+            Protocol::Dragon => Dragon.serve_miss(ctx, line, victim, store),
         }
     }
 
@@ -472,6 +493,39 @@ mod tests {
             .collect()
     }
 
+    /// The shared bit of `line` in `c`, if resident.
+    fn shared(c: &Cache, line: LineAddr) -> Option<bool> {
+        c.find_at(line).map(|f| c.shared_at(f))
+    }
+
+    /// Fills `line` into `c` in the given modified/shared state.
+    fn put(c: &mut Cache, line: LineAddr, modified: bool, shared: bool) {
+        c.fill(line, modified);
+        if let Some(f) = c.find_at(line) {
+            c.set_shared_at(f, shared);
+        }
+    }
+
+    /// The active L2's miss probe for `line`, as the machine runs it.
+    fn victim(c: &Cache, line: LineAddr) -> usize {
+        match c.probe_at(line) {
+            Probe::Miss(f) => f,
+            Probe::Hit(_) => panic!("{line:?} is resident"),
+        }
+    }
+
+    /// The active L2's hit probe for `line`, as the machine runs it: a
+    /// use, returning the frame.
+    fn hit(c: &mut Cache, line: LineAddr) -> usize {
+        match c.probe_at(line) {
+            Probe::Hit(f) => {
+                c.touch_at(f, false);
+                f
+            }
+            Probe::Miss(_) => panic!("{line:?} is not resident"),
+        }
+    }
+
     fn ctx<'a>(
         active: usize,
         l2: &'a mut [Cache],
@@ -500,12 +554,13 @@ mod tests {
         let mut stats = MachineStats::default();
         let line = LineAddr::new(7);
         l2[1].fill(line, false);
-        Mesi.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, true);
+        let v = victim(&l2[0], line);
+        Mesi.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, v, true);
         assert!(!l2[1].contains(line), "remote copy survived BusRdX");
         assert_eq!(stats.invalidations, 1);
         assert_eq!(stats.coherence_bus_bytes, ADDR_BYTES);
         assert_eq!(l2[0].modified(line), Some(true));
-        assert_eq!(l2[0].shared(line), Some(false));
+        assert_eq!(shared(&l2[0], line), Some(false));
         // Illinois: the clean remote copy supplied the data.
         assert_eq!(stats.l2_to_l2_forwards, 1);
         assert_eq!(stats.l3_fetches, 0);
@@ -517,10 +572,11 @@ mod tests {
         let mut stats = MachineStats::default();
         let line = LineAddr::new(9);
         l2[1].fill(line, true);
-        Mesi.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, false);
+        let v = victim(&l2[0], line);
+        Mesi.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, v, false);
         assert_eq!(l2[1].modified(line), Some(false), "owner must flush");
-        assert_eq!(l2[1].shared(line), Some(true));
-        assert_eq!(l2[0].shared(line), Some(true));
+        assert_eq!(shared(&l2[1], line), Some(true));
+        assert_eq!(shared(&l2[0], line), Some(true));
         assert_eq!((stats.l2_to_l2_forwards, stats.l3_writebacks), (1, 1));
         assert_eq!(stats.invalidations, 0, "reads never invalidate");
     }
@@ -530,16 +586,14 @@ mod tests {
         let mut l2 = two_l2s();
         let mut stats = MachineStats::default();
         let line = LineAddr::new(3);
-        l2[0].fill(line, false);
-        l2[0].set_shared(line, true);
-        l2[1].fill(line, false);
-        l2[1].set_shared(line, true);
-        let frame = l2[0].lookup_at(line).unwrap();
+        put(&mut l2[0], line, false, true);
+        put(&mut l2[1], line, false, true);
+        let frame = hit(&mut l2[0], line);
         Mesi.write_hit(&mut ctx(0, &mut l2, &mut stats), line, frame);
         assert!(!l2[1].contains(line));
         assert_eq!(stats.invalidations, 1);
         assert_eq!(l2[0].modified(line), Some(true));
-        assert_eq!(l2[0].shared(line), Some(false));
+        assert_eq!(shared(&l2[0], line), Some(false));
     }
 
     #[test]
@@ -547,16 +601,14 @@ mod tests {
         let mut l2 = two_l2s();
         let mut stats = MachineStats::default();
         let line = LineAddr::new(5);
-        l2[0].fill(line, false);
-        l2[0].set_shared(line, true);
-        l2[1].fill(line, true);
-        l2[1].set_shared(line, true); // remote owner in Sm
-        let frame = l2[0].lookup_at(line).unwrap();
+        put(&mut l2[0], line, false, true);
+        put(&mut l2[1], line, true, true); // remote owner in Sm
+        let frame = hit(&mut l2[0], line);
         Dragon.write_hit(&mut ctx(0, &mut l2, &mut stats), line, frame);
         assert!(l2[1].contains(line), "Dragon must not invalidate");
         assert_eq!(l2[1].modified(line), Some(false), "old owner → Sc");
         assert_eq!(l2[0].modified(line), Some(true), "writer → Sm");
-        assert_eq!(l2[0].shared(line), Some(true));
+        assert_eq!(shared(&l2[0], line), Some(true));
         assert_eq!(stats.coherence_updates, 1);
         assert_eq!(stats.coherence_bus_bytes, ADDR_BYTES + UPDATE_WORD_BYTES);
         assert_eq!(stats.invalidations, 0);
@@ -568,14 +620,15 @@ mod tests {
         let mut stats = MachineStats::default();
         let line = LineAddr::new(11);
         l2[1].fill(line, true);
-        Dragon.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, false);
+        let v = victim(&l2[0], line);
+        Dragon.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, v, false);
         assert_eq!(
             l2[1].modified(line),
             Some(true),
             "owner keeps the dirty line"
         );
-        assert_eq!(l2[1].shared(line), Some(true), "owner M → Sm");
-        assert_eq!(l2[0].shared(line), Some(true), "requester fills Sc");
+        assert_eq!(shared(&l2[1], line), Some(true), "owner M → Sm");
+        assert_eq!(shared(&l2[0], line), Some(true), "requester fills Sc");
         assert_eq!(l2[0].modified(line), Some(false));
         assert_eq!(stats.l2_to_l2_forwards, 1);
         assert_eq!(stats.l3_writebacks, 0, "dirty sharing: no write-back");
@@ -583,16 +636,35 @@ mod tests {
     }
 
     #[test]
+    fn dragon_write_miss_takes_ownership_from_the_dirty_owner() {
+        // BusRd + BusUpd in one snoop: the M owner supplies the line,
+        // snarfs the written word and drops to Sc; the writer ends Sm.
+        let mut l2 = two_l2s();
+        let mut stats = MachineStats::default();
+        let line = LineAddr::new(15);
+        l2[1].fill(line, true);
+        let v = victim(&l2[0], line);
+        Dragon.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, v, true);
+        assert_eq!(l2[1].modified(line), Some(false), "old owner → Sc");
+        assert_eq!(shared(&l2[1], line), Some(true));
+        assert_eq!(l2[0].modified(line), Some(true), "writer → Sm");
+        assert_eq!(shared(&l2[0], line), Some(true));
+        assert_eq!(stats.l2_to_l2_forwards, 1);
+        assert_eq!(stats.coherence_updates, 1);
+        assert_eq!(stats.coherence_bus_bytes, ADDR_BYTES + UPDATE_WORD_BYTES);
+        assert_eq!((stats.l3_fetches, stats.l3_writebacks), (0, 0));
+    }
+
+    #[test]
     fn dragon_write_to_last_copy_goes_exclusive_silently() {
         let mut l2 = two_l2s();
         let mut stats = MachineStats::default();
         let line = LineAddr::new(13);
-        l2[0].fill(line, false);
-        l2[0].set_shared(line, true); // stale: the sharer is gone
-        let frame = l2[0].lookup_at(line).unwrap();
+        put(&mut l2[0], line, false, true); // stale: the sharer is gone
+        let frame = hit(&mut l2[0], line);
         Dragon.write_hit(&mut ctx(0, &mut l2, &mut stats), line, frame);
         assert_eq!(l2[0].modified(line), Some(true));
-        assert_eq!(l2[0].shared(line), Some(false), "no sharers ⇒ M");
+        assert_eq!(shared(&l2[0], line), Some(false), "no sharers ⇒ M");
         assert_eq!(stats.coherence_updates, 0);
         assert_eq!(
             stats.coherence_bus_bytes, 0,
@@ -606,8 +678,9 @@ mod tests {
         let mut stats = MachineStats::default();
         let line = LineAddr::new(17);
         l2[1].fill(line, true);
-        MigrationMode.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, false);
-        let frame = l2[0].lookup_at(line).unwrap();
+        let v = victim(&l2[0], line);
+        MigrationMode.serve_miss(&mut ctx(0, &mut l2, &mut stats), line, v, false);
+        let frame = hit(&mut l2[0], line);
         MigrationMode.write_hit(&mut ctx(0, &mut l2, &mut stats), line, frame);
         MigrationMode.after_write(&mut ctx(0, &mut l2, &mut stats), line);
         for cache in &l2 {

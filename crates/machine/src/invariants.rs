@@ -216,6 +216,13 @@ mod tests {
         })
     }
 
+    /// Sets the shared bit of resident `line`.
+    fn mark_shared(c: &mut Cache, line: LineAddr) {
+        if let Some(f) = c.find_at(line) {
+            c.set_shared_at(f, true);
+        }
+    }
+
     #[test]
     fn accepts_disjoint_modified_lines() {
         let mut a = small_cache();
@@ -267,7 +274,7 @@ mod tests {
     fn migration_rejects_shared_bit() {
         let mut a = small_cache();
         a.fill(LineAddr::new(5), false);
-        a.set_shared(LineAddr::new(5), true);
+        mark_shared(&mut a, LineAddr::new(5));
         check_coherence(Protocol::MigrationMode, &[a, small_cache()]);
     }
 
@@ -277,7 +284,7 @@ mod tests {
         let mut b = small_cache();
         for c in [&mut a, &mut b] {
             c.fill(LineAddr::new(9), false);
-            c.set_shared(LineAddr::new(9), true);
+            mark_shared(c, LineAddr::new(9));
         }
         check_coherence(Protocol::Mesi, &[a, b]);
     }
@@ -290,7 +297,7 @@ mod tests {
         let mut b = small_cache();
         a.fill(LineAddr::new(9), true);
         b.fill(LineAddr::new(9), false);
-        b.set_shared(LineAddr::new(9), true);
+        mark_shared(&mut b, LineAddr::new(9));
         check_coherence(Protocol::Mesi, &[a, b]);
     }
 
@@ -302,7 +309,7 @@ mod tests {
         let mut b = small_cache();
         a.fill(LineAddr::new(9), false); // E, but a sharer exists
         b.fill(LineAddr::new(9), false);
-        b.set_shared(LineAddr::new(9), true);
+        mark_shared(&mut b, LineAddr::new(9));
         check_coherence(Protocol::Mesi, &[a, b]);
     }
 
@@ -311,9 +318,9 @@ mod tests {
         let mut a = small_cache();
         let mut b = small_cache();
         a.fill(LineAddr::new(4), true); // Sm
-        a.set_shared(LineAddr::new(4), true);
+        mark_shared(&mut a, LineAddr::new(4));
         b.fill(LineAddr::new(4), false); // Sc
-        b.set_shared(LineAddr::new(4), true);
+        mark_shared(&mut b, LineAddr::new(4));
         check_coherence(Protocol::Dragon, &[a, b]);
     }
 
@@ -325,7 +332,7 @@ mod tests {
         let mut b = small_cache();
         for c in [&mut a, &mut b] {
             c.fill(LineAddr::new(4), true);
-            c.set_shared(LineAddr::new(4), true);
+            mark_shared(c, LineAddr::new(4));
         }
         check_coherence(Protocol::Dragon, &[a, b]);
     }
@@ -338,7 +345,7 @@ mod tests {
         let mut b = small_cache();
         a.fill(LineAddr::new(4), true); // claims M (unshared)...
         b.fill(LineAddr::new(4), false); // ...but a second copy exists
-        b.set_shared(LineAddr::new(4), true);
+        mark_shared(&mut b, LineAddr::new(4));
         check_coherence(Protocol::Dragon, &[a, b]);
     }
 

@@ -1,6 +1,6 @@
 //! The machine: cores, caches, coherence, and the run loop.
 
-use execmig_cache::{Cache, FillIfAbsent};
+use execmig_cache::{Cache, Probe};
 use execmig_core::MigrationController;
 use execmig_obs::{
     wall, Beat, EventKind, EventRing, Family, Histogram, ObsCtx, ProfileConfig, ProfileCumulative,
@@ -715,13 +715,21 @@ impl Machine {
         self.store_run = None;
         self.stats.l1_requests += 1;
         self.stats.l2_accesses += 1;
-        let l2_hit = self.l2[self.active].lookup(line);
-        if !l2_hit {
-            self.stats.l2_misses += 1;
-            self.emit(self.stats.instructions, EventKind::L2Miss);
-            self.serve_l2_miss(line, false);
-            self.prefetch_after(line);
-        }
+        // One probe: a hit is a use, a miss fills the victim it chose.
+        let l2 = &mut self.l2[self.active];
+        let l2_hit = match l2.probe_at(line) {
+            Probe::Hit(f) => {
+                l2.touch_at(f, false);
+                true
+            }
+            Probe::Miss(victim) => {
+                self.stats.l2_misses += 1;
+                self.emit(self.stats.instructions, EventKind::L2Miss);
+                self.serve_l2_miss(line, victim, false);
+                self.prefetch_after(line);
+                false
+            }
+        };
         self.consult_controller(line, !l2_hit, pointer);
     }
 
@@ -762,17 +770,20 @@ impl Machine {
                 break;
             };
             let next = LineAddr::new(raw);
+            // A resident line is left untouched: a prefetch probe is
+            // not a use.
+            let Probe::Miss(victim) = self.l2[active].probe_at(next) else {
+                continue;
+            };
             if !protocol.may_prefetch(active, &self.l2, next) {
                 continue;
             }
-            if let FillIfAbsent::Filled(evicted) = self.l2[active].fill_if_absent(next, false) {
-                self.stats.prefetch_fills += 1;
-                if let Some(e) = evicted {
-                    if e.modified {
-                        self.stats.l3_writebacks += 1;
-                        if let Some(l3) = &mut self.l3 {
-                            l3.fill(e.line, true);
-                        }
+            self.stats.prefetch_fills += 1;
+            if let Some(e) = self.l2[active].fill_at(victim, next, false) {
+                if e.modified {
+                    self.stats.l3_writebacks += 1;
+                    if let Some(l3) = &mut self.l3 {
+                        l3.fill(e.line, true);
                     }
                 }
             }
@@ -786,18 +797,24 @@ impl Machine {
         self.store_run = None;
         let migration = self.config.protocol == Protocol::MigrationMode;
         self.stats.l2_accesses += 1;
-        // The hit probe hands its frame index to `write_hit`, so the
-        // upgrade path edits the active copy without a second set scan.
-        let hit_frame = self.l2[self.active].lookup_at(line);
-        let l2_hit = hit_frame.is_some();
-        if let Some(frame) = hit_frame {
-            let (protocol, mut ctx) = self.coherence();
-            protocol.write_hit(&mut ctx, line, frame);
-        } else {
-            self.stats.l2_misses += 1;
-            self.emit(self.stats.instructions, EventKind::L2Miss);
-            self.serve_l2_miss(line, true);
-        }
+        // The probe hands its frame to `write_hit` (the upgrade path
+        // edits the active copy) or to `serve_miss` (the fill replaces
+        // the victim it chose), so neither scans the set again.
+        let l2 = &mut self.l2[self.active];
+        let l2_hit = match l2.probe_at(line) {
+            Probe::Hit(frame) => {
+                l2.touch_at(frame, false);
+                let (protocol, mut ctx) = self.coherence();
+                protocol.write_hit(&mut ctx, line, frame);
+                true
+            }
+            Probe::Miss(victim) => {
+                self.stats.l2_misses += 1;
+                self.emit(self.stats.instructions, EventKind::L2Miss);
+                self.serve_l2_miss(line, victim, true);
+                false
+            }
+        };
         let broadcast = {
             let before = self.stats.store_broadcast_updates;
             let (protocol, mut ctx) = self.coherence();
@@ -821,12 +838,13 @@ impl Machine {
         }
     }
 
-    /// Fills `line` into the active L2 after a miss, delegating the
-    /// sourcing (remote forward vs L3 fetch), remote-state adjustment,
-    /// and victim retirement to the configured coherence backend.
-    fn serve_l2_miss(&mut self, line: LineAddr, store: bool) {
+    /// Fills `line` into frame `victim` of the active L2 after a miss,
+    /// delegating the sourcing (remote forward vs L3 fetch),
+    /// remote-state adjustment, and victim retirement to the configured
+    /// coherence backend.
+    fn serve_l2_miss(&mut self, line: LineAddr, victim: usize, store: bool) {
         let (protocol, mut ctx) = self.coherence();
-        protocol.serve_miss(&mut ctx, line, store);
+        protocol.serve_miss(&mut ctx, line, victim, store);
     }
 
     /// Feeds the request to the migration controller and performs the

@@ -7,7 +7,7 @@ mod common;
 use common::instr_budget;
 use execution_migration::check::fuzz::{diverges, generate, stress_configs, FuzzConfig};
 use execution_migration::check::{read_repro, write_repro, Lockstep, TraceStep};
-use execution_migration::machine::MachineConfig;
+use execution_migration::machine::{MachineConfig, Protocol};
 use execution_migration::trace::suite;
 
 /// The optimized machine and the naive reference agree, step for step
@@ -23,6 +23,33 @@ fn suite_workloads_run_divergence_free() {
             .or_else(|| lockstep.final_check());
         assert!(report.is_none(), "{name} diverged:\n{}", report.unwrap());
         assert!(lockstep.steps() > 0, "{name} produced no steps");
+    }
+}
+
+/// The bus protocols agree with the naive reference on real suite
+/// workloads too, not only on fuzzed streams over tiny caches: MESI and
+/// Dragon on the paper's four-core machine, with the same budget.
+#[test]
+fn bus_protocols_run_divergence_free_on_suite_workloads() {
+    let budget = instr_budget(300_000);
+    for protocol in [Protocol::Mesi, Protocol::Dragon] {
+        for name in ["em3d", "twolf"] {
+            let mut w = suite::by_name(name).unwrap();
+            let mut lockstep = Lockstep::new(MachineConfig {
+                protocol,
+                ..MachineConfig::four_core_migration()
+            });
+            let report = lockstep
+                .run_workload(&mut *w, budget)
+                .or_else(|| lockstep.final_check());
+            assert!(
+                report.is_none(),
+                "{name} under {} diverged:\n{}",
+                protocol.as_str(),
+                report.unwrap()
+            );
+            assert!(lockstep.steps() > 0, "{name} produced no steps");
+        }
     }
 }
 
