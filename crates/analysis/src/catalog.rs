@@ -75,12 +75,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "repo policy (every atomic and thread must be schedulable by the interleaving checker under --cfg execmig_model)",
     },
     Rule {
-        id: "E013",
-        kind: RuleKind::Static,
-        title: "every atomic `Ordering::…` literal carries an `// ord:` justification comment naming its pairing",
-        paper: "repo policy (memory orderings are load-bearing; unjustified orderings are unreviewable)",
-    },
-    Rule {
         id: "I101",
         kind: RuleKind::Runtime,
         title: "affinity values stay within the saturating range of the configured bit width",

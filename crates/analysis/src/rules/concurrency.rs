@@ -1,24 +1,13 @@
-//! E012/E013: atomics discipline for the lock-free telemetry layer.
+//! E012: every thread and atomic goes through the concurrency shim.
 //!
 //! The workspace's concurrency runs through the shim in
 //! `execmig_obs::model` so that `--cfg execmig_model` can swap every
 //! atomic and thread for the `execmig-model` interleaving checker's
-//! instrumented versions. Two lexical rules keep that property and the
-//! reviewability of the lock-free code:
-//!
-//! - **E012**: no raw `std::sync::atomic` or `std::thread` paths
-//!   outside the shim itself, the checker crate, and test modules. An
-//!   atomic reached through `std` directly is invisible to the model
-//!   checker — every interleaving proof silently stops covering it.
-//! - **E013**: every atomic `Ordering::…` literal carries an
-//!   `// ord:` justification comment on the same line or in the
-//!   comment block directly above, naming what the ordering pairs with
-//!   (or why `Relaxed` suffices). Memory orderings are load-bearing
-//!   and unreviewable without stated intent.
-//!
-//! Both rules are lexical by design: `// ord:` lives in comments the
-//! lexer discards, so E013 matches tokens for the `Ordering::Variant`
-//! path and then inspects the raw source lines around it.
+//! instrumented versions. E012 keeps that property: no raw
+//! `std::sync::atomic` or `std::thread` paths outside the shim itself,
+//! the checker crate, and test modules. An atomic or a thread reached
+//! through `std` directly is invisible to the model checker — every
+//! interleaving proof silently stops covering it.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{self, TokKind, Token};
@@ -32,12 +21,7 @@ const CHECKER_CRATE: &str = "execmig-model";
 /// workspaces can carry their own shim).
 const SHIM_SUFFIX: &str = "obs/src/model.rs";
 
-/// The atomic orderings. `std::cmp::Ordering`'s variants (`Less`,
-/// `Equal`, `Greater`) are disjoint, so this set alone distinguishes
-/// the two `Ordering` types without path resolution.
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// Runs E012 and E013.
+/// Runs E012.
 pub fn check(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     for krate in &ws.crates {
         if krate.name == CHECKER_CRATE {
@@ -48,7 +32,6 @@ pub fn check(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                 continue;
             }
             let exempt = lexer::test_regions(&file.toks);
-            let lines: Vec<&str> = file.text.lines().collect();
             for (k, t) in file.toks.iter().enumerate() {
                 if t.kind != TokKind::Ident || lexer::in_regions(t.pos, &exempt) {
                     continue;
@@ -76,25 +59,6 @@ pub fn check(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                         ));
                     }
                 }
-                if t.text == "Ordering" {
-                    let Some(variant) = path_segment(&file.toks, k) else {
-                        continue;
-                    };
-                    if ATOMIC_ORDERINGS.contains(&variant.as_str())
-                        && !has_ord_comment(&lines, t.line)
-                    {
-                        diags.push(Diagnostic::new(
-                            "E013",
-                            &file.rel,
-                            t.line,
-                            format!(
-                                "`Ordering::{variant}` without an `// ord:` \
-                                 justification; state what this ordering pairs \
-                                 with on the same line or the comment above"
-                            ),
-                        ));
-                    }
-                }
             }
         }
     }
@@ -114,42 +78,4 @@ fn path_follows(toks: &[Token], k: usize, segs: &[&str]) -> bool {
         at += 3;
     }
     true
-}
-
-/// The path segment following `toks[k] :: …`, if any.
-fn path_segment(toks: &[Token], k: usize) -> Option<String> {
-    if lexer::is_punct_at(toks, k + 1, ':') && lexer::is_punct_at(toks, k + 2, ':') {
-        match toks.get(k + 3) {
-            Some(n) if n.kind == TokKind::Ident => Some(n.text.clone()),
-            _ => None,
-        }
-    } else {
-        None
-    }
-}
-
-/// Is there an `ord:` note on `line` (1-based) or in the contiguous
-/// run of `//` comment lines directly above it?
-fn has_ord_comment(lines: &[&str], line: u32) -> bool {
-    let idx = (line as usize).saturating_sub(1);
-    let Some(own) = lines.get(idx) else {
-        return false;
-    };
-    if let Some(comment_at) = own.find("//") {
-        if own[comment_at..].contains("ord:") {
-            return true;
-        }
-    }
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let above = lines[j].trim_start();
-        if !above.starts_with("//") {
-            return false;
-        }
-        if above.contains("ord:") {
-            return true;
-        }
-    }
-    false
 }

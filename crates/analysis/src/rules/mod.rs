@@ -1,4 +1,4 @@
-//! The static rules (E001, E002, E004, E005, E008, E009, E012, E013).
+//! The static rules (E001, E002, E004, E005, E008, E009, E012).
 //! Each module covers one concern and pushes [`Diagnostic`]s tagged
 //! with catalog ids.
 

@@ -1,4 +1,4 @@
-//! Fixture: raw concurrency paths and unjustified orderings.
+//! Fixture: raw concurrency paths.
 
 use std::sync::atomic::{AtomicU64, Ordering}; // E012: raw atomic path
 use std::thread; // E012: raw thread path
@@ -6,22 +6,11 @@ use std::thread; // E012: raw thread path
 pub static COUNT: AtomicU64 = AtomicU64::new(0);
 
 pub fn bump() -> u64 {
-    COUNT.fetch_add(1, Ordering::Relaxed) // E013: no justification
+    COUNT.fetch_add(1, Ordering::Relaxed)
 }
 
 pub fn park() {
     thread::yield_now();
-    // a stray comment that is not a justification
-    COUNT.store(0, Ordering::SeqCst); // E013: comment above lacks the tag
-}
-
-pub fn gated() -> u64 {
-    // ord: Acquire pairs with the Release store in publish(); clean.
-    COUNT.load(Ordering::Acquire)
-}
-
-pub fn inline_note() {
-    COUNT.store(1, Ordering::Release); // ord: publishes the flag; clean
 }
 
 #[cfg(test)]
@@ -31,8 +20,7 @@ mod tests {
 
     #[test]
     fn exempt_in_tests() {
-        // Raw atomics and bare orderings in test modules are exempt
-        // from E012/E013.
+        // Raw atomics and threads in test modules are exempt from E012.
         let a = AtomicU64::new(1);
         thread::yield_now();
         assert_eq!(a.load(Ordering::SeqCst), 1);

@@ -179,7 +179,7 @@ fn main() {
     let replay_path = arg_value(&args, "--replay");
     let run_suite = arg_flag(&args, "--suite") || (fuzz_rounds == 0 && replay_path.is_none());
 
-    // A local flight recorder for the differ's own wall-clock time:
+    // A local span recorder for the differ's own wall-clock time:
     // one slot, the main thread.
     let recorder = Wall::with_threads(1);
     wall::attach(&recorder, 0);
@@ -204,6 +204,8 @@ fn main() {
             Path::new(&repro_dir),
         );
     }
+    // Detaching hands the main thread's spans to the recorder.
+    wall::detach();
     let snap = recorder.snapshot();
     for f in snap.families.iter().filter(|f| f.count > 0) {
         eprintln!(
@@ -215,7 +217,6 @@ fn main() {
             f.p999_ns
         );
     }
-    wall::detach();
     if !clean {
         exit(1);
     }

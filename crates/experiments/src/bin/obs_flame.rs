@@ -1,14 +1,14 @@
 //! Flamegraph self-profiler: runs a multi-worker Table 2 sweep with a
-//! wall-clock flight recorder attached, samples the live span stacks
-//! on a fixed wall-clock cadence, and writes the collapsed-stack
+//! wall-clock span recorder attached and writes the collapsed-stack
 //! ("folded") output any flamegraph renderer understands — one
-//! `stack;sub;leaf count` line per observed stack.
+//! `stack;sub;leaf count` line per stack, weighted by the exact self
+//! time of its innermost span in µs.
 //!
-//! Usage: `obs_flame [--instr N] [--threads N] [--sample-ms N]
-//!                    [--out FILE] [--chrome FILE] [--quiet]`
+//! Usage: `obs_flame [--instr N] [--threads N] [--out FILE]
+//!                    [--chrome FILE] [--quiet]`
 //!
 //! `--out FILE` writes the collapsed stacks to FILE (default stdout);
-//! `--chrome FILE` additionally exports the retained spans as a Trace
+//! `--chrome FILE` additionally exports the closed spans as a Trace
 //! Event Format document (wall-clock process group, one track per
 //! worker plus the driver) for `chrome://tracing` / Perfetto — built
 //! with [`render_wall_trace`](execmig_obs::render_wall_trace), it can
@@ -17,21 +17,18 @@
 //!
 //! Exit codes: 0 on success, 2 on a write error.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use execmig_experiments::report::{arg_flag, arg_u64, arg_value};
 use execmig_experiments::runner::Obs;
 use execmig_experiments::table2;
 use execmig_machine::Protocol;
-use execmig_obs::model::sync::{AtomicBool, Ordering};
-use execmig_obs::model::thread;
-use execmig_obs::{render_wall_trace, wall, Budget, Family, Wall};
+use execmig_obs::{render_wall_trace, wall, Family, Wall};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let instructions = arg_u64(&args, "--instr", 10_000_000);
     let threads = arg_u64(&args, "--threads", 4) as usize;
-    let sample_ms = arg_u64(&args, "--sample-ms", 5).max(1);
     let out = arg_value(&args, "--out");
     let chrome = arg_value(&args, "--chrome");
     let quiet = arg_flag(&args, "--quiet");
@@ -42,40 +39,21 @@ fn main() {
     wall::attach(&recorder, threads);
 
     let t0 = Instant::now();
-    let stop = AtomicBool::new(false);
-    let rows = thread::scope(|scope| {
-        let sampler = scope.spawn(|| {
-            let mut passes = 0u64;
-            // ord: Relaxed — standalone stop flag; the sampler join
-            // below is the synchronisation point.
-            while !stop.load(Ordering::Relaxed) {
-                recorder.sample_stacks();
-                passes += 1;
-                thread::sleep(Duration::from_millis(sample_ms));
-            }
-            passes
-        });
-        let rows = {
-            // The sweep root span: runner tasks parent to it. While this
-            // thread holds only this frame it is joining the workers,
-            // and the sampler skips it.
-            let _sweep = wall::span(Family::Sweep);
-            table2::run_all(
-                instructions,
-                threads,
-                Protocol::MigrationMode,
-                Obs::new(None, Some(&recorder)),
-            )
-        };
-        // ord: Relaxed — flag only; sampler.join() synchronises.
-        stop.store(true, Ordering::Relaxed);
-        let passes = sampler.join().expect("sampler thread");
-        if !quiet {
-            eprintln!("obs_flame: {passes} sampling passes over the sweep");
-        }
-        rows
-    });
+    let rows = {
+        // The sweep root span: runner tasks parent to it. It only waits
+        // on the workers, so the fold gives it no self time.
+        let _sweep = wall::span(Family::Sweep);
+        table2::run_all(
+            instructions,
+            threads,
+            Protocol::MigrationMode,
+            Obs::with_wall(&recorder),
+        )
+    };
     let run_ns = t0.elapsed().as_nanos() as u64;
+    // The workers handed their spans over before the join; this hands
+    // over the driver's.
+    wall::detach();
 
     let snap = recorder.snapshot();
     let collapsed = snap.collapsed_text();
@@ -105,21 +83,15 @@ fn main() {
         }
     }
 
-    wall::detach();
     if !quiet {
         let o = snap.overhead;
-        let verdict = Budget::default().verdict(o.total_ns(), run_ns);
         eprintln!(
-            "obs_flame: {} rows; {} spans ({} dropped), {} samples; \
-             recorder cost {:.4} % of {:.1} ms run (budget {:.0} %): {}",
+            "obs_flame: {} rows; {} spans ({} dropped); recorder cost {:.4} % of {:.1} ms run",
             rows.len(),
             o.spans,
             o.dropped,
-            o.samples,
-            verdict.fraction * 100.0,
+            o.record_ns as f64 / run_ns.max(1) as f64 * 100.0,
             run_ns as f64 / 1e6,
-            verdict.max_fraction * 100.0,
-            if verdict.within { "OK" } else { "EXCEEDED" }
         );
     }
 }

@@ -32,12 +32,7 @@ fn main() {
     );
 
     let rows = match arg_value(&args, "--bench") {
-        Some(name) => vec![table2::run_benchmark_with(
-            &name,
-            instructions,
-            protocol,
-            None,
-        )],
+        Some(name) => vec![table2::run_benchmark_with(&name, instructions, protocol)],
         None => table2::run_all(instructions, threads, protocol, Obs::none()),
     };
     em.stats(

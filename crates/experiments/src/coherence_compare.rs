@@ -16,7 +16,7 @@
 use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::suite;
 
-use crate::runner::{Obs, ObsCtx};
+use crate::runner::Obs;
 
 /// One (benchmark, protocol) cell of the comparison.
 #[derive(Debug, Clone)]
@@ -72,16 +72,15 @@ execmig_obs::impl_to_json!(CompareRow {
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> Vec<CompareRow> {
-    rows(name, instructions, None)
+    rows(name, instructions)
 }
 
-/// Runs the whole suite on `threads` workers, with live observability
-/// into `obs` (hub beats and/or wall-clock spans, when given;
-/// [`Obs::none`] for neither). Rows are grouped by benchmark, migration
-/// mode first within each group.
+/// Runs the whole suite on `threads` workers, recording wall-clock
+/// spans into `obs` ([`Obs::none`] for none). Rows are grouped by
+/// benchmark, migration mode first within each group.
 pub fn run_all(instructions: u64, threads: usize, obs: Obs<'_>) -> Vec<CompareRow> {
-    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
-        rows(name, instructions, ctx.as_ref())
+    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, _| {
+        rows(name, instructions)
     })
     .0
     .into_iter()
@@ -90,9 +89,8 @@ pub fn run_all(instructions: u64, threads: usize, obs: Obs<'_>) -> Vec<CompareRo
 }
 
 /// The three protocol machines over one generated stream
-/// (`Machine::run_shared`), beating from the last (Dragon) when an
-/// [`ObsCtx`] is present; the beats only read counters.
-fn rows(name: &str, instructions: u64, ctx: Option<&ObsCtx<'_>>) -> Vec<CompareRow> {
+/// (`Machine::run_shared`).
+fn rows(name: &str, instructions: u64) -> Vec<CompareRow> {
     let mut machines = Protocol::ALL.map(|protocol| {
         Machine::new(MachineConfig {
             protocol,
@@ -100,7 +98,7 @@ fn rows(name: &str, instructions: u64, ctx: Option<&ObsCtx<'_>>) -> Vec<CompareR
         })
     });
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    Machine::run_shared(&mut machines, &mut *w, instructions, ctx);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
     // `Protocol::ALL` lists migration mode first.
     let migration = *machines[0].stats();
     Protocol::ALL

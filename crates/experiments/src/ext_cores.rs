@@ -68,7 +68,7 @@ fn machine_for(cores: usize) -> Machine {
 pub fn sweep(name: &str, core_counts: &[usize], instructions: u64) -> Vec<CoreSweepPoint> {
     let mut machines: Vec<Machine> = core_counts.iter().map(|&c| machine_for(c)).collect();
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
     let Some(base) = machines.first().map(|m| *m.stats()) else {
         return Vec::new();
     };

@@ -61,7 +61,7 @@ pub fn run_benchmark(name: &str, instructions: u64) -> PointerFilterRow {
         migration(true),
     ];
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
     let [baseline, plain, pointer] = machines.each_ref().map(Machine::stats);
     let migr = |m: &MachineStats| m.migrations as f64 * 1e6 / m.instructions.max(1) as f64;
     PointerFilterRow {

@@ -62,7 +62,7 @@ pub fn run_benchmark(name: &str, degree: u32, instructions: u64) -> PrefetchRow 
     ]
     .map(Machine::new);
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
     let [base, base_prefetch, migration, both] = machines.each_ref().map(|m| {
         let s = m.stats();
         s.l2_misses as f64 * 1000.0 / s.instructions.max(1) as f64

@@ -50,7 +50,7 @@ pub fn run_benchmark(name: &str, instructions: u64) -> PerfRow {
         Machine::new(MachineConfig::four_core_migration()),
     ];
     let mut w = suite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    Machine::run_shared(&mut machines, &mut *w, instructions, None);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
 
     let [b, m] = machines.each_ref().map(Machine::stats);
     let at = |pmig: f64| {

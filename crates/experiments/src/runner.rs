@@ -1,5 +1,5 @@
-//! Thread-parallel experiment execution, with per-task timings,
-//! optional progress-hub beats, and wall-clock flight-recorder spans.
+//! Thread-parallel experiment execution, with per-task timings and
+//! optional wall-clock spans.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -7,16 +7,7 @@ use std::time::Instant;
 use execmig_obs::model::sync::Mutex;
 use execmig_obs::model::thread;
 use execmig_obs::wall::{self, Family};
-use execmig_obs::{Beat, Hub, Wall, WorkerState};
-
-pub use execmig_obs::ObsCtx;
-
-/// Retired-instruction interval between mid-task beats: the
-/// [`ObsCtx::beat_period`] the runner hands every task it runs with a
-/// hub (`Machine::run_shared` beats on it). Rare enough that publishing
-/// stays deep under the [`execmig_obs::Budget`] (a publish is ~100 ns;
-/// at one per million instructions the hub costs well below 0.1 %).
-pub const BEAT_PERIOD_INSTR: u64 = 1_000_000;
+use execmig_obs::Wall;
 
 /// Wall-clock timings of one [`parallel_map_observed`] run: which
 /// worker ran which task, when, and for how long.
@@ -89,68 +80,45 @@ where
     parallel_map_observed(items, threads, Obs::none(), |item, _| f(item)).0
 }
 
-/// The observability sinks one observed run publishes into: the
-/// progress [`Hub`] (simulated-time progress beats) and the wall-clock
-/// [`Wall`] flight recorder (span latencies). Either side may be
-/// absent; [`Obs::none`] observes nothing.
+/// Where one observed run records: the wall-clock [`Wall`] span
+/// recorder, or nowhere ([`Obs::none`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Obs<'a> {
-    /// The hub workers publish claim/completion beats into.
-    pub hub: Option<&'a Hub>,
-    /// The wall workers record task/claim/run/complete spans into.
+    /// The wall workers record task/claim/run spans into.
     pub wall: Option<&'a Wall>,
 }
 
 impl<'a> Obs<'a> {
     /// Observe nothing (plain [`parallel_map`] behaviour).
     pub fn none() -> Obs<'static> {
-        Obs {
-            hub: None,
-            wall: None,
-        }
+        Obs { wall: None }
     }
 
-    /// Both sinks, each optional.
-    pub fn new(hub: Option<&'a Hub>, wall: Option<&'a Wall>) -> Obs<'a> {
-        Obs { hub, wall }
-    }
-
-    /// Hub beats only (no wall-clock spans).
-    pub fn hub_only(hub: &'a Hub) -> Obs<'a> {
-        Obs {
-            hub: Some(hub),
-            wall: None,
-        }
+    /// Record wall-clock spans into `wall`.
+    pub fn with_wall(wall: &'a Wall) -> Obs<'a> {
+        Obs { wall: Some(wall) }
     }
 }
 
 /// Applies `f` to every item on up to `threads` worker threads,
 /// preserving input order, and returns a [`RunnerReport`] of per-task
-/// timings. Progress beats go into a [`Hub`] and wall-clock spans into
-/// a [`Wall`] flight recorder (both via `obs`, either optional).
+/// timings. `f` receives each item with its index in `items`.
 ///
 /// Workers pull `(index, item)` pairs off one shared queue and buffer
 /// results and timings locally, so the per-task path takes a single
 /// short lock (the claim) and allocates nothing.
 ///
-/// Each worker thread claims its hub slot once (`hub.worker(w)`) and
-/// publishes a `Running` beat on every task claim and completion, and a
-/// final `Done` beat when the queue drains, so a hub snapshot shows
-/// which task every worker is on. The closure receives an [`ObsCtx`]
-/// (when a hub is given, with a [`BEAT_PERIOD_INSTR`] beat period) to
-/// publish finer-grained beats mid-task, e.g. via `Machine::run_shared`.
+/// With a wall in `obs`, each worker claims wall slot `w` as its thread
+/// context ([`wall::attach`]) and records one `runner/task` span per
+/// task — with `runner/claim` and `runner/run` children — parented to
+/// whatever span the *calling* thread had open (e.g. `obs_flame`'s
+/// `sweep` root), so the folded stacks and the wall trace see the full
+/// causal tree. Task closures open further spans (e.g.
+/// `machine/block`) with no extra plumbing. Each worker detaches before
+/// it is joined, which hands its spans to the wall.
 ///
-/// With a wall attached, each worker additionally claims wall slot `w`
-/// as its thread context ([`wall::attach`]) and records one
-/// `runner/task` span per task — with `runner/claim`, `runner/run`,
-/// and `runner/complete` children — parented to whatever span the
-/// *calling* thread had open (e.g. `obs_flame`'s `sweep` root), so the
-/// flamegraph and the wall trace see the full causal tree. Task
-/// closures open further spans (e.g. `machine/block`) with no extra
-/// plumbing.
-///
-/// With `obs` as [`Obs::none`] nothing is published or recorded, and
-/// the results are the same either way.
+/// With `obs` as [`Obs::none`] nothing is recorded, and the results
+/// are the same either way.
 ///
 /// # Panics
 ///
@@ -167,7 +135,7 @@ pub fn parallel_map_observed<T, R, F>(
 where
     T: Send,
     R: Send,
-    F: Fn(T, Option<ObsCtx<'_>>) -> R + Sync,
+    F: Fn(T, usize) -> R + Sync,
 {
     assert!(threads > 0, "need at least one thread");
     let origin = Instant::now();
@@ -202,16 +170,10 @@ where
                 let panicked = &panicked;
                 let f = &f;
                 scope.spawn(move || {
-                    // Claim this thread's hub slot (first claimant wins;
-                    // SPSC holds because the handle never leaves this
-                    // thread). None without a hub.
-                    let hub_worker = obs.hub.and_then(|h| h.worker(w));
                     // Claim wall slot w as this thread's span context:
-                    // the flight recorder samples this thread's stack
-                    // and task spans nest machine-block spans with no
-                    // handle threading.
+                    // task spans nest machine-block spans with no handle
+                    // threading.
                     let wall_attached = obs.wall.is_some_and(|wl| wall::attach(wl, w));
-                    let mut tasks_done = 0u64;
                     let mut results = Vec::new();
                     let mut timings = Vec::new();
                     loop {
@@ -228,41 +190,17 @@ where
                             task_span.cancel();
                             break;
                         };
-                        if let Some(hw) = &hub_worker {
-                            hw.publish(Beat {
-                                state: WorkerState::Running,
-                                task: i as u64,
-                                tasks_done,
-                                ..Beat::default()
-                            });
-                        }
                         drop(claim_span);
                         let start_us = micros();
-                        let ctx = hub_worker.as_ref().map(|worker| ObsCtx {
-                            worker,
-                            task: i as u64,
-                            tasks_done,
-                            beat_period: BEAT_PERIOD_INSTR,
-                        });
                         let outcome = {
                             let _run_span = wall::span(Family::Run);
-                            catch_unwind(AssertUnwindSafe(|| f(item, ctx)))
+                            catch_unwind(AssertUnwindSafe(|| f(item, i)))
                         };
                         match outcome {
                             Ok(result) => {
-                                let _complete_span = wall::span(Family::Complete);
                                 let duration_us = micros().saturating_sub(start_us);
                                 results.push((i, result));
                                 timings.push((i, start_us, duration_us));
-                                tasks_done += 1;
-                                if let Some(hw) = &hub_worker {
-                                    hw.publish(Beat {
-                                        state: WorkerState::Running,
-                                        task: i as u64,
-                                        tasks_done,
-                                        ..Beat::default()
-                                    });
-                                }
                             }
                             Err(payload) => {
                                 let mut slot = panicked.lock().expect("panic slot");
@@ -273,13 +211,8 @@ where
                             }
                         }
                     }
-                    if let Some(hw) = &hub_worker {
-                        hw.publish(Beat {
-                            state: WorkerState::Done,
-                            tasks_done,
-                            ..Beat::idle()
-                        });
-                    }
+                    // Hand this thread's spans to the wall before the
+                    // join.
                     if wall_attached {
                         wall::detach();
                     }

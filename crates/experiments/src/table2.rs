@@ -12,7 +12,7 @@
 use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::suite;
 
-use crate::runner::{Obs, ObsCtx};
+use crate::runner::Obs;
 
 /// One Table 2 row.
 #[derive(Debug, Clone)]
@@ -67,25 +67,18 @@ execmig_obs::impl_to_json!(Table2Row {
 ///
 /// Panics if `name` is not a suite benchmark.
 pub fn run_benchmark(name: &str, instructions: u64) -> Table2Row {
-    run_benchmark_with(name, instructions, Protocol::MigrationMode, None)
+    run_benchmark_with(name, instructions, Protocol::MigrationMode)
 }
 
 /// As [`run_benchmark`], with the four-core machine running the given
 /// L2 coherence backend instead of migration mode's (the single-core
-/// baseline is protocol-independent), and with progress beats from
-/// the four-core machine when an [`ObsCtx`] is present. Both machines
-/// replay one generated stream (`Machine::run_shared`); the beats only
-/// read counters, so the row is the same with or without them.
+/// baseline is protocol-independent). Both machines replay one
+/// generated stream (`Machine::run_shared`).
 ///
 /// # Panics
 ///
 /// Panics if `name` is not a suite benchmark.
-pub fn run_benchmark_with(
-    name: &str,
-    instructions: u64,
-    protocol: Protocol,
-    ctx: Option<&ObsCtx<'_>>,
-) -> Table2Row {
+pub fn run_benchmark_with(name: &str, instructions: u64, protocol: Protocol) -> Table2Row {
     let info = suite::info(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut machines = [
         Machine::new(MachineConfig::single_core()),
@@ -95,7 +88,7 @@ pub fn run_benchmark_with(
         }),
     ];
     let mut w = suite::by_name(name).expect("suite benchmark");
-    Machine::run_shared(&mut machines, &mut *w, instructions, ctx);
+    Machine::run_shared(&mut machines, &mut *w, instructions);
 
     let [baseline, migration] = &machines;
     let b = baseline.stats();
@@ -121,16 +114,16 @@ pub fn run_benchmark_with(
 }
 
 /// Runs the whole suite on `threads` workers under the given L2
-/// coherence backend, with live observability into `obs` (hub beats
-/// and/or wall-clock spans, when given; [`Obs::none`] for neither).
+/// coherence backend, recording wall-clock spans into `obs`
+/// ([`Obs::none`] for none).
 pub fn run_all(
     instructions: u64,
     threads: usize,
     protocol: Protocol,
     obs: Obs<'_>,
 ) -> Vec<Table2Row> {
-    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, ctx| {
-        run_benchmark_with(name, instructions, protocol, ctx.as_ref())
+    crate::runner::parallel_map_observed(suite::names(), threads, obs, |name, _| {
+        run_benchmark_with(name, instructions, protocol)
     })
     .0
 }
@@ -211,7 +204,7 @@ mod tests {
     #[test]
     fn protocol_override_reaches_the_machine() {
         let mig = run_benchmark("art", 2_000_000);
-        let mesi = run_benchmark_with("art", 2_000_000, Protocol::Mesi, None);
+        let mesi = run_benchmark_with("art", 2_000_000, Protocol::Mesi);
         // The single-core baseline is protocol-independent...
         assert_eq!(mig.l1_ipe, mesi.l1_ipe);
         assert_eq!(mig.l2_ipe, mesi.l2_ipe);

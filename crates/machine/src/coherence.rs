@@ -172,7 +172,8 @@ pub trait CoherenceProtocol {
     /// as long as the hook fills nothing into the active L2.
     fn write_hit(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, frame: usize);
 
-    /// Post-store bus work that runs after every store, hit or miss
+    /// Post-store bus work on the remote L2s that runs after every
+    /// store, hit or miss, on a machine with more than one L2
     /// (migration mode's §2.3 store broadcast; a no-op for the bus
     /// protocols, which act in [`CoherenceProtocol::write_hit`] /
     /// [`CoherenceProtocol::serve_miss`]).
@@ -199,16 +200,19 @@ impl CoherenceProtocol for MigrationMode {
     fn serve_miss(&self, ctx: &mut CoherenceCtx<'_>, line: LineAddr, victim: usize, store: bool) {
         let active = ctx.active;
         let mut forwarded = false;
-        for (c, l2) in ctx.l2.iter_mut().enumerate() {
-            if c == active {
-                continue;
-            }
-            if let Some(f) = l2.find_at(line).filter(|&f| l2.modified_at(f)) {
-                l2.set_modified_at(f, false);
-                ctx.stats.l2_to_l2_forwards += 1;
-                ctx.stats.l3_writebacks += 1;
-                forwarded = true;
-                break;
+        // A one-L2 machine has no remote copy to look for.
+        if ctx.l2.len() > 1 {
+            for (c, l2) in ctx.l2.iter_mut().enumerate() {
+                if c == active {
+                    continue;
+                }
+                if let Some(f) = l2.find_at(line).filter(|&f| l2.modified_at(f)) {
+                    l2.set_modified_at(f, false);
+                    ctx.stats.l2_to_l2_forwards += 1;
+                    ctx.stats.l3_writebacks += 1;
+                    forwarded = true;
+                    break;
+                }
             }
         }
         if !forwarded {

@@ -43,7 +43,7 @@
 //!     Machine::new(MachineConfig::four_core_migration()),
 //! ];
 //! let mut w = suite::by_name("art").unwrap();
-//! Machine::run_shared(&mut pair, &mut *w, 200_000, None);
+//! Machine::run_shared(&mut pair, &mut *w, 200_000);
 //! let [baseline, migration] = pair.each_ref().map(Machine::stats);
 //! assert!(baseline.l2_misses > 0);
 //! assert!(migration.l2_miss_ratio(baseline).is_finite());

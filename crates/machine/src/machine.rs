@@ -3,8 +3,8 @@
 use execmig_cache::{Cache, Probe};
 use execmig_core::MigrationController;
 use execmig_obs::{
-    wall, Beat, EventKind, EventRing, Family, Histogram, ObsCtx, ProfileConfig, ProfileCumulative,
-    Profiler, Registry, TraceEvent, WorkerState,
+    wall, EventKind, EventRing, Family, Histogram, ProfileConfig, ProfileCumulative, Profiler,
+    Registry, TraceEvent,
 };
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
 
@@ -66,14 +66,16 @@ pub struct Machine {
     /// and whether it is resident (stores do not allocate, so a store
     /// miss memoizes `false`).
     dl1_run: Option<(LineAddr, bool)>,
-    /// Store-run memo (migration mode only): the line of the previous
-    /// store, which hit the active L2, together with the number of
-    /// remote L2 copies its §2.3 store broadcast refreshed. While no
-    /// other event touches any L2 (every such path clears this), an
+    /// Store-run memo: the line of the previous store, which hit the
+    /// active L2 and left it modified and unshared (any protocol),
+    /// together with the number of remote L2 copies its §2.3 store
+    /// broadcast refreshed (0 outside migration mode). While no other
+    /// event touches any L2 (every such path clears this), an
     /// immediately repeated store to the same line is state-idempotent —
-    /// the active copy is already modified, the remote copies are
-    /// already clean and still resident — so the block fast path replays
-    /// it as two counter bumps instead of up to four set scans.
+    /// the active copy is already modified and exclusive, the remote
+    /// copies are already clean and still resident — so the block fast
+    /// path replays it as two counter bumps instead of up to four set
+    /// scans.
     store_run: Option<(LineAddr, u64)>,
 }
 
@@ -277,10 +279,9 @@ impl Machine {
     /// instructions have retired. Can be called repeatedly; the budget
     /// is absolute (total instructions since the workload started).
     ///
-    /// The one-machine case of [`run_shared`](Self::run_shared), with
-    /// no progress beats.
+    /// The one-machine case of [`run_shared`](Self::run_shared).
     pub fn run<W: Workload + ?Sized>(&mut self, workload: &mut W, instructions: u64) {
-        Self::run_shared(std::slice::from_mut(self), workload, instructions, None);
+        Self::run_shared(std::slice::from_mut(self), workload, instructions);
     }
 
     /// Runs every machine in `machines` over one `workload` stream
@@ -293,89 +294,24 @@ impl Machine {
     /// stream would leave — stats, caches, profiler records and event
     /// ring alike. The budget is absolute, as for `run`.
     ///
-    /// With a `progress` context, a [`Beat`] built from the *last*
-    /// machine's counters is published every
-    /// [`ObsCtx::beat_period`] retired instructions, plus one final
-    /// beat at the budget unless the last in-loop beat already reported
-    /// it. Each fill is capped at the next beat boundary, so beats land
-    /// at exactly the instruction counts a per-step loop would report.
-    ///
-    /// On a thread with an attached wall, `machine/block` spans cover
-    /// the call: one per beat period with a `progress` context, one for
-    /// the whole call without. Beats and spans only read counters: the
-    /// simulation is the same with or without them.
+    /// On a thread with an attached wall, one `machine/block` span
+    /// covers the call. The span only reads the clock: the simulation
+    /// is the same with or without it.
     pub fn run_shared<W: Workload + ?Sized>(
         machines: &mut [Machine],
         workload: &mut W,
         instructions: u64,
-        progress: Option<&ObsCtx<'_>>,
     ) {
-        let period = progress.map_or(u64::MAX, |c| c.beat_period.max(1));
-        let mut next_beat = workload.instructions().saturating_add(period);
-        let mut last_beat_at = None;
-        // One wall-clock span per beat period (the whole call without a
-        // progress context), recorded into the calling thread's attached
-        // flight-recorder context (a no-op when unattached).
-        let mut block_span = wall::span(Family::MachineBlock);
+        let _block_span = wall::span(Family::MachineBlock);
         let mut buf: Vec<WorkloadEvent> = Vec::with_capacity(Self::BLOCK_EVENTS);
         loop {
             buf.clear();
-            let until = instructions.min(next_beat);
-            if workload.fill_block(&mut buf, until, Self::BLOCK_EVENTS) == 0 {
+            if workload.fill_block(&mut buf, instructions, Self::BLOCK_EVENTS) == 0 {
                 break;
             }
             for m in machines.iter_mut() {
                 m.run_block(&buf);
             }
-            let Some(c) = progress else {
-                continue;
-            };
-            let now = buf[buf.len() - 1].instructions;
-            if now >= next_beat {
-                if let Some(m) = machines.last() {
-                    c.worker
-                        .publish(m.progress_beat(WorkerState::Running, c.task, c.tasks_done));
-                }
-                last_beat_at = Some(now);
-                next_beat = now.saturating_add(period);
-                // Close the finished period's span before opening the
-                // next, so the guards nest LIFO on the thread's span
-                // stack.
-                drop(block_span);
-                block_span = wall::span(Family::MachineBlock);
-            }
-        }
-        // Close the trailing period's span before the final beat.
-        drop(block_span);
-        // Final beat — skipped when the last in-loop beat already
-        // reported this exact instruction count (a budget landing on a
-        // beat boundary), which would double-count the publish in the
-        // hub's `HubOverhead` self-accounting.
-        if let (Some(c), Some(m)) = (progress, machines.last()) {
-            if last_beat_at != Some(workload.instructions()) {
-                c.worker
-                    .publish(m.progress_beat(WorkerState::Running, c.task, c.tasks_done));
-            }
-        }
-    }
-
-    /// The machine's counters as one progress [`Beat`] (the hub
-    /// analogue of [`profile_cumulative`](Self::profile_cumulative)).
-    pub fn progress_beat(&self, state: WorkerState, task: u64, tasks_done: u64) -> Beat {
-        let (f_value, a_r) = match &self.controller {
-            Some(mc) => (mc.filter_value(), mc.ar()),
-            None => (0, 0),
-        };
-        Beat {
-            state,
-            task,
-            tasks_done,
-            instructions: self.stats.instructions,
-            l2_misses: self.stats.l2_misses,
-            migrations: self.stats.migrations,
-            f_value,
-            a_r,
-            bus_bytes: self.stats.bus.update_bus_bytes(),
         }
     }
 
@@ -795,45 +731,50 @@ impl Machine {
     /// migration controller.
     fn l2_write(&mut self, line: LineAddr, was_l1_request: bool) {
         self.store_run = None;
-        let migration = self.config.protocol == Protocol::MigrationMode;
         self.stats.l2_accesses += 1;
         // The probe hands its frame to `write_hit` (the upgrade path
         // edits the active copy) or to `serve_miss` (the fill replaces
         // the victim it chose), so neither scans the set again.
         let l2 = &mut self.l2[self.active];
-        let l2_hit = match l2.probe_at(line) {
+        let hit_frame = match l2.probe_at(line) {
             Probe::Hit(frame) => {
                 l2.touch_at(frame, false);
                 let (protocol, mut ctx) = self.coherence();
                 protocol.write_hit(&mut ctx, line, frame);
-                true
+                Some(frame)
             }
             Probe::Miss(victim) => {
                 self.stats.l2_misses += 1;
                 self.emit(self.stats.instructions, EventKind::L2Miss);
                 self.serve_l2_miss(line, victim, true);
-                false
+                None
             }
         };
-        let broadcast = {
+        // Post-store bus work only touches remote L2s, and a one-L2
+        // machine has none.
+        let broadcast = if self.l2.len() > 1 {
             let before = self.stats.store_broadcast_updates;
             let (protocol, mut ctx) = self.coherence();
             protocol.after_write(&mut ctx, line);
             self.stats.store_broadcast_updates - before
+        } else {
+            0
         };
         if was_l1_request {
             self.stats.l1_requests += 1;
             // Stores are never pointer loads.
-            self.consult_controller(line, !l2_hit, false);
-        } else if l2_hit && migration {
+            self.consult_controller(line, hit_frame.is_none(), false);
+        } else if hit_frame.is_some_and(|f| !self.l2[self.active].shared_at(f)) {
             // Arm the store-run memo: a DL1-hit store that hit the L2
-            // ran no fill and consulted no controller, so until some
+            // ran no fill and consulted no controller, and `write_hit`
+            // left the active copy modified and unshared, so until some
             // other path touches an L2 a repeat store to this line is
-            // state-idempotent. Migration mode only — its `write_hit`
-            // is a plain modified-bit set and its broadcast effect is
-            // the counter bump measured above, both stable across
-            // repeats. The shared-bit protocols re-examine bus state
-            // per store and always take the full path.
+            // state-idempotent. Under MESI that always holds (S→M
+            // invalidates; E→M and M→M are silent); under Dragon only
+            // when the `BusUpd` found no sharer, since a copy left in
+            // Sm must broadcast again; migration mode never sets the
+            // shared bit, and its broadcast effect is the counter bump
+            // measured above, stable across repeats.
             self.store_run = Some((line, broadcast));
         }
     }
@@ -916,7 +857,7 @@ mod tests {
     use super::*;
     use crate::config::CacheGeometry;
     use execmig_cache::Indexing;
-    use execmig_obs::{Hub, ProfileRecord};
+    use execmig_obs::ProfileRecord;
     use execmig_trace::gen::CircularWorkload;
     use execmig_trace::suite;
 
@@ -1003,6 +944,46 @@ mod tests {
         assert_eq!(m.l2[1].modified(line), Some(true));
         assert_eq!(m.l2[0].modified(line), Some(false));
         assert!(m.stats().store_broadcast_updates >= 1);
+    }
+
+    /// The store-run memo arms under every protocol once a DL1-hit
+    /// store leaves the active L2 copy modified and unshared: MESI M
+    /// (E→M, or S→M once the upgrade invalidated the sharer) and Dragon
+    /// M. A Dragon store to a line another L2 still holds leaves it in
+    /// Sm, which must broadcast again on the next store, so the memo
+    /// stays unarmed.
+    #[test]
+    fn store_run_memo_arms_only_on_an_exclusive_modified_copy() {
+        let line = LineAddr::new(100);
+        // Core 0 loads `line` into the DL1 and its L2. With `share`,
+        // core 1 then evicts it from the mirrored DL1 and loads it into
+        // its own L2. Core 0 then stores to it: a DL1 hit and an L2 hit.
+        let memo_after_store = |protocol, share: bool| {
+            let mut m = Machine::new(MachineConfig {
+                protocol,
+                ..tiny_config(2)
+            });
+            m.step(AccessKind::Load, line, 1);
+            if share {
+                m.activate(1);
+                for i in 0..64u64 {
+                    m.step(AccessKind::Load, LineAddr::new(1000 + i), 2 + i);
+                }
+                m.step(AccessKind::Load, line, 100);
+                assert!(m.l2[0].contains(line) && m.l2[1].contains(line));
+                m.activate(0);
+            }
+            let misses = m.stats().dl1_misses;
+            m.step(AccessKind::Store, line, 200);
+            assert_eq!(m.stats().dl1_misses, misses, "the store hit the DL1");
+            assert_eq!(m.l2[0].modified(line), Some(true));
+            m.store_run
+        };
+        let armed = Some((line, 0));
+        assert_eq!(memo_after_store(Protocol::Mesi, false), armed, "MESI E→M");
+        assert_eq!(memo_after_store(Protocol::Mesi, true), armed, "MESI S→M");
+        assert_eq!(memo_after_store(Protocol::Dragon, false), armed, "Dragon M");
+        assert_eq!(memo_after_store(Protocol::Dragon, true), None, "Dragon Sm");
     }
 
     #[test]
@@ -1454,82 +1435,6 @@ mod tests {
             assert_eq!(m.stats(), whole.stats(), "{how}");
             assert_eq!(records(m), records(&whole), "{how}");
             assert_eq!(events(m), events(&whole), "{how}");
-        }
-    }
-
-    /// `run_shared` publishes exactly one beat per period crossing
-    /// plus one final beat — unless the budget lands *on* a beat
-    /// boundary, in which case the final publish would report the same
-    /// instruction count twice and is skipped. `CircularWorkload`
-    /// retires exactly one instruction per event, so beat positions
-    /// are exact and the expected counts are closed-form. Every beat
-    /// carries the last machine's counters.
-    #[test]
-    fn observed_run_publishes_one_beat_per_period() {
-        let machines = || {
-            [
-                Machine::new(MachineConfig::single_core()),
-                Machine::new(MachineConfig::four_core_migration()),
-            ]
-        };
-        let observed = |budget: u64, period: u64| {
-            let hub = Hub::with_workers(1);
-            let worker = hub.worker(0).expect("first claim");
-            let ctx = ObsCtx {
-                worker: &worker,
-                task: 3,
-                tasks_done: 2,
-                beat_period: period,
-            };
-            let mut ms = machines();
-            Machine::run_shared(
-                &mut ms,
-                &mut CircularWorkload::new(4096),
-                budget,
-                Some(&ctx),
-            );
-            assert!(ms.iter().all(|m| m.stats().instructions == budget));
-            (ms, hub)
-        };
-        // The newest beat in the hub, and the beat a machine would
-        // publish now.
-        let published = |hub: &Hub| {
-            let w = &hub.snapshot().workers[0];
-            Beat {
-                state: w.state,
-                task: w.task,
-                tasks_done: w.tasks_done,
-                instructions: w.instructions,
-                l2_misses: w.l2_misses,
-                migrations: w.migrations,
-                f_value: w.f_value,
-                a_r: w.a_r,
-                bus_bytes: w.bus_bytes,
-            }
-        };
-        let beat_of = |m: &Machine| m.progress_beat(WorkerState::Running, 3, 2);
-        // Budget on a beat boundary: the in-loop beats at 1000, 2000,
-        // 3000, 4000 already cover the end state; no trailing beat. The
-        // newest is the in-loop beat at 4000, from the last machine.
-        let (ms, hub) = observed(4000, 1000);
-        assert_eq!(hub.overhead().beats, 4, "final beat double-counted");
-        assert_eq!(published(&hub), beat_of(&ms[1]));
-        // The single-core machine has no controller, hence no `A_R`:
-        // its beat would have differed.
-        assert_ne!(published(&hub), beat_of(&ms[0]));
-        // Budget below one period: only the trailing beat fires.
-        let (_, hub) = observed(500, 1000);
-        assert_eq!(hub.overhead().beats, 1);
-        // Budget off the boundary: 4 in-loop beats plus the trailing
-        // one reporting the final 4500, from the last machine.
-        let (ms, hub) = observed(4500, 1000);
-        assert_eq!(hub.overhead().beats, 5);
-        assert_eq!(published(&hub), beat_of(&ms[1]));
-        // Observability must not perturb the simulation.
-        let mut plain = machines();
-        Machine::run_shared(&mut plain, &mut CircularWorkload::new(4096), 4500, None);
-        for (p, o) in plain.iter().zip(&ms) {
-            assert_eq!(p.stats(), o.stats());
         }
     }
 }

@@ -1,9 +1,9 @@
 //! `execmig-model` — a dependency-free, loom-style interleaving model
-//! checker for the repo's lock-free telemetry and runner layers.
+//! checker for the repo's concurrent code.
 //!
-//! The repo's hot paths (the `obs::hub` SPSC beat rings, the runner's
-//! claim/complete protocol) use hand-picked `Relaxed`/`Release`
-//! orderings. This crate makes those choices *checkable*: code written
+//! The repo's sweep runner shares a task queue and a panic slot
+//! between worker threads (its claim/complete protocol). This crate
+//! makes that protocol *checkable*: code written
 //! against [`sync`] and [`thread`] compiles to plain std primitives in
 //! real builds, but inside [`explore`] every atomic operation, mutex
 //! acquisition, and thread spawn/join becomes a decision point for a

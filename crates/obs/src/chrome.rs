@@ -15,7 +15,7 @@
 //! affinity settling over tens of Minstr).
 //!
 //! A second clock domain can ride alongside: [`render_wall_trace`]
-//! renders the wall-clock flight recorder's retained spans (real
+//! renders the wall-clock span recorder's closed spans (real
 //! nanoseconds, as microsecond timestamps) under their own process id,
 //! and [`merge_traces`] splices both documents into one dual-clock
 //! trace — simulated time as process 0, wall-clock time as process 1,
@@ -295,7 +295,7 @@ pub fn render_machine_trace(
     t.build()
 }
 
-/// Renders the wall-clock flight recorder's retained spans as a trace
+/// Renders the wall-clock span recorder's closed spans as a trace
 /// under [`WALL_PID`]: one thread track per wall slot, each closed
 /// span a complete slice with its span/parent ids in `args`.
 /// Timestamps are wall nanoseconds mapped to the format's microsecond

@@ -1,47 +1,43 @@
-//! Wall-clock flight recorder: causal span tracing and latency
+//! Wall-clock span recorder: causal span tracing and latency
 //! self-profiling for the simulator's *own* execution.
 //!
-//! The event ring, profiler, and hub all measure *simulated* time —
+//! The event ring and the profiler measure *simulated* time —
 //! instructions, misses, migrations. This module measures where the
 //! simulator spends *wall-clock* time: which runner stage, which
-//! machine block, which differ case. Three consumers hang off it:
+//! machine block, which differ case. Three readers hang off the closed
+//! spans:
 //!
-//! - **Latency histograms.** Every closed span lands in a per-family
-//!   log-2 [`Histogram`] (nanoseconds), so a [`Wall::snapshot`] reports
+//! - **Latency histograms.** [`Wall::snapshot`] folds every span into a
+//!   per-family log-2 [`Histogram`] (nanoseconds) and reports
 //!   p50/p99/p999 per span family.
-//! - **Flight recorder.** Each thread keeps its live span stack in a
-//!   fixed block of atomics; a sampler thread periodically snapshots
-//!   every stack ([`Wall::sample_stacks`]) and the accumulated counts
-//!   render as collapsed-stack (flamegraph-compatible) output.
-//! - **Causal trace.** Closed spans carry u64 span/parent IDs, so the
-//!   retained spans export as a Chrome trace
-//!   ([`crate::chrome::render_wall_trace`]) that can be merged with the
-//!   simulated-time profile for a dual-clock view.
+//! - **Folded stacks.** [`fold`] weighs each stack of same-thread spans
+//!   by its exact self time in µs and renders collapsed-stack
+//!   (flamegraph-compatible) lines.
+//! - **Causal trace.** Closed spans carry u64 span/parent IDs, so they
+//!   export as a Chrome trace ([`crate::chrome::render_wall_trace`])
+//!   that can be merged with the simulated-time profile for a
+//!   dual-clock view.
 //!
-//! **Same ring as the hub.** Closed spans go into per-thread
-//! [`Ring`]s: a full ring drops the span and counts the drop — the
-//! recording thread never blocks. Only [`Wall::snapshot`] (cold side,
-//! mutex-guarded) drains rings into histograms and the retained-span
-//! list.
+//! **Per-thread buffers, read after the fact.** An attached thread
+//! keeps its open spans and its closed spans to itself: a span closed
+//! past the buffer's capacity is dropped and counted, and the recording
+//! thread never waits. [`detach`] hands the buffer to the [`Wall`];
+//! [`Wall::snapshot`], [`Wall::spans`] and the fold read only
+//! handed-over spans, so nothing reads a buffer while its thread still
+//! writes it. The runner's workers detach before they are joined.
 //!
-//! **Self-accounting.** The wall measures its own cost — spans
-//! recorded, nanoseconds inside enter/exit, merge and sampling time —
-//! as [`WallOverhead`], which a [`Budget`](crate::Budget) turns into a
-//! pass/fail verdict against a fraction of run time.
-//!
-//! **Off means unattached.** Spans are coarse (runner stages, beat
-//! periods, differ cases), so the wall has no compile-time twin: a
-//! thread with no attached [`WallThread`] opens inert guards.
+//! **Off means unattached.** Spans are coarse (runner stages, machine
+//! runs, differ cases), so the wall has no compile-time twin: a thread
+//! with no attached context opens inert guards.
 //!
 //! **Span families are a closed enum.** [`Family`] names every span
-//! kind; the ring encodes a span's family as its index into
-//! [`Family::ALL`], which is also the row order of
+//! kind; [`Family::ALL`] is also the row order of
 //! [`WallSnapshot::families`].
 
 use crate::metrics::Histogram;
-use crate::model::sync::{Arc, AtomicU64, Mutex, Ordering};
-use crate::spsc::Ring;
-use std::cell::{Cell, RefCell};
+use crate::model::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
 /// The span families, in [`WallSnapshot::families`] row order.
@@ -55,10 +51,8 @@ pub enum Family {
     Claim,
     /// Executing the task closure.
     Run,
-    /// Buffering the result and publishing the completion beat.
-    Complete,
     /// One `Machine::run_shared` call (every machine in the slice, over
-    /// one stream), or one beat period of it when it publishes beats.
+    /// one stream).
     MachineBlock,
     /// One differ suite-lockstep case.
     DifferCase,
@@ -69,12 +63,11 @@ pub enum Family {
 impl Family {
     /// Every family, in stable index order (`family as usize` indexes
     /// this table).
-    pub const ALL: [Family; 8] = [
+    pub const ALL: [Family; 7] = [
         Family::Sweep,
         Family::Task,
         Family::Claim,
         Family::Run,
-        Family::Complete,
         Family::MachineBlock,
         Family::DifferCase,
         Family::DifferFuzz,
@@ -87,7 +80,6 @@ impl Family {
             Family::Task => "runner/task",
             Family::Claim => "runner/claim",
             Family::Run => "runner/run",
-            Family::Complete => "runner/complete",
             Family::MachineBlock => "machine/block",
             Family::DifferCase => "differ/case",
             Family::DifferFuzz => "differ/fuzz",
@@ -95,29 +87,17 @@ impl Family {
     }
 }
 
-/// `u64` words per encoded span record in the ring:
-/// `[id, parent, family index, start_ns, dur_ns, sequence stamp]`.
-pub const SPAN_WORDS: usize = 6;
-
-/// Default span-ring capacity (spans buffered per thread between
-/// merges). Spans are coarse (tasks, machine blocks), so this covers
-/// seconds of headway at the default beat period.
-pub const DEFAULT_SPAN_RING_CAPACITY: usize = 1024;
-
-/// Deepest live span stack the flight recorder samples; deeper frames
-/// still record to the ring but are invisible to the sampler.
-pub const MAX_LIVE_DEPTH: usize = 16;
-
-/// Retained closed spans kept for Chrome export; overflow is counted
-/// in [`WallOverhead::retained_dropped`], never grows unbounded.
-pub const DEFAULT_RETAINED_SPANS: usize = 8192;
+/// Default per-thread buffer capacity: closed spans one attached thread
+/// keeps until it detaches. Spans are coarse (tasks, machine runs), so
+/// this covers thousands of tasks per worker.
+pub const DEFAULT_SPAN_CAPACITY: usize = 4096;
 
 /// Per-family latency stats at snapshot time (all durations in ns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyStats {
     /// The span family.
     pub family: Family,
-    /// Closed spans merged so far.
+    /// Closed spans handed over so far.
     pub count: u64,
     /// Summed span duration.
     pub total_ns: u64,
@@ -131,7 +111,7 @@ pub struct FamilyStats {
     pub max_ns: u64,
 }
 
-/// One closed span retained for Chrome export.
+/// One closed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetainedSpan {
     /// Span id (nonzero; the thread index lives in the high bits).
@@ -148,61 +128,35 @@ pub struct RetainedSpan {
     pub dur_ns: u64,
 }
 
-/// One sampled live-stack shape and how often the sampler saw it.
+/// One folded stack shape and its self time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StackCount {
     /// Semicolon-joined family names, outermost first — the collapsed
     /// stack format `flamegraph.pl` and speedscope ingest directly.
     pub stack: String,
-    /// Samples that observed this stack.
+    /// Self time of the stack's innermost frame, in µs.
     pub count: u64,
 }
 
 /// What the wall's own instrumentation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WallOverhead {
-    /// Spans accepted into rings.
+    /// Closed spans handed over.
     pub spans: u64,
-    /// Spans dropped on full rings.
+    /// Closed spans dropped on full per-thread buffers.
     pub dropped: u64,
-    /// Closed spans past the retained cap (histograms still counted
-    /// them; only the Chrome-export copy was discarded).
-    pub retained_dropped: u64,
-    /// Payload bytes moved through rings (`spans × record size`).
-    pub bytes: u64,
     /// Nanoseconds inside span enter/exit, summed over threads.
     pub record_ns: u64,
-    /// Snapshot merges performed.
-    pub merges: u64,
-    /// Nanoseconds inside the snapshot merge.
-    pub merge_ns: u64,
-    /// Flight-recorder sampling passes.
-    pub samples: u64,
-    /// Nanoseconds inside sampling passes.
-    pub sample_ns: u64,
 }
 
-impl WallOverhead {
-    /// Total observability nanoseconds (record + merge + sample).
-    pub fn total_ns(&self) -> u64 {
-        self.record_ns
-            .saturating_add(self.merge_ns)
-            .saturating_add(self.sample_ns)
-    }
-}
-
-/// An epoch-stamped merged view of every family and sampled stack.
+/// The merged view of every handed-over span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WallSnapshot {
-    /// Bumped on every merge that ran.
-    pub epoch: u64,
-    /// ns since the wall was created, at merge time.
-    pub uptime_ns: u64,
     /// Per-family latency stats, one row per [`Family::ALL`] entry.
     pub families: Vec<FamilyStats>,
-    /// Collapsed-stack counts accumulated by the flight recorder.
+    /// Folded stacks, as [`fold`] renders them.
     pub collapsed: Vec<StackCount>,
-    /// Wall self-accounting at merge time.
+    /// Wall self-accounting.
     pub overhead: WallOverhead,
 }
 
@@ -231,43 +185,80 @@ impl WallSnapshot {
     }
 }
 
-/// One thread's span ring plus the live span stack the flight
-/// recorder samples.
-struct SpanSlot {
-    ring: Ring<SPAN_WORDS>,
-    /// Live stack depth (may exceed `MAX_LIVE_DEPTH`; the sampler caps
-    /// its read).
-    live_depth: AtomicU64,
-    /// Live stack entries: family index, outermost first.
-    live: [AtomicU64; MAX_LIVE_DEPTH],
+/// Folds closed spans into collapsed stacks weighted by exact self
+/// time, in µs.
+///
+/// A span's stack is its chain of same-thread ancestors, outermost
+/// first; a parent on another thread (a runner task's sweep) starts a
+/// new stack. Its self time is its duration minus its same-thread
+/// children's. A span that parents work on another thread folds
+/// nothing of its own: its thread was waiting on that work, which folds
+/// where it ran. Stacks sum over spans, come out sorted by stack, and
+/// those under 1 µs are left out.
+pub fn fold(spans: &[RetainedSpan]) -> Vec<StackCount> {
+    let by_id: HashMap<u64, &RetainedSpan> = spans.iter().map(|s| (s.id, s)).collect();
+    let mut child_ns: HashMap<u64, u64> = HashMap::new();
+    let mut waits: HashSet<u64> = HashSet::new();
+    for s in spans {
+        match by_id.get(&s.parent) {
+            Some(p) if p.thread == s.thread => *child_ns.entry(p.id).or_default() += s.dur_ns,
+            Some(p) => {
+                waits.insert(p.id);
+            }
+            None => {}
+        }
+    }
+    let mut self_ns: BTreeMap<String, u64> = BTreeMap::new();
+    for s in spans.iter().filter(|s| !waits.contains(&s.id)) {
+        let own = s
+            .dur_ns
+            .saturating_sub(child_ns.get(&s.id).copied().unwrap_or(0));
+        let mut names = vec![s.family.name()];
+        let mut at = s;
+        while let Some(p) = by_id.get(&at.parent).filter(|p| p.thread == at.thread) {
+            names.push(p.family.name());
+            at = p;
+        }
+        names.reverse();
+        *self_ns.entry(names.join(";")).or_default() += own;
+    }
+    self_ns
+        .into_iter()
+        .filter(|&(_, ns)| ns >= 1000)
+        .map(|(stack, ns)| StackCount {
+            stack,
+            count: ns / 1000,
+        })
+        .collect()
 }
 
-/// Cold-side merge state, guarded by one mutex (never touched by the
-/// span hot path).
-struct AggState {
-    epoch: u64,
-    /// Parallel to `Family::ALL`.
-    hists: Vec<Histogram>,
-    totals: Vec<u64>,
-    retained: Vec<RetainedSpan>,
-    retained_dropped: u64,
-    collapsed: Vec<(String, u64)>,
-    merges: u64,
-    merge_ns: u64,
-    samples: u64,
-    sample_ns: u64,
+/// Slot claims and the handed-over spans, behind one mutex that only
+/// [`attach`], [`detach`] and the readers take — never a span.
+struct Merged {
+    claimed: Vec<bool>,
+    spans: Vec<RetainedSpan>,
+    dropped: u64,
+    record_ns: u64,
 }
 
 struct WallInner {
     started: Instant,
-    retained_cap: usize,
-    slots: Vec<SpanSlot>,
-    agg: Mutex<AggState>,
+    capacity: usize,
+    merged: Mutex<Merged>,
 }
 
-/// The wall-clock flight recorder.
+impl WallInner {
+    fn lock(&self) -> MutexGuard<'_, Merged> {
+        match self.merged.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+}
+
+/// The wall-clock span recorder.
 ///
-/// Cheap to clone — clones share the same rings and merge state.
+/// Cheap to clone — clones share the same handed-over spans.
 #[derive(Clone)]
 pub struct Wall {
     inner: Arc<WallInner>,
@@ -275,125 +266,69 @@ pub struct Wall {
 
 impl std::fmt::Debug for Wall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wall")
-            .field("threads", &self.inner.slots.len())
-            .finish()
+        f.debug_struct("Wall").finish_non_exhaustive()
     }
 }
 
 impl Wall {
-    /// A wall with `threads` slots and `ring_capacity` buffered spans
-    /// per thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ring_capacity < 2`.
-    pub fn new(threads: usize, ring_capacity: usize) -> Wall {
-        let slots = (0..threads)
-            .map(|_| SpanSlot {
-                ring: Ring::new(ring_capacity),
-                live_depth: AtomicU64::new(0),
-                live: std::array::from_fn(|_| AtomicU64::new(0)),
-            })
-            .collect();
+    /// A wall with `threads` slots, each keeping up to `capacity`
+    /// closed spans until its thread detaches.
+    pub fn new(threads: usize, capacity: usize) -> Wall {
         Wall {
             inner: Arc::new(WallInner {
                 started: Instant::now(),
-                retained_cap: DEFAULT_RETAINED_SPANS,
-                slots,
-                agg: Mutex::new(AggState {
-                    epoch: 0,
-                    hists: Family::ALL.iter().map(|_| Histogram::new()).collect(),
-                    totals: vec![0; Family::ALL.len()],
-                    retained: Vec::new(),
-                    retained_dropped: 0,
-                    collapsed: Vec::new(),
-                    merges: 0,
-                    merge_ns: 0,
-                    samples: 0,
-                    sample_ns: 0,
+                capacity,
+                merged: Mutex::new(Merged {
+                    claimed: vec![false; threads],
+                    spans: Vec::new(),
+                    dropped: 0,
+                    record_ns: 0,
                 }),
             }),
         }
     }
 
-    /// A wall with the default ring capacity.
+    /// A wall with the default per-thread capacity.
     pub fn with_threads(threads: usize) -> Wall {
-        Wall::new(threads, DEFAULT_SPAN_RING_CAPACITY)
+        Wall::new(threads, DEFAULT_SPAN_CAPACITY)
     }
 
-    /// Thread slots configured.
-    pub fn threads(&self) -> usize {
-        self.inner.slots.len()
-    }
-
-    /// ns since the wall was created (the clock spans are stamped with).
-    pub fn now_ns(&self) -> u64 {
-        self.inner.started.elapsed().as_nanos() as u64
-    }
-
-    /// Claims thread slot `index`'s producer handle. Each slot has
-    /// exactly one producer: the first claim wins, later claims (and
-    /// out-of-range indices) get `None`.
-    pub fn thread(&self, index: usize) -> Option<WallThread> {
-        self.inner
-            .slots
-            .get(index)?
-            .ring
-            .claim()
-            .then(|| WallThread {
-                inner: Arc::clone(&self.inner),
-                index,
-                stack: RefCell::new(Vec::new()),
-                next_id: Cell::new(0),
-            })
-    }
-
-    fn agg_lock(&self) -> crate::model::sync::MutexGuard<'_, AggState> {
-        match self.inner.agg.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+    /// Claims slot `index` for one thread: the first claim wins, later
+    /// claims (and out-of-range indices) get `None`.
+    fn claim(&self, index: usize) -> Option<WallThread> {
+        let mut merged = self.inner.lock();
+        let slot = merged.claimed.get_mut(index)?;
+        if std::mem::replace(slot, true) {
+            return None;
         }
+        Some(WallThread {
+            inner: Arc::clone(&self.inner),
+            index,
+            next_id: 0,
+            stack: Vec::new(),
+            closed: Vec::new(),
+            dropped: 0,
+            record_ns: 0,
+        })
     }
 
-    /// Drains every ring into the per-family histograms and the
-    /// retained-span list, bumps the epoch, and returns the merged view.
-    /// Cold side only; producers never block on it.
+    /// Per-family latency stats, folded stacks and self-accounting over
+    /// every handed-over span.
     pub fn snapshot(&self) -> WallSnapshot {
-        let t0 = Instant::now();
-        let mut agg = self.agg_lock();
-        let agg = &mut *agg;
-        for (thread, slot) in self.inner.slots.iter().enumerate() {
-            slot.ring
-                .drain(|&[id, parent, family, start_ns, dur_ns, _]| {
-                    let fi = family as usize;
-                    agg.hists[fi].observe(dur_ns);
-                    agg.totals[fi] = agg.totals[fi].saturating_add(dur_ns);
-                    if agg.retained.len() < self.inner.retained_cap {
-                        agg.retained.push(RetainedSpan {
-                            id,
-                            parent,
-                            family: Family::ALL[fi],
-                            thread,
-                            start_ns,
-                            dur_ns,
-                        });
-                    } else {
-                        agg.retained_dropped += 1;
-                    }
-                });
+        let merged = self.inner.lock();
+        let mut hists = Family::ALL.map(|_| Histogram::new());
+        let mut totals = [0u64; Family::ALL.len()];
+        for s in &merged.spans {
+            let fi = s.family as usize;
+            hists[fi].observe(s.dur_ns);
+            totals[fi] = totals[fi].saturating_add(s.dur_ns);
         }
-        agg.epoch += 1;
-        agg.merges += 1;
-        agg.merge_ns += t0.elapsed().as_nanos() as u64;
         WallSnapshot {
-            epoch: agg.epoch,
-            uptime_ns: self.now_ns(),
             families: Family::ALL
                 .iter()
-                .zip(&agg.hists)
-                .zip(&agg.totals)
-                .map(|((&family, h), &total_ns)| FamilyStats {
+                .zip(&hists)
+                .zip(totals)
+                .map(|((&family, h), total_ns)| FamilyStats {
                     family,
                     count: h.count(),
                     total_ns,
@@ -403,218 +338,120 @@ impl Wall {
                     max_ns: h.max(),
                 })
                 .collect(),
-            collapsed: agg
-                .collapsed
-                .iter()
-                .map(|(stack, count)| StackCount {
-                    stack: stack.clone(),
-                    count: *count,
-                })
-                .collect(),
-            overhead: self.overhead_locked(agg),
+            collapsed: fold(&merged.spans),
+            overhead: WallOverhead {
+                spans: merged.spans.len() as u64,
+                dropped: merged.dropped,
+                record_ns: merged.record_ns,
+            },
         }
     }
 
-    /// One flight-recorder pass: reads every thread's live span stack
-    /// and folds the observed shapes into the collapsed-stack counts.
-    /// Returns how many stacks were folded. Approximate by design — a
-    /// stack mutating mid-read yields a momentarily stale (never torn)
-    /// frame.
-    ///
-    /// Empty stacks are skipped, and so is a stack that is exactly one
-    /// `sweep` frame: that is a sweep's driver joining its workers.
-    /// Worker stacks start at `runner/task`, parented to the sweep by
-    /// id only, so no working stack has that shape.
-    pub fn sample_stacks(&self) -> usize {
-        let t0 = Instant::now();
-        let mut seen = 0usize;
-        let mut agg = self.agg_lock();
-        for slot in &self.inner.slots {
-            // ord: Acquire pairs with the producer's Release depth store
-            // in enter(): frames below `depth` were published before
-            // the depth became visible.
-            let depth = slot.live_depth.load(Ordering::Acquire) as usize;
-            let depth = depth.min(MAX_LIVE_DEPTH);
-            // ord: Relaxed — covered by the Acquire depth load above.
-            let root = slot.live[0].load(Ordering::Relaxed);
-            if depth == 0 || (depth == 1 && root == Family::Sweep as u64) {
-                continue;
-            }
-            let mut stack = String::new();
-            for entry in slot.live.iter().take(depth) {
-                // ord: Relaxed — covered by the Acquire depth load; a
-                // racing re-push can make this momentarily stale, which
-                // sampling tolerates.
-                let family = Family::ALL[entry.load(Ordering::Relaxed) as usize];
-                if !stack.is_empty() {
-                    stack.push(';');
-                }
-                stack.push_str(family.name());
-            }
-            seen += 1;
-            match agg.collapsed.iter_mut().find(|(s, _)| *s == stack) {
-                Some((_, count)) => *count += 1,
-                None => agg.collapsed.push((stack, 1)),
-            }
-        }
-        agg.samples += 1;
-        agg.sample_ns += t0.elapsed().as_nanos() as u64;
-        seen
-    }
-
-    /// Wall self-accounting so far (without forcing a merge).
-    pub fn overhead(&self) -> WallOverhead {
-        self.overhead_locked(&self.agg_lock())
-    }
-
-    fn overhead_locked(&self, agg: &AggState) -> WallOverhead {
-        let rings = || self.inner.slots.iter().map(|s| &s.ring);
-        let spans: u64 = rings().map(Ring::published).sum();
-        WallOverhead {
-            spans,
-            dropped: rings().map(Ring::dropped).sum(),
-            retained_dropped: agg.retained_dropped,
-            bytes: spans * (SPAN_WORDS as u64) * 8,
-            record_ns: rings().map(Ring::cost_ns).sum(),
-            merges: agg.merges,
-            merge_ns: agg.merge_ns,
-            samples: agg.samples,
-            sample_ns: agg.sample_ns,
-        }
-    }
-
-    /// The retained closed spans (for Chrome export). Forces a merge
-    /// first so freshly closed spans are included.
+    /// The handed-over spans, by thread slot and then in open order.
     pub fn spans(&self) -> Vec<RetainedSpan> {
-        let _ = self.snapshot();
-        self.agg_lock().retained.clone()
+        let mut spans = self.inner.lock().spans.clone();
+        spans.sort_unstable_by_key(|s| s.id);
+        spans
     }
 }
 
-/// A thread's producer handle. Deliberately not `Clone`: one producer
-/// per ring is what makes the ring SPSC.
-pub struct WallThread {
+/// One attached thread's recording state: its open-span stack and its
+/// closed-span buffer. Dropping it hands the buffer to the wall.
+struct WallThread {
     inner: Arc<WallInner>,
     index: usize,
+    next_id: u64,
     /// Open frames: `(id, parent, family, start_ns)`.
-    stack: RefCell<Vec<(u64, u64, Family, u64)>>,
-    next_id: Cell<u64>,
-}
-
-impl std::fmt::Debug for WallThread {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WallThread")
-            .field("index", &self.index)
-            .finish()
-    }
+    stack: Vec<(u64, u64, Family, u64)>,
+    closed: Vec<RetainedSpan>,
+    dropped: u64,
+    record_ns: u64,
 }
 
 impl WallThread {
-    /// The slot index this handle records to.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// The id of the innermost open span, 0 when none.
-    pub fn current(&self) -> u64 {
-        self.stack.borrow().last().map_or(0, |f| f.0)
+    fn current(&self) -> u64 {
+        self.stack.last().map_or(0, |f| f.0)
     }
 
-    fn slot(&self) -> &SpanSlot {
-        &self.inner.slots[self.index]
+    fn since_start(&self, t: Instant) -> u64 {
+        t.duration_since(self.inner.started).as_nanos() as u64
     }
 
-    /// Publishes the open-stack depth to the sampler.
-    fn set_depth(&self, depth: usize) {
-        let live_depth = &self.slot().live_depth;
-        // ord: Release pairs with the sampler's Acquire depth load in
-        // sample_stacks(): entries below `depth` are visible before the
-        // depth is, and frames at or above it are dead to the sampler.
-        live_depth.store(depth as u64, Ordering::Release);
-    }
-
-    /// Opens a span of `family`, parented to the innermost open span on
-    /// this thread. Returns the (nonzero) span id. Self-measured into
-    /// [`WallOverhead::record_ns`].
-    pub fn enter(&self, family: Family) -> u64 {
-        self.enter_with_parent(family, self.current())
-    }
-
-    /// Opens a span of `family` with an explicit parent id — the
-    /// cross-thread causality hook (e.g. runner tasks parented to the
-    /// driver's sweep span).
-    pub fn enter_with_parent(&self, family: Family, parent: u64) -> u64 {
+    /// Opens a span of `family` with the given parent id and returns
+    /// its (nonzero) id.
+    fn enter(&mut self, family: Family, parent: u64) -> u64 {
         let t0 = Instant::now();
-        let id = self.next_id.get() + 1;
-        self.next_id.set(id);
+        self.next_id += 1;
         // Thread index in the high 16 bits keeps ids globally unique
         // without any shared allocation.
-        let id = ((self.index as u64 + 1) << 48) | id;
-        let start_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-        let depth = {
-            let mut stack = self.stack.borrow_mut();
-            stack.push((id, parent, family, start_ns));
-            stack.len()
-        };
-        if let Some(entry) = self.slot().live.get(depth - 1) {
-            // ord: Relaxed — the Release depth store below publishes
-            // this entry to the sampler.
-            entry.store(family as u64, Ordering::Relaxed);
-        }
-        self.set_depth(depth);
-        self.slot().ring.bill(t0.elapsed().as_nanos() as u64);
+        let id = ((self.index as u64 + 1) << 48) | self.next_id;
+        let start_ns = self.since_start(t0);
+        self.stack.push((id, parent, family, start_ns));
+        self.record_ns += t0.elapsed().as_nanos() as u64;
         id
     }
 
-    /// Closes the innermost open span and pushes it into this thread's
-    /// ring. A full ring drops the record and counts the drop — the
-    /// caller never waits.
-    ///
-    /// `id` is the value [`enter`](Self::enter) returned; a mismatch
-    /// (unbalanced guards) still closes the innermost frame, keeping
-    /// the stack consistent.
-    pub fn exit(&self, id: u64) {
+    /// Closes the innermost open span into the buffer, or drops and
+    /// counts it when the buffer is full. `id` is the value
+    /// [`enter`](Self::enter) returned; a mismatch (unbalanced guards)
+    /// still closes the innermost frame, keeping the stack consistent.
+    fn exit(&mut self, id: u64) {
         let t0 = Instant::now();
-        let Some((span_id, parent, family, start_ns)) = self.stack.borrow_mut().pop() else {
+        let Some((span_id, parent, family, start_ns)) = self.stack.pop() else {
             return;
         };
         debug_assert_eq!(span_id, id, "span guards must close LIFO");
-        self.set_depth(self.stack.borrow().len());
-        let end_ns = t0.duration_since(self.inner.started).as_nanos() as u64;
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        let ring = &self.slot().ring;
-        ring.push([span_id, parent, family as u64, start_ns, dur_ns, 0]);
-        ring.bill(t0.elapsed().as_nanos() as u64);
+        if self.closed.len() < self.inner.capacity {
+            self.closed.push(RetainedSpan {
+                id: span_id,
+                parent,
+                family,
+                thread: self.index,
+                start_ns,
+                dur_ns: self.since_start(t0).saturating_sub(start_ns),
+            });
+        } else {
+            self.dropped += 1;
+        }
+        self.record_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Discards the innermost open span without recording it (used when
-    /// a span turns out to cover nothing, e.g. a task claim that found
-    /// the queue empty).
-    pub fn cancel(&self, id: u64) {
-        let popped = self.stack.borrow_mut().pop();
+    /// Discards the innermost open span without recording it.
+    fn cancel(&mut self, id: u64) {
+        let popped = self.stack.pop();
         debug_assert!(
             popped.is_none_or(|f| f.0 == id),
             "span guards must close LIFO"
         );
-        self.set_depth(self.stack.borrow().len());
+    }
+}
+
+impl Drop for WallThread {
+    fn drop(&mut self) {
+        let mut merged = self.inner.lock();
+        merged.spans.append(&mut self.closed);
+        merged.dropped += self.dropped;
+        merged.record_ns += self.record_ns;
     }
 }
 
 // ---------------------------------------------------------------------
-// Thread-propagated context: a thread attaches its WallThread once and
-// instrumentation anywhere down the call stack opens spans without
-// plumbing a handle through every signature.
+// Thread-propagated context: a thread attaches once and instrumentation
+// anywhere down the call stack opens spans without plumbing a handle
+// through every signature.
 // ---------------------------------------------------------------------
 
 thread_local! {
     static CURRENT: RefCell<Option<WallThread>> = const { RefCell::new(None) };
 }
 
-/// Claims slot `index` of `wall` and installs the handle as this
-/// thread's recording context. Returns false (and leaves any existing
-/// context in place) when the slot is already claimed or out of range.
+/// Claims slot `index` of `wall` as this thread's recording context.
+/// Returns false (and leaves any existing context in place) when the
+/// slot is already claimed or out of range. One thread per slot per
+/// wall lifetime.
 pub fn attach(wall: &Wall, index: usize) -> bool {
-    match wall.thread(index) {
+    match wall.claim(index) {
         Some(t) => {
             CURRENT.with(|c| *c.borrow_mut() = Some(t));
             true
@@ -623,18 +460,18 @@ pub fn attach(wall: &Wall, index: usize) -> bool {
     }
 }
 
-/// Drops this thread's recording context (open guards become no-ops).
-/// The slot stays claimed — like the hub, one producer per slot per
-/// wall lifetime.
+/// Ends this thread's recording context and hands its closed spans to
+/// the wall; spans still open are discarded, and open guards become
+/// no-ops.
 pub fn detach() {
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    drop(CURRENT.with(|c| c.borrow_mut().take()));
 }
 
 /// The innermost open span id on this thread, 0 when none (or
 /// unattached). Hand this to [`span_with_parent`] on another thread for
 /// cross-thread causality.
 pub fn current_id() -> u64 {
-    CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.current()))
+    CURRENT.with(|c| c.borrow().as_ref().map_or(0, WallThread::current))
 }
 
 /// An RAII span: closes (records) the span when dropped.
@@ -659,16 +496,17 @@ impl ScopedSpan {
 
 impl Drop for ScopedSpan {
     fn drop(&mut self) {
-        with_attached(self.id, |t| t.exit(self.id));
+        let id = self.id;
+        with_attached(id, |t| t.exit(id));
     }
 }
 
-/// Runs `f` on this thread's attached handle, unless `id` is the inert
-/// 0 of an unattached guard.
-fn with_attached(id: u64, f: impl FnOnce(&WallThread)) {
+/// Runs `f` on this thread's attached context, unless `id` is the
+/// inert 0 of an unattached guard.
+fn with_attached(id: u64, f: impl FnOnce(&mut WallThread)) {
     if id != 0 {
         CURRENT.with(|c| {
-            if let Some(t) = c.borrow().as_ref() {
+            if let Some(t) = c.borrow_mut().as_mut() {
                 f(t);
             }
         });
@@ -680,17 +518,24 @@ fn with_attached(id: u64, f: impl FnOnce(&WallThread)) {
 /// is unattached.
 pub fn span(family: Family) -> ScopedSpan {
     ScopedSpan {
-        id: CURRENT.with(|c| c.borrow().as_ref().map_or(0, |t| t.enter(family))),
+        id: CURRENT.with(|c| {
+            c.borrow_mut().as_mut().map_or(0, |t| {
+                let parent = t.current();
+                t.enter(family, parent)
+            })
+        }),
     }
 }
 
-/// As [`span`], with an explicit parent id (0 for a root).
+/// As [`span`], with an explicit parent id (0 for a root) — the
+/// cross-thread causality hook (e.g. runner tasks parented to the
+/// driver's sweep span).
 pub fn span_with_parent(family: Family, parent: u64) -> ScopedSpan {
     ScopedSpan {
         id: CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map_or(0, |t| t.enter_with_parent(family, parent))
+            c.borrow_mut()
+                .as_mut()
+                .map_or(0, |t| t.enter(family, parent))
         }),
     }
 }
@@ -711,229 +556,167 @@ mod tests {
     }
 
     #[test]
-    fn overhead_total_sums_record_merge_and_sample() {
-        let o = WallOverhead {
-            record_ns: 1_000,
-            merge_ns: 500,
-            sample_ns: 500,
-            ..WallOverhead::default()
-        };
-        assert_eq!(o.total_ns(), 2_000);
-    }
-
-    #[test]
     fn nested_spans_aggregate_and_retain_causality() {
         let wall = Wall::with_threads(2);
-        let t = wall.thread(0).expect("first claim");
-        let outer = t.enter(Family::Sweep);
-        let inner = t.enter(Family::Task);
-        t.exit(inner);
-        t.exit(outer);
+        assert!(attach(&wall, 0), "first claim");
+        {
+            let _outer = span(Family::Sweep);
+            let _inner = span(Family::Task);
+        }
+        // Nothing is read before the thread hands its buffer over.
+        assert_eq!(wall.snapshot().total_spans(), 0);
+        detach();
         let snap = wall.snapshot();
         assert_eq!(snap.families.len(), Family::ALL.len());
-        assert_eq!(snap.epoch, 1);
         let sweep = snap.family(Family::Sweep).expect("sweep row");
-        assert_eq!(sweep.count, 1);
         let task = snap.family(Family::Task).expect("task row");
-        assert_eq!(task.count, 1);
+        assert_eq!((sweep.count, task.count), (1, 1));
         assert!(sweep.max_ns >= task.max_ns, "outer span covers inner");
         assert_eq!(snap.total_spans(), 2);
-        // The second claim of the same slot must fail (SPSC).
-        assert!(wall.thread(0).is_none(), "slot 0 already claimed");
-        assert!(wall.thread(5).is_none(), "out of range");
-        let o = wall.overhead();
-        assert_eq!(o.spans, 2);
-        assert_eq!(o.bytes, 2 * (SPAN_WORDS as u64) * 8);
+        // A slot is claimed once per wall lifetime.
+        assert!(!attach(&wall, 0), "slot 0 already claimed");
+        assert!(!attach(&wall, 5), "out of range");
+        let o = snap.overhead;
+        assert_eq!((o.spans, o.dropped), (2, 0));
         assert!(o.record_ns > 0);
-        assert!(o.merges >= 1);
-        // Both spans survive into the retained list with causality.
         let spans = wall.spans();
         assert_eq!(spans.len(), 2);
-        let task_span = spans
-            .iter()
-            .find(|s| s.family == Family::Task)
-            .expect("task span retained");
-        let sweep_span = spans
-            .iter()
-            .find(|s| s.family == Family::Sweep)
-            .expect("sweep span retained");
-        assert_eq!(task_span.parent, sweep_span.id, "nesting sets parent");
-        assert_eq!(sweep_span.parent, 0, "root has no parent");
+        assert_eq!(spans[0].family, Family::Sweep, "open order");
+        assert_eq!(spans[1].parent, spans[0].id, "nesting sets parent");
+        assert_eq!(spans[0].parent, 0, "root has no parent");
     }
 
     #[test]
-    fn full_ring_drops_and_counts() {
+    fn full_buffer_drops_and_counts() {
         let wall = Wall::new(1, 4);
-        let t = wall.thread(0).expect("claim");
+        assert!(attach(&wall, 0));
         for _ in 0..10 {
-            let id = t.enter(Family::Run);
-            t.exit(id);
+            drop(span(Family::Run));
         }
+        detach();
         let snap = wall.snapshot();
         let o = snap.overhead;
-        assert_eq!(o.spans, 4, "ring holds 4");
-        assert_eq!(o.dropped, 6);
-        assert_eq!(o.spans + o.dropped, 10, "record conservation");
+        assert_eq!((o.spans, o.dropped), (4, 6), "record conservation");
         assert_eq!(snap.family(Family::Run).expect("run row").count, 4);
-        // After the drain the ring has room again.
-        let id = t.enter(Family::Run);
-        t.exit(id);
-        let snap = wall.snapshot();
-        assert_eq!(snap.family(Family::Run).expect("run row").count, 5);
-        assert_eq!(snap.epoch, 2);
     }
 
     #[test]
-    fn cancel_discards_the_frame() {
+    fn cancel_and_unattached_guards_record_nothing() {
         let wall = Wall::with_threads(1);
-        let t = wall.thread(0).expect("claim");
-        let id = t.enter(Family::Claim);
-        t.cancel(id);
-        assert_eq!(t.current(), 0, "stack unwound");
+        assert!(attach(&wall, 0));
+        let claim = span(Family::Claim);
+        assert_eq!(current_id(), claim.id());
+        claim.cancel();
+        assert_eq!(current_id(), 0, "stack unwound");
+        let open = span(Family::Run);
+        detach();
+        // Detached: guards are inert, and the open span is discarded.
+        assert_eq!(span(Family::Task).id(), 0);
+        drop(open);
+        assert_eq!(current_id(), 0);
         assert_eq!(wall.snapshot().total_spans(), 0, "nothing recorded");
-    }
-
-    #[test]
-    fn live_stack_sampling_collapses() {
-        let wall = Wall::with_threads(1);
-        let t = wall.thread(0).expect("claim");
-        let outer = t.enter(Family::Task);
-        let inner = t.enter(Family::Run);
-        assert_eq!(wall.sample_stacks(), 1);
-        assert_eq!(wall.sample_stacks(), 1);
-        t.exit(inner);
-        assert_eq!(wall.sample_stacks(), 1, "outer frame still live");
-        t.exit(outer);
-        assert_eq!(wall.sample_stacks(), 0, "empty stacks are skipped");
-        let snap = wall.snapshot();
-        let deep = snap
-            .collapsed
-            .iter()
-            .find(|s| s.stack == "runner/task;runner/run")
-            .expect("nested stack sampled");
-        assert_eq!(deep.count, 2);
-        let shallow = snap
-            .collapsed
-            .iter()
-            .find(|s| s.stack == "runner/task")
-            .expect("outer-only stack sampled");
-        assert_eq!(shallow.count, 1);
-        assert!(snap.collapsed_text().contains("runner/task;runner/run 2\n"));
-        assert_eq!(snap.overhead.samples, 4);
-    }
-
-    /// A driver holding only its `sweep` root is waiting, not working:
-    /// the sampler folds nothing for it, but still folds a sweep frame
-    /// with work under it, and the span itself is still recorded.
-    #[test]
-    fn idle_sweep_root_is_not_sampled() {
-        let wall = Wall::with_threads(1);
-        let t = wall.thread(0).expect("claim");
-        let root = t.enter(Family::Sweep);
-        assert_eq!(wall.sample_stacks(), 0, "bare sweep root skipped");
-        let task = t.enter(Family::Task);
-        assert_eq!(wall.sample_stacks(), 1, "sweep with work under it");
-        t.exit(task);
-        t.exit(root);
-        let snap = wall.snapshot();
-        assert_eq!(snap.collapsed_text(), "sweep;runner/task 1\n");
-        assert_eq!(snap.overhead.samples, 2);
-        assert!(wall.spans().iter().any(|s| s.family == Family::Sweep));
     }
 
     #[test]
     fn explicit_parent_crosses_threads() {
         let wall = Wall::with_threads(2);
-        let driver = wall.thread(0).expect("claim 0");
-        let root = driver.enter(Family::Sweep);
-        let worker = wall.thread(1).expect("claim 1");
-        let task = worker.enter_with_parent(Family::Task, root);
-        worker.exit(task);
-        driver.exit(root);
+        assert!(attach(&wall, 1));
+        let root = span(Family::Sweep);
+        let parent = root.id();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(attach(&wall, 0));
+                drop(span_with_parent(Family::Task, parent));
+                detach();
+            });
+        });
+        drop(root);
+        detach();
         let spans = wall.spans();
-        let task_span = spans
-            .iter()
-            .find(|s| s.family == Family::Task)
-            .expect("task retained");
-        assert_eq!(task_span.parent, root);
-        assert_eq!(task_span.thread, 1);
+        let task = spans.iter().find(|s| s.family == Family::Task);
+        let task = task.expect("task handed over");
+        assert_eq!((task.parent, task.thread), (parent, 0));
         // Ids from different threads never collide.
-        let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
+        let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
         assert_eq!(ids.len(), spans.len());
     }
 
-    #[test]
-    fn tls_spans_record_through_the_attached_context() {
-        let wall = Wall::with_threads(1);
-        assert!(attach(&wall, 0), "first attach claims the slot");
-        {
-            let outer = span(Family::Sweep);
-            assert_ne!(outer.id(), 0);
-            assert_eq!(current_id(), outer.id());
-            let inner = span(Family::Task);
-            drop(inner);
-            drop(outer);
+    fn closed(
+        id: u64,
+        parent: u64,
+        family: Family,
+        thread: usize,
+        start_us: u64,
+        dur_us: u64,
+    ) -> RetainedSpan {
+        RetainedSpan {
+            id,
+            parent,
+            family,
+            thread,
+            start_ns: start_us * 1000,
+            dur_ns: dur_us * 1000,
         }
-        // Cancelled guards record nothing.
-        let ghost = span(Family::Claim);
-        ghost.cancel();
-        detach();
-        // Unattached: guards are inert.
-        let idle = span(Family::Run);
-        assert_eq!(idle.id(), 0);
-        drop(idle);
-        assert_eq!(current_id(), 0);
-        let snap = wall.snapshot();
-        assert_eq!(snap.total_spans(), 2, "sweep + task, no claim/run");
-        assert_eq!(snap.family(Family::Claim).expect("claim row").count, 0);
     }
 
-    #[cfg_attr(miri, ignore = "timed producer loops are too slow under miri")]
+    /// The fold on synthetic spans: a driver's `sweep` on thread 1
+    /// parents two tasks on thread 0. Self time is a span's duration
+    /// minus its same-thread children, the sweep folds nothing, and the
+    /// lines come out in one order whatever order the spans arrive in.
     #[test]
-    fn concurrent_record_merge_and_sample() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let wall = Wall::with_threads(4);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for i in 0..4 {
-                let t = wall.thread(i).expect("claim");
-                let stop = &stop;
-                scope.spawn(move || {
-                    // A guaranteed floor of iterations first: the main
-                    // thread's snapshot loop can finish before a slow
-                    // spawn even starts, and the final conservation
-                    // check needs spans to conserve.
-                    let mut done = 0u32;
-                    while done < 50 || !stop.load(Ordering::Relaxed) {
-                        let outer = t.enter(Family::Task);
-                        let inner = t.enter(Family::Run);
-                        t.exit(inner);
-                        t.exit(outer);
-                        done += 1;
-                    }
-                });
-            }
-            for _ in 0..100 {
-                let snap = wall.snapshot();
-                for f in &snap.families {
-                    assert!(f.p50_ns <= f.p99_ns && f.p99_ns <= f.p999_ns);
-                    assert!(f.p999_ns <= f.max_ns.max(f.p999_ns));
-                }
-                let _ = wall.sample_stacks();
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        let snap = wall.snapshot();
-        let o = snap.overhead;
-        // 4 producers x >= 50 iterations x 2 spans, and a slot can only
-        // drop once 1024 records sit undrained — so all 400 floor spans
-        // publish.
-        assert!(o.spans >= 400);
-        assert!(o.merges >= 101);
-        assert!(o.samples >= 100);
-        // Conservation after join: the final snapshot drained every
-        // ring, so the histograms saw exactly the accepted records
-        // (drops were counted, never silently lost).
-        assert_eq!(snap.total_spans(), o.spans, "merged == accepted");
+    fn fold_weighs_stacks_by_same_thread_self_time() {
+        let spans = vec![
+            closed(1, 0, Family::Sweep, 1, 0, 100),
+            closed(10, 1, Family::Task, 0, 1, 40),
+            closed(11, 10, Family::Run, 0, 2, 35),
+            closed(12, 11, Family::MachineBlock, 0, 3, 30),
+            closed(20, 1, Family::Task, 0, 50, 45),
+            closed(21, 20, Family::Claim, 0, 50, 0),
+            closed(22, 20, Family::Run, 0, 51, 40),
+            closed(23, 22, Family::MachineBlock, 0, 52, 38),
+        ];
+        let text = |spans: &[RetainedSpan]| {
+            let snap = WallSnapshot {
+                families: Vec::new(),
+                collapsed: fold(spans),
+                overhead: WallOverhead::default(),
+            };
+            snap.collapsed_text()
+        };
+        let folded = text(&spans);
+        assert_eq!(
+            folded,
+            "runner/task 10\n\
+             runner/task;runner/run 7\n\
+             runner/task;runner/run;machine/block 68\n"
+        );
+        let mut reversed = spans.clone();
+        reversed.reverse();
+        assert_eq!(text(&reversed), folded, "deterministic line order");
+    }
+
+    /// A span with no handed-over parent roots its own stack, and a
+    /// driver that both waits on another thread and works on its own
+    /// folds only the work.
+    #[test]
+    fn fold_roots_orphans_and_skips_waiting_parents() {
+        let spans = vec![
+            closed(1, 0, Family::Sweep, 1, 0, 100),
+            closed(2, 1, Family::DifferCase, 1, 10, 20),
+            closed(3, 1, Family::Task, 0, 5, 50),
+            closed(4, 99, Family::Run, 0, 60, 3),
+        ];
+        let folded: Vec<(String, u64)> = fold(&spans)
+            .into_iter()
+            .map(|s| (s.stack, s.count))
+            .collect();
+        assert_eq!(
+            folded,
+            [
+                ("runner/run".to_string(), 3),
+                ("runner/task".to_string(), 50),
+                ("sweep;differ/case".to_string(), 20),
+            ]
+        );
     }
 }

@@ -87,7 +87,7 @@ fn main() {
         Machine::new(MachineConfig::single_core()),
         Machine::new(MachineConfig::four_core_migration()),
     ];
-    Machine::run_shared(&mut pair, &mut GatherStencil::new(42), instructions, None);
+    Machine::run_shared(&mut pair, &mut GatherStencil::new(42), instructions);
 
     let [b, m] = pair.each_ref().map(Machine::stats);
     println!(

@@ -36,7 +36,7 @@ fn main() {
         Machine::new(MachineConfig::four_core_migration()),
     ];
     let mut w = suite::by_name(bench).expect("suite benchmark");
-    Machine::run_shared(&mut pair, &mut *w, instructions, None);
+    Machine::run_shared(&mut pair, &mut *w, instructions);
 
     let [b, m] = pair.each_ref().map(Machine::stats);
     println!("                      baseline    migration");

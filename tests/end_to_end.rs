@@ -7,7 +7,7 @@ mod common;
 use common::instr_budget;
 use execution_migration::core::{ControllerConfig, SplitWays};
 use execution_migration::machine::{Machine, MachineConfig, PrefetchConfig, Protocol};
-use execution_migration::obs::{EventRing, Hub, ObsCtx, ProfileConfig, Profiler};
+use execution_migration::obs::{wall, EventRing, Family, ProfileConfig, Profiler, Wall};
 use execution_migration::trace::{suite, Workload};
 
 /// The whole pipeline is deterministic: two identical runs produce
@@ -161,7 +161,7 @@ fn two_core_machine_runs() {
 /// (`Machine::run_shared`) leaves each exactly where its own `run` over
 /// a fresh stream does: the whole metrics registry, plus the profiler
 /// records and event ring of the machine with recorders attached —
-/// with and without a hub worker taking beats.
+/// with and without a wall recording the call's `machine/block` span.
 fn check_shared_stream(name: &str) {
     let budget = instr_budget(1_000_000);
     let four_core = MachineConfig::four_core_migration;
@@ -203,21 +203,24 @@ fn check_shared_stream(name: &str) {
     assert!(recorded.profiler().is_some_and(|p| !p.records().is_empty()));
     assert!(recorded.events().is_some_and(|r| !r.to_vec().is_empty()));
 
-    let hub = Hub::with_workers(1);
-    let worker = hub.worker(0).expect("slot 0");
-    let ctx = ObsCtx {
-        worker: &worker,
-        task: 0,
-        tasks_done: 0,
-        beat_period: budget / 8,
-    };
-    for progress in [None, Some(&ctx)] {
+    for attached in [false, true] {
+        let recorder = Wall::with_threads(1);
+        if attached {
+            assert!(wall::attach(&recorder, 0), "slot 0");
+        }
         let mut shared = machines();
         let mut w = suite::by_name(name).unwrap();
-        Machine::run_shared(&mut shared, &mut *w, budget, progress);
+        Machine::run_shared(&mut shared, &mut *w, budget);
+        wall::detach();
+        let blocks = recorder
+            .snapshot()
+            .family(Family::MachineBlock)
+            .map(|f| f.count);
+        assert_eq!(blocks, Some(u64::from(attached)), "{name}");
         for (i, (s, m)) in shared.iter().zip(&separate).enumerate() {
-            let how = format!("{name}, machine {i}, hub {}", progress.is_some());
+            let how = format!("{name}, machine {i}, wall {attached}");
             assert_eq!(s.metrics(), m.metrics(), "{how}");
+            assert_eq!(s.stats(), m.stats(), "{how}");
             assert_eq!(
                 s.profiler().map(Profiler::records),
                 m.profiler().map(Profiler::records),
@@ -230,7 +233,6 @@ fn check_shared_stream(name: &str) {
             );
         }
     }
-    assert!(hub.overhead().beats >= 8, "the hub run took beats");
 }
 
 #[test]

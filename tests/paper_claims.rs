@@ -160,7 +160,7 @@ fn check_break_even_pmig(budget: u64) {
             Machine::new(MachineConfig::single_core()),
             Machine::new(MachineConfig::four_core_migration()),
         ];
-        Machine::run_shared(&mut pair, &mut *suite::by_name(name).unwrap(), budget, None);
+        Machine::run_shared(&mut pair, &mut *suite::by_name(name).unwrap(), budget);
         let [baseline, migration] = &pair;
         let be = break_even_pmig(baseline.stats(), migration.stats())
             .unwrap_or_else(|| panic!("{name} made no migrations"));
