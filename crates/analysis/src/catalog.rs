@@ -39,12 +39,6 @@ pub const CATALOG: &[Rule] = &[
         paper: "repo policy (dependency-free reproduction)",
     },
     Rule {
-        id: "E002",
-        kind: RuleKind::Static,
-        title: "source code never names a crate above its own layer",
-        paper: "repo policy (mirrors E001 at use/path level)",
-    },
-    Rule {
         id: "E004",
         kind: RuleKind::Static,
         title: "hot-path files are panic-free: no .unwrap()/.expect()/panic!/todo!/unimplemented! outside tests",
@@ -61,18 +55,6 @@ pub const CATALOG: &[Rule] = &[
         kind: RuleKind::Static,
         title: "every exported `pub struct *Config` has a ToJson impl in its crate",
         paper: "repo policy (run manifests must capture full configurations)",
-    },
-    Rule {
-        id: "E009",
-        kind: RuleKind::Static,
-        title: "library code in trace/cache/core/machine is .unwrap()/.expect()-free outside tests",
-        paper: "repo policy (typed errors at the I/O boundary, total code elsewhere)",
-    },
-    Rule {
-        id: "E012",
-        kind: RuleKind::Static,
-        title: "raw `std::sync::atomic`/`std::thread` paths appear only in the concurrency shim (`obs::model`), the checker crate, and tests; everything else routes through the shim",
-        paper: "repo policy (every atomic and thread must be schedulable by the interleaving checker under --cfg execmig_model)",
     },
     Rule {
         id: "I101",

@@ -488,11 +488,6 @@ pub fn is_punct(t: &Token, c: char) -> bool {
     t.kind == TokKind::Punct && t.text.len() == 1 && t.text.as_bytes()[0] == c as u8
 }
 
-/// Is the token at index `k` (if any) the punctuation byte `c`?
-pub fn is_punct_at(toks: &[Token], k: usize, c: char) -> bool {
-    matches!(toks.get(k), Some(t) if is_punct(t, c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,8 @@
 //! `execmig-lint`: the in-tree static analysis gate.
 //!
 //! The workspace keeps two kinds of structural promises that `rustc`
-//! cannot check: architectural ones (crate layering, dependency-freedom,
-//! concurrency discipline) and paper-fidelity ones (the Fig 2
+//! cannot check: architectural ones (crate layering, dependency-freedom)
+//! and paper-fidelity ones (the Fig 2
 //! datapath is panic-free fixed-point code; every config serialises
 //! into run manifests).
 //! This crate enforces them from source, with a hand-rolled lexer so

@@ -10,9 +10,9 @@ use crate::workspace::{CrateInfo, Workspace};
 /// Runs E008.
 pub fn check(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     for krate in &ws.crates {
-        if krate.name == "execmig-analysis" || krate.name == "execmig-model" {
-            // The linter and the interleaving checker sit outside the
-            // reproduction: neither produces run manifests.
+        if krate.name == "execmig-analysis" {
+            // The linter sits outside the reproduction: it produces no
+            // run manifests.
             continue;
         }
         for file in &krate.files {

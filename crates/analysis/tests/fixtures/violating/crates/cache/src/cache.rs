@@ -6,7 +6,7 @@ pub fn miss_rate(misses: u64, total: u64) -> f64 {
 }
 
 pub fn lookup(v: &[u64]) -> u64 {
-    let head = v.first().unwrap(); // E004 (and E009)
+    let head = v.first().unwrap(); // E004
     if *head == 0 {
         panic!("empty fixture cache"); // E004
     }

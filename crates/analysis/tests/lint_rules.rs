@@ -25,17 +25,9 @@ fn golden_rule_counts() {
     for d in &diags {
         *counts.entry(d.rule).or_default() += 1;
     }
-    let expected: BTreeMap<&str, usize> = [
-        ("E001", 2),
-        ("E002", 1),
-        ("E004", 2),
-        ("E005", 3),
-        ("E008", 1),
-        ("E009", 2),
-        ("E012", 2),
-    ]
-    .into_iter()
-    .collect();
+    let expected: BTreeMap<&str, usize> = [("E001", 2), ("E004", 2), ("E005", 3), ("E008", 1)]
+        .into_iter()
+        .collect();
     assert_eq!(
         counts,
         expected,
@@ -45,7 +37,7 @@ fn golden_rule_counts() {
 }
 
 #[test]
-fn layering_flags_manifest_and_source() {
+fn layering_flags_manifest_dependencies() {
     let diags = fixture_diags();
     let e001 = by_rule(&diags, "E001");
     assert!(e001.iter().all(|d| d.path == "crates/cache/Cargo.toml"));
@@ -53,9 +45,6 @@ fn layering_flags_manifest_and_source() {
     assert!(e001
         .iter()
         .any(|d| d.message.contains("serde") && d.message.contains("dependency-free")));
-    let e002 = by_rule(&diags, "E002");
-    assert_eq!(e002[0].path, "crates/cache/src/lib.rs");
-    assert!(e002[0].message.contains("execmig_machine"));
 }
 
 #[test]
@@ -80,15 +69,6 @@ fn test_modules_and_doc_examples_are_exempt() {
         "false positives:\n{}",
         diag::render_text(&diags)
     );
-    // The cache test module's unwrap is exempt too: E009 hits exactly
-    // lib.rs (non-test) and cache.rs (hot file), once each.
-    let e009 = by_rule(&diags, "E009");
-    let mut paths: Vec<&str> = e009.iter().map(|d| d.path.as_str()).collect();
-    paths.sort_unstable();
-    assert_eq!(
-        paths,
-        ["crates/cache/src/cache.rs", "crates/cache/src/lib.rs"]
-    );
 }
 
 #[test]
@@ -101,23 +81,12 @@ fn manual_to_json_impl_satisfies_e008() {
 }
 
 #[test]
-fn raw_concurrency_paths_are_flagged() {
-    let diags = fixture_diags();
-    let e012 = by_rule(&diags, "E012");
-    assert_eq!(e012.len(), 2);
-    assert!(e012.iter().all(|d| d.path == "crates/cache/src/spin.rs"));
-    assert!(e012.iter().any(|d| d.message.contains("std::sync::atomic")));
-    assert!(e012.iter().any(|d| d.message.contains("std::thread")));
-    // The test module's raw atomics and thread are exempt.
-}
-
-#[test]
 fn json_report_is_stable() {
     let diags = fixture_diags();
     let json = diag::render_json(&diags);
-    assert!(json.starts_with("{\"count\":13,"));
+    assert!(json.starts_with("{\"count\":8,"));
     assert!(json.contains("\"rule\":\"E001\""));
-    assert!(json.contains("\"rule\":\"E009\""));
+    assert!(json.contains("\"rule\":\"E008\""));
 }
 
 #[test]

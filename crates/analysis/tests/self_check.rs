@@ -57,7 +57,6 @@ fn loader_sees_all_members() {
         "execmig-core",
         "execmig-experiments",
         "execmig-machine",
-        "execmig-model",
         "execmig-obs",
         "execmig-trace",
     ] {
@@ -65,12 +64,11 @@ fn loader_sees_all_members() {
     }
 }
 
-/// The coherence modules must sit inside the layering gate's scan
-/// set — if the walker ever skipped these files, E002 would silently
-/// stop policing the protocol modules' layer references (and E008
-/// their configs).
+/// The coherence modules must sit inside the gate's scan set — if the
+/// walker ever skipped these files, E008 would silently stop policing
+/// the protocol modules' configs.
 #[test]
-fn layering_scan_covers_the_coherence_modules() {
+fn scan_covers_the_coherence_modules() {
     let ws = execmig_analysis::workspace::load(workspace_root()).expect("workspace loads");
     for (krate, rel) in [
         ("execmig-machine", "crates/machine/src/coherence.rs"),
@@ -86,7 +84,7 @@ fn layering_scan_covers_the_coherence_modules() {
             .unwrap_or_else(|| panic!("loader missed crate {krate}"));
         assert!(
             c.files.iter().any(|f| f.rel == rel),
-            "{krate} scan missed {rel}; the layering rules no longer cover it"
+            "{krate} scan missed {rel}; the source rules no longer cover it"
         );
     }
 }

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Library code returns typed errors or validates with a message;
+// `clippy.toml` exempts tests.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Cache-simulation substrate for the execution-migration study.
 //!

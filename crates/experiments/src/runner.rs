@@ -1,11 +1,13 @@
 //! Thread-parallel experiment execution, with per-task timings and
 //! optional wall-clock spans.
 
+use std::any::Any;
+use std::iter::Enumerate;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::thread;
 use std::time::Instant;
 
-use execmig_obs::model::sync::Mutex;
-use execmig_obs::model::thread;
 use execmig_obs::wall::{self, Family};
 use execmig_obs::Wall;
 
@@ -106,7 +108,8 @@ impl<'a> Obs<'a> {
 ///
 /// Workers pull `(index, item)` pairs off one shared queue and buffer
 /// results and timings locally, so the per-task path takes a single
-/// short lock (the claim) and allocates nothing.
+/// short lock (the claim); the only allocation is the growth of those
+/// two buffers.
 ///
 /// With a wall in `obs`, each worker claims wall slot `w` as its thread
 /// context ([`wall::attach`]) and records one `runner/task` span per
@@ -122,10 +125,10 @@ impl<'a> Obs<'a> {
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`. If `f` panics on a worker thread, the
-/// remaining workers stop claiming tasks and the *original* panic
-/// payload is re-raised on the caller's thread, after the failing task
-/// index is printed to stderr.
+/// Panics if `threads == 0`. If `f` panics on a worker thread, no task
+/// starts after the panic is recorded and the *original* panic payload
+/// is re-raised on the caller's thread, after the failing task index is
+/// printed to stderr. The first panic wins.
 pub fn parallel_map_observed<T, R, F>(
     items: Vec<T>,
     threads: usize,
@@ -155,9 +158,10 @@ where
         );
     }
     let threads = threads.min(n);
-    let queue = Mutex::new(items.into_iter().enumerate());
-    // First panic wins: (task index, original payload).
-    let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+    let queue = Mutex::new(Queue {
+        items: items.into_iter().enumerate(),
+        panicked: None,
+    });
     // Per-worker (task, result) and (task, start_us, duration_us)
     // buffers, in worker order.
     type Timings = Vec<(usize, u64, u64)>;
@@ -167,7 +171,6 @@ where
             .map(|w| {
                 let queue = &queue;
                 let micros = &micros;
-                let panicked = &panicked;
                 let f = &f;
                 scope.spawn(move || {
                     // Claim wall slot w as this thread's span context:
@@ -177,14 +180,12 @@ where
                     let mut results = Vec::new();
                     let mut timings = Vec::new();
                     loop {
-                        if panicked.lock().expect("panic slot").is_some() {
-                            break;
-                        }
                         let task_span = wall::span_with_parent(Family::Task, sweep_root);
                         let claim_span = wall::span(Family::Claim);
-                        let claimed = queue.lock().expect("task queue").next();
+                        let claimed = queue.lock().expect("task queue").claim();
                         let Some((i, item)) = claimed else {
-                            // Nothing was claimed: these spans cover no
+                            // Nothing was claimed (queue drained or a
+                            // task panicked): these spans cover no
                             // task, so discard rather than record them.
                             claim_span.cancel();
                             task_span.cancel();
@@ -203,9 +204,9 @@ where
                                 timings.push((i, start_us, duration_us));
                             }
                             Err(payload) => {
-                                let mut slot = panicked.lock().expect("panic slot");
-                                if slot.is_none() {
-                                    *slot = Some((i, payload));
+                                let mut queue = queue.lock().expect("task queue");
+                                if queue.panicked.is_none() {
+                                    queue.panicked = Some((i, payload));
                                 }
                                 break;
                             }
@@ -229,7 +230,7 @@ where
             }
         }
     });
-    if let Some((i, payload)) = panicked.into_inner().expect("panic slot") {
+    if let Some((i, payload)) = queue.into_inner().expect("task queue").panicked {
         eprintln!("parallel_map: task {i} panicked, re-raising");
         resume_unwind(payload);
     }
@@ -254,6 +255,25 @@ where
             wall_us,
         },
     )
+}
+
+/// The runner's one piece of shared state, behind one `Mutex`: the
+/// unclaimed `(index, item)` pairs and the first panic, if any.
+struct Queue<T> {
+    items: Enumerate<std::vec::IntoIter<T>>,
+    /// First panic wins: (task index, original payload).
+    panicked: Option<(usize, Box<dyn Any + Send>)>,
+}
+
+impl<T> Queue<T> {
+    /// The next task, or `None` once the queue is drained or a task
+    /// has panicked.
+    fn claim(&mut self) -> Option<(usize, T)> {
+        if self.panicked.is_some() {
+            return None;
+        }
+        self.items.next()
+    }
 }
 
 /// A sensible worker count: the machine's parallelism, at most `cap`.
@@ -315,29 +335,47 @@ mod tests {
 
     #[test]
     fn panicking_task_reraises_the_original_payload() {
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map((0..32).collect(), 4, |x: i32| {
-                if x == 5 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        });
-        let payload = caught.expect_err("a worker panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("original String payload");
-        assert_eq!(msg, "boom at 5");
+        for threads in [1, 4] {
+            let started = Mutex::new(Vec::new());
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map_observed((0..32).collect(), threads, Obs::none(), |x: i32, i| {
+                    started.lock().expect("started").push(i);
+                    if x == 5 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("a worker panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("original String payload");
+            assert_eq!(msg, "boom at 5", "{threads} threads");
+            if threads == 1 {
+                let started = started.into_inner().expect("started");
+                assert_eq!(started, (0..=5).collect::<Vec<_>>(), "nothing starts after");
+            }
+        }
     }
 
     #[test]
     fn spans_carry_task_labels() {
-        let (_, report) = parallel_map_observed((0..6).collect(), 2, Obs::none(), |x: u64, _| x);
-        let mut tasks: Vec<usize> = report.timings.iter().flatten().map(|t| t.0).collect();
-        tasks.sort_unstable();
-        assert_eq!(tasks, (0..6).collect::<Vec<_>>(), "each task timed once");
-        assert_eq!(report.timings.len(), 2, "thread indices are 0..threads");
-        assert_eq!(report.thread_busy_micros().len(), 2);
+        for threads in [1, 2, 8] {
+            let items: Vec<u64> = (0..20).collect();
+            let (out, report) =
+                parallel_map_observed(items, threads, Obs::none(), |x, i| x * 10 + i as u64);
+            let expected: Vec<u64> = (0..20).map(|x| x * 11).collect();
+            assert_eq!(out, expected, "{threads} threads: input order, own index");
+            let mut tasks: Vec<usize> = report.timings.iter().flatten().map(|t| t.0).collect();
+            tasks.sort_unstable();
+            assert_eq!(tasks, (0..20).collect::<Vec<_>>(), "each task timed once");
+            assert_eq!(
+                report.timings.len(),
+                threads,
+                "thread indices are 0..threads"
+            );
+            assert_eq!(report.thread_busy_micros().len(), threads);
+        }
     }
 
     #[test]

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Library code returns typed errors or validates with a message;
+// `clippy.toml` exempts tests.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! The multi-core machine model of Michaud (HPCA 2004) §2.
 //!

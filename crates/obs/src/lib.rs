@@ -1,6 +1,6 @@
 //! Observability layer for the execution-migration workspace.
 //!
-//! Eight pieces, all dependency-free:
+//! Seven pieces, all dependency-free:
 //!
 //! - [`ring`]: the fixed-capacity [`EventRing`] of typed events
 //!   ([`EventKind`]) with monotonic instruction timestamps — migrations,
@@ -16,10 +16,6 @@
 //!   O(capacity).
 //! - [`chrome`]: Chrome Trace Event Format export of profiles and the
 //!   [`EventRing`], loadable in `chrome://tracing`/Perfetto.
-//! - [`model`]: the concurrency shim — std `sync`/`thread` re-exports
-//!   in real builds, the `execmig-model` interleaving checker under
-//!   `--cfg execmig_model`. All thread/atomic use in the workspace
-//!   goes through it (lint E012).
 //! - [`wall`]: the wall-clock span recorder — causal spans
 //!   ([`wall::span`]) of a closed [`Family`] set, kept per thread and
 //!   handed over when the thread detaches, with per-family latency
@@ -42,7 +38,6 @@ pub mod export;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod model;
 pub mod profile;
 pub mod ring;
 pub mod wall;

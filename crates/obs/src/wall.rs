@@ -35,9 +35,9 @@
 //! [`WallSnapshot::families`].
 
 use crate::metrics::Histogram;
-use crate::model::sync::{Arc, Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The span families, in [`WallSnapshot::families`] row order.
