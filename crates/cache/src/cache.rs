@@ -19,6 +19,7 @@
 //! `contains`, `modified`, `set_modified`) are one probe each.
 //! Write-through/write-back and allocation decisions live in the machine
 //! model, which is where the paper defines them (§2.1).
+#![deny(clippy::panic)]
 
 use execmig_obs::{impl_to_json, Json, ToJson};
 use execmig_trace::LineAddr;

@@ -15,6 +15,7 @@
 //!   its new bucket;
 //! - an access to the line already at the MRU end returns before
 //!   hashing at all.
+#![deny(clippy::panic)]
 
 /// Arena index of the sentinel; also the end-of-chain marker, since the
 /// sentinel is never in a bucket chain.

@@ -11,6 +11,7 @@
 //! splittable ones: with 16 affinity bits and a `k`-bit filter the
 //! residual transition frequency on a saturated random working set is
 //! about `1/2^(1+k−16)`.
+#![deny(clippy::panic)]
 
 use crate::invariants;
 use crate::sat;

@@ -5,13 +5,13 @@
 //!
 //! - **Float-valued derived metrics** (`miss_rate`, `transition_rate`,
 //!   `positive_fraction`). The fixed-point modules (`sat`, `window`,
-//!   `filter`, `table`, `mechanism`, `splitter2`, `splitter4`) carry a
-//!   hot-path rule — lint E005 — that forbids any `f32`/`f64`
-//!   arithmetic in them, keeping "the affinity algorithm is pure
-//!   saturating integer arithmetic" literally checkable. Ratio views
-//!   over their counters are introspection, not algorithm, so they are
-//!   implemented in this file.
-//! - **`ToJson` impls for every exported config struct** (lint E008),
+//!   `filter`, `table`, `mechanism`, `splitter2`, `splitter4`, `tree`)
+//!   carry a hot-path rule — E005, checked by `tests/policy.rs` — that
+//!   forbids any `f32`/`f64` arithmetic in them, keeping "the affinity
+//!   algorithm is pure saturating integer arithmetic" literally
+//!   checkable. Ratio views over their counters are introspection, not
+//!   algorithm, so they are implemented in this file.
+//! - **`ToJson` impls for every exported config struct** (rule E008),
 //!   so run manifests can embed the exact configuration of any
 //!   experiment.
 

@@ -1,12 +1,8 @@
-//! Runtime invariant kernel: the dynamic twin of the `execmig-lint`
-//! static catalog (rules I101–I104; I105–I107 live in
-//! `execmig-machine`, next to the coherence state they inspect).
-//!
-//! Every check compiles to nothing in release builds (`debug_assert!`),
-//! and every debug-build test run — tier-1 `cargo test` and the CI
-//! `analysis` job — exercises the whole kernel. The rule numbers match
-//! DESIGN.md ("Invariant catalog & static analysis") and the output of
-//! `execmig-lint --catalog`.
+//! Runtime invariant kernel: rules I101–I104 of the catalog in
+//! DESIGN.md §7 (I105–I107 live in `execmig-machine`, next to the
+//! coherence state they inspect). Every check compiles to nothing in
+//! release builds (`debug_assert!`); every debug-build test run, tier-1
+//! `cargo test` and CI's `cargo test --workspace`, exercises the kernel.
 //!
 //! - **I101** (§3.2): every recovered affinity `A_e` fits the
 //!   configured saturating width.

@@ -16,6 +16,7 @@
 //! ```
 //!
 //! All quantities use saturating arithmetic at the widths of §3.2.
+#![deny(clippy::panic)]
 
 use crate::invariants;
 use crate::sat;

@@ -6,6 +6,7 @@
 //! affinity. The other parameters are dimensioned accordingly:
 //! `bits[I_e] = bits[O_e] = 16`, `bits[A_R] = bits[O_e] + log2(|R|)`,
 //! `bits[∆] = bits[O_e] + 1`."
+#![deny(clippy::panic)]
 
 /// Inclusive range of an `n`-bit two's-complement value.
 ///

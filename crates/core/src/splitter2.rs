@@ -1,5 +1,6 @@
 //! 2-way working-set splitting: one mechanism, one optional transition
 //! filter, one affinity table.
+#![deny(clippy::panic)]
 
 use crate::filter::TransitionFilter;
 use crate::mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};

@@ -10,6 +10,7 @@
 //! §4.1 uses `|R_X| = 128`, `|R_Y[±1]| = 64`, 20-bit filters and an
 //! unlimited affinity cache; §4.2 uses an 8k-entry skewed cache, 25 %
 //! sampling and 18-bit filters.
+#![deny(clippy::panic)]
 
 use crate::filter::TransitionFilter;
 use crate::mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};

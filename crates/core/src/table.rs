@@ -9,6 +9,7 @@
 //! [`UnboundedAffinityTable`] (a hash map) models the "unlimited affinity
 //! cache size" of the §4.1 stack-profile experiment; [`SkewedAffinityCache`]
 //! models the finite hardware structure.
+#![deny(clippy::panic)]
 
 use std::collections::HashMap;
 

@@ -14,6 +14,7 @@
 //! For `depth = 2` this is exactly the paper's scheme: odd hashes go to
 //! `X`, even ones to `Y[sign(F_X)]`. R-windows halve per level
 //! (`|R_X| = 128`, `|R_Y| = 64`, `|R_Z| = 32`, …).
+#![deny(clippy::panic)]
 
 use crate::filter::TransitionFilter;
 use crate::mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};

@@ -24,6 +24,7 @@
 //! matches step-for-step; the latter differs only within the
 //! paper-sanctioned relaxation (both split a working set into the same
 //! balanced halves).
+#![deny(clippy::panic)]
 
 /// FIFO R-window of `(element, I_e)` entries.
 ///

@@ -455,10 +455,6 @@ pub fn by_name(name: &str) -> Option<BoxedWorkload> {
         "bisort" => Box::new(PointerRingWorkload::new(
             "bisort",
             PointerRingParams {
-                // 512 KB of tree nodes: borderline for one L2, and the
-                // bitonic phases re-link the traversal every pass, so
-                // the affinity split never stabilises — migrations only
-                // add cold refills (paper ratio 1.08).
                 // 384 KB of tree nodes: resident in one L2 once warm,
                 // so migrations only cost; the bitonic re-linking keeps
                 // the affinity mechanism from ever finding a stable
