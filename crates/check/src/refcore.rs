@@ -676,35 +676,34 @@ mod tests {
 
     #[test]
     fn skewed_table_matches_optimized() {
-        let mut fast = SkewedAffinityCache::new(256, 4);
-        let mut naive = RefTable::new(TableConfig::Skewed {
-            entries: 256,
-            ways: 4,
-        });
-        let mut x = 7u64;
-        for i in 0..50_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 2000;
-            if x & 1 == 0 {
-                let reset = (x % 100) as i64 - 50;
-                assert_eq!(
-                    fast.read_or_insert(line, reset),
-                    naive.read_or_insert(line, reset),
-                    "read step {i}"
-                );
-            } else {
-                let v = (x % 1000) as i64 - 500;
-                fast.write(line, v);
-                naive.write(line, v);
+        for ways in [2, 4, 8] {
+            let mut fast = SkewedAffinityCache::new(256, ways);
+            let mut naive = RefTable::new(TableConfig::Skewed { entries: 256, ways });
+            let mut x = 7u64;
+            for i in 0..50_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let line = (x >> 33) % 2000;
+                if x & 1 == 0 {
+                    let reset = (x % 100) as i64 - 50;
+                    assert_eq!(
+                        fast.read_or_insert(line, reset),
+                        naive.read_or_insert(line, reset),
+                        "{ways} ways, read step {i}"
+                    );
+                } else {
+                    let v = (x % 1000) as i64 - 500;
+                    fast.write(line, v);
+                    naive.write(line, v);
+                }
             }
+            assert_eq!(
+                (fast.stats().hits, fast.stats().misses),
+                naive.stats(),
+                "{ways} ways, table stats"
+            );
         }
-        assert_eq!(
-            (fast.stats().hits, fast.stats().misses),
-            naive.stats(),
-            "table stats"
-        );
     }
 
     #[test]

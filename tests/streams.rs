@@ -8,6 +8,9 @@
 //! so a generator change that alters any access, any per-event
 //! instruction count or the block-stepping stop rule fails here.
 
+mod digest;
+
+use digest::Fnv;
 use execution_migration::trace::{suite, AccessKind, Workload, WorkloadEvent};
 
 /// Instructions drawn per benchmark.
@@ -39,21 +42,8 @@ const DIGESTS: [(&str, u64); 18] = [
     ("mst", 0x9c52_15f4_a7b1_f0ac),
 ];
 
-/// FNV-1a over a stream of 64-bit words, one byte at a time.
-struct Fnv(u64);
-
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
+    /// Folds one event as `(kind, addr, pointer, instructions)`.
     fn event(&mut self, e: &WorkloadEvent) {
         let kind = match e.access.kind {
             AccessKind::IFetch => 0,
