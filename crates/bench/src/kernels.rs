@@ -2,7 +2,7 @@
 //! bench targets and the combined `suite` target that exports
 //! `BENCH_<n>.json` for the CI perf gate.
 //!
-//! Six kernels cover the simulator's cost structure end to end:
+//! Seven kernels cover the simulator's cost structure end to end:
 //!
 //! - `caches` — the [`execmig_cache::Cache`] per-reference hot path
 //!   (fused lookup+fill via [`Cache::access`]), plus the
@@ -16,15 +16,18 @@
 //! - `machine` — the machine alone (caches + coherence + controller)
 //!   over a pre-generated event buffer, under every configuration:
 //!   baseline, migration mode, MESI and Dragon;
+//! - `controller` — the migration controller alone, replaying the
+//!   request stream the four-core machine recorded off the clock;
 //! - `table2` — the full machine (caches + coherence + controller) per
 //!   simulated instruction, baseline vs migration mode.
 
 use crate::harness::Runner;
 use crate::{workload, LineStream};
 use execmig_cache::{Cache, CacheConfig, FullyAssocLru, LruStack};
+use execmig_core::MigrationController;
 use execmig_experiments::l1filter::L1Filter;
 use execmig_machine::{Machine, MachineConfig, Protocol};
-use execmig_trace::{LineAddr, LineSize, Workload, WorkloadEvent};
+use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
 use std::hint::black_box;
 
 /// Set-associative / skewed-associative per-reference throughput.
@@ -228,6 +231,74 @@ pub fn bench_machine(c: &mut Runner) {
                 );
             });
         }
+    }
+    g.finish();
+}
+
+/// Instructions of each benchmark whose controller requests a
+/// `controller` kernel records.
+pub const CONTROLLER_INSTRS: u64 = 1_000_000;
+
+/// One controller request: `(line, l2_miss, pointer)`.
+type Request = (u64, bool, bool);
+
+/// The controller request stream of `name` on the paper's four-core
+/// migration machine over its first [`CONTROLLER_INSTRS`] instructions,
+/// recorded as e2ebench's `replay` records it: the machine steps one
+/// event at a time through `run_block`, and an event whose step raises
+/// `l1_requests` is a request, an L2 miss if `l2_misses` rose too.
+fn controller_requests(name: &str) -> Vec<Request> {
+    let config = MachineConfig::four_core_migration();
+    let line = config.validate();
+    let mut m = Machine::new(config);
+    let mut w = workload(name);
+    let mut requests = Vec::new();
+    let mut buf = Vec::with_capacity(Machine::BLOCK_EVENTS);
+    loop {
+        buf.clear();
+        if w.fill_block(&mut buf, CONTROLLER_INSTRS, Machine::BLOCK_EVENTS) == 0 {
+            break requests;
+        }
+        for e in &buf {
+            let before = *m.stats();
+            m.run_block(std::slice::from_ref(e));
+            if m.stats().l1_requests > before.l1_requests {
+                requests.push((
+                    line.line_of(e.access.addr).raw(),
+                    m.stats().l2_misses > before.l2_misses,
+                    // Stores reach the controller as non-pointer requests.
+                    e.access.pointer && e.access.kind != AccessKind::Store,
+                ));
+            }
+        }
+    }
+}
+
+/// The migration controller alone: each benchmark's request stream
+/// (see [`controller_requests`]) is recorded once, off the clock, and
+/// every sample replays it through a fresh `MigrationController` with
+/// `on_request_tagged`.
+pub fn bench_controller(c: &mut Runner) {
+    let mut g = c.benchmark_group("controller");
+    g.sample_size(10);
+
+    let controller = MachineConfig::four_core_migration()
+        .controller
+        .expect("the four-core machine has a controller");
+    for name in ["art", "em3d"] {
+        let requests = controller_requests(name);
+        g.throughput(requests.len() as u64);
+        g.bench_function(format!("{name}/replay"), |b| {
+            b.iter_batched_ref(
+                || MigrationController::new(controller),
+                |mc| {
+                    for &(line, l2_miss, pointer) in &requests {
+                        black_box(mc.on_request_tagged(line, l2_miss, pointer));
+                    }
+                    mc.stats().migrations
+                },
+            );
+        });
     }
     g.finish();
 }

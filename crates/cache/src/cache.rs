@@ -340,9 +340,26 @@ impl Cache {
 
     /// Probes `line`: the frame holding it, or the frame a fill would
     /// replace. No state changes, not even recency.
+    ///
+    /// Only the two shapes the paper's machines use, 4-way modulo (the
+    /// L1s) and 4-way skewed (the L2s), inline at the call site; every
+    /// other shape takes one out-of-line probe, so the machine's hot
+    /// paths carry two probe bodies, not nine.
     #[inline(always)]
     pub fn probe_at(&self, line: LineAddr) -> Probe {
         let raw = line.raw();
+        match self.shape {
+            Shape::Modulo4 => self.probe_ways::<4, false>(raw),
+            Shape::Skewed4 => self.probe_ways::<4, true>(raw),
+            _ => self.probe_cold(raw),
+        }
+    }
+
+    /// [`Cache::probe_at`] for every shape, out of line: only the
+    /// differ's stress configurations and the tests reach the shapes it
+    /// does not inline.
+    #[inline(never)]
+    fn probe_cold(&self, raw: u64) -> Probe {
         match self.shape {
             Shape::Modulo1 => self.probe_ways::<1, false>(raw),
             Shape::Modulo2 => self.probe_ways::<2, false>(raw),

@@ -94,9 +94,12 @@ impl AffinityTable for UnboundedAffinityTable {
     }
 }
 
+/// Largest way count [`SkewedAffinityCache::new`] accepts.
+const MAX_WAYS: u32 = 8;
+
 /// Per-way keys for the skewing hashes (distinct from the L2's keys; the
 /// affinity cache is an independent structure).
-const SKEW_KEYS: [u64; 8] = [
+const SKEW_KEYS: [u64; MAX_WAYS as usize] = [
     0x2545_f491_4f6c_dd1d,
     0x27d4_eb2f_1656_67c5,
     0x1656_67b1_9e37_79f9,
@@ -107,12 +110,19 @@ const SKEW_KEYS: [u64; 8] = [
     0xff51_afd7_ed55_8ccd,
 ];
 
+/// One 32-byte affinity-cache entry.
+///
+/// There is no valid flag: an entry is valid iff `last != 0`. The table
+/// clock ticks before every stamp, so a valid entry's `last` is at
+/// least 1, and no two entries share a stamp. `last` is therefore also
+/// the whole victim key: the smallest `last` among the candidates is
+/// the first invalid way if there is one, else the oldest entry.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     line: u64,
     o_e: i64,
-    valid: bool,
-    /// Age-based replacement state (larger = more recently used).
+    /// Age-based replacement state: the clock at the entry's last use
+    /// (larger = more recent; 0 = invalid).
     last: u64,
     /// Clock value when the entry was (re)allocated, for the
     /// age-at-eviction histogram.
@@ -122,13 +132,25 @@ struct Entry {
 const EMPTY: Entry = Entry {
     line: 0,
     o_e: 0,
-    valid: false,
     last: 0,
     born: 0,
 };
 
+/// What one probe found: the entry holding the line, or the entry an
+/// allocation would replace.
+enum Slot {
+    Hit(usize),
+    Miss(usize),
+}
+
 /// A finite, skewed-associative affinity cache (§4.2: 8k entries,
 /// 4-way skewed, age-based replacement).
+///
+/// Entries are stored way-major: way `w`'s entry for a line lives at
+/// `w * sets + hash_w(line)`. Every access makes one probe: one body,
+/// generic over the way count, hashes each way once, loads every
+/// candidate entry, and picks the hit and the age victim in one
+/// branch-free pass.
 ///
 /// ```
 /// use execmig_core::{AffinityTable, SkewedAffinityCache};
@@ -154,14 +176,12 @@ impl SkewedAffinityCache {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a power-of-two multiple of `ways`, if
-    /// `ways` is 0 or above 8.
+    /// Panics if `ways` is not a power of two up to 8, or if `entries`
+    /// is not a power-of-two multiple of `ways`.
     pub fn new(entries: u64, ways: u32) -> Self {
-        assert!(ways > 0, "need at least one way");
         assert!(
-            (ways as usize) <= SKEW_KEYS.len(),
-            "at most {} ways supported",
-            SKEW_KEYS.len()
+            ways.is_power_of_two() && ways <= MAX_WAYS,
+            "affinity cache ways must be a power of two up to {MAX_WAYS}, got {ways}"
         );
         assert!(
             entries.is_multiple_of(ways as u64),
@@ -186,21 +206,7 @@ impl SkewedAffinityCache {
 
     /// Entries currently valid.
     pub fn occupancy(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid).count() as u64
-    }
-
-    fn index(&self, line: u64, way: u32) -> usize {
-        let mut z = line ^ SKEW_KEYS[way as usize];
-        z ^= z >> 30;
-        z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z ^= z >> 31;
-        (way as u64 * self.sets + (z & (self.sets - 1))) as usize
-    }
-
-    fn find(&self, line: u64) -> Option<usize> {
-        (0..self.ways)
-            .map(|w| self.index(line, w))
-            .find(|&i| self.entries[i].valid && self.entries[i].line == line)
+        self.entries.iter().filter(|e| e.last != 0).count() as u64
     }
 
     /// How long evicted entries lived, in table accesses: the §3.5
@@ -211,71 +217,105 @@ impl SkewedAffinityCache {
         &self.ages
     }
 
-    fn evict(&mut self, i: usize) {
-        if self.entries[i].valid {
-            self.ages.observe(self.clock - self.entries[i].born);
+    /// The one probe of `line`, dispatched once on the way count (`new`
+    /// admits only 1, 2, 4 and 8).
+    #[inline(always)]
+    fn probe(&self, line: u64) -> Slot {
+        match self.ways {
+            4 => self.probe_ways::<4>(line),
+            2 => self.probe_ways::<2>(line),
+            8 => self.probe_ways::<8>(line),
+            _ => self.probe_ways::<1>(line),
         }
     }
 
-    fn victim(&self, line: u64) -> usize {
-        let mut victim = self.index(line, 0);
-        for w in 0..self.ways {
-            let i = self.index(line, w);
-            if !self.entries[i].valid {
-                return i;
-            }
-            if self.entries[i].last < self.entries[victim].last {
-                victim = i;
-            }
+    /// The probe body for `W` ways: computes the `W` entry indices,
+    /// loads every candidate (the loads are independent, so they
+    /// overlap), then returns the entry holding `line` or the age
+    /// victim — the smallest `last`, earliest way on ties, which is the
+    /// first invalid way if any (see [`Entry`]).
+    #[inline(always)]
+    fn probe_ways<const W: usize>(&self, line: u64) -> Slot {
+        let at: [usize; W] = std::array::from_fn(|w| {
+            let mut z = line ^ SKEW_KEYS[w];
+            z ^= z >> 30;
+            z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^= z >> 31;
+            (w as u64 * self.sets + (z & (self.sets - 1))) as usize
+        });
+        let candidates = at.map(|i| self.entries[i]);
+        let mut hit = usize::MAX;
+        let mut victim = at[0];
+        let mut vkey = u64::MAX;
+        for (&i, e) in at.iter().zip(&candidates) {
+            hit = if e.last != 0 && e.line == line {
+                i
+            } else {
+                hit
+            };
+            // Strict < keeps the earliest way on ties.
+            let better = e.last < vkey;
+            victim = if better { i } else { victim };
+            vkey = if better { e.last } else { vkey };
         }
-        victim
+        if hit != usize::MAX {
+            Slot::Hit(hit)
+        } else {
+            Slot::Miss(victim)
+        }
+    }
+
+    /// Installs `line` with `o_e` in entry `i`, a probe's age victim,
+    /// recording the age of the entry it replaces.
+    fn fill(&mut self, i: usize, line: u64, o_e: i64) {
+        let old = self.entries[i];
+        if old.last != 0 {
+            self.ages.observe(self.clock - old.born);
+        }
+        self.entries[i] = Entry {
+            line,
+            o_e,
+            last: self.clock,
+            born: self.clock,
+        };
     }
 }
 
 impl AffinityTable for SkewedAffinityCache {
     fn read_or_insert(&mut self, line: u64, reset: i64) -> i64 {
         self.clock += 1;
-        if let Some(i) = self.find(line) {
-            self.stats.hits += 1;
-            self.entries[i].last = self.clock;
-            return self.entries[i].o_e;
+        match self.probe(line) {
+            Slot::Hit(i) => {
+                self.stats.hits += 1;
+                let e = &mut self.entries[i];
+                e.last = self.clock;
+                e.o_e
+            }
+            Slot::Miss(i) => {
+                self.stats.misses += 1;
+                self.fill(i, line, reset);
+                reset
+            }
         }
-        self.stats.misses += 1;
-        let i = self.victim(line);
-        self.evict(i);
-        self.entries[i] = Entry {
-            line,
-            o_e: reset,
-            valid: true,
-            last: self.clock,
-            born: self.clock,
-        };
-        reset
     }
 
     fn write(&mut self, line: u64, o_e: i64) {
         self.clock += 1;
-        match self.find(line) {
-            Some(i) => {
-                self.entries[i].o_e = o_e;
-                self.entries[i].last = self.clock;
+        match self.probe(line) {
+            Slot::Hit(i) => {
+                let e = &mut self.entries[i];
+                e.o_e = o_e;
+                e.last = self.clock;
             }
-            None => {
-                let i = self.victim(line);
-                self.evict(i);
-                self.entries[i] = Entry {
-                    line,
-                    o_e,
-                    valid: true,
-                    last: self.clock,
-                    born: self.clock,
-                };
-            }
+            Slot::Miss(i) => self.fill(i, line, o_e),
         }
     }
 
     fn peek(&self, line: u64) -> Option<i64> {
-        self.find(line).map(|i| self.entries[i].o_e)
+        match self.probe(line) {
+            Slot::Hit(i) => Some(self.entries[i].o_e),
+            Slot::Miss(_) => None,
+        }
     }
 
     fn stats(&self) -> TableStats {
@@ -430,6 +470,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn skewed_rejects_bad_geometry() {
         SkewedAffinityCache::new(96, 4);
+    }
+
+    #[test]
+    fn entries_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
     }
 
     #[test]
