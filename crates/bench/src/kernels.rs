@@ -30,21 +30,30 @@ use execmig_machine::{Machine, MachineConfig, Protocol};
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
 use std::hint::black_box;
 
-/// Set-associative / skewed-associative per-reference throughput.
+/// Set-associative / skewed-associative per-reference throughput: the
+/// 512 KB L2 geometries over 2^14 lines, and the machine's 16 KB 4-way
+/// L1 over 2^9 lines (twice its 256 frames), which misses about half
+/// the time.
 pub fn bench_set_assoc(c: &mut Runner) {
     let mut g = c.benchmark_group("cache");
     g.throughput(1);
 
-    for (label, config) in [
+    for (label, config, bits) in [
         (
             "modulo_512k_4w",
             CacheConfig::set_associative(512 << 10, 4, 64),
+            14,
         ),
-        ("skewed_512k_4w", CacheConfig::skewed(512 << 10, 4, 64)),
+        ("skewed_512k_4w", CacheConfig::skewed(512 << 10, 4, 64), 14),
+        (
+            "modulo_16k_4w",
+            CacheConfig::set_associative(16 << 10, 4, 64),
+            9,
+        ),
     ] {
         g.bench_function(format!("lookup_fill/{label}"), |b| {
             let mut cache = Cache::new(config);
-            let mut lines = LineStream::new(7, 14);
+            let mut lines = LineStream::new(7, bits);
             // Warm to steady state (evictions happening).
             for _ in 0..50_000 {
                 cache.access(LineAddr::new(lines.next_line()), false);

@@ -42,7 +42,8 @@ const MAX_WAYS: u32 = 16;
 const MAX_SKEWED_WAYS: u32 = 8;
 
 /// Geometry and indexing of a [`Cache`]: the way count is a power of two
-/// up to 16 (up to 8 when skewed), and the set count a power of two.
+/// up to 16 (up to 8 when skewed), the set count a power of two, and the
+/// frame count below 2^28.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -117,6 +118,13 @@ impl CacheConfig {
             self.ways,
             self.line_bytes
         );
+        assert!(
+            self.frames() < MAX_FRAMES,
+            "cache frames must number fewer than 2^28, got {} (capacity {}, line {})",
+            self.frames(),
+            self.capacity_bytes,
+            self.line_bytes
+        );
         // Total after the first assert: `_` is the largest way count.
         match (self.indexing, self.ways) {
             (Indexing::Modulo, 1) => Shape::Modulo1,
@@ -186,28 +194,40 @@ pub enum Probe {
 }
 
 /// Modified bit of [`Frame::meta`].
-const MODIFIED: u64 = 1;
+const MODIFIED: u32 = 1;
 /// Valid bit of [`Frame::meta`].
-const VALID: u64 = 2;
+const VALID: u32 = 2;
 /// Shared bit of [`Frame::meta`]: set by coherence protocols that
 /// track sharers (MESI's S, Dragon's Sc/Sm); migration-mode coherence
 /// never sets it, keeping its meta words bit-identical to the
 /// pre-shared-bit encoding.
-const SHARED: u64 = 4;
+const SHARED: u32 = 4;
 /// LRU timestamp occupies the remaining high bits of [`Frame::meta`].
 const LAST_SHIFT: u32 = 3;
+/// Largest LRU timestamp: the 29 bits above the three state bits.
+/// [`Cache::renumber`] compacts the timestamps before the clock would
+/// pass it.
+const MAX_STAMP: u32 = u32::MAX >> LAST_SHIFT;
+/// Frame-count bound of a [`Cache`] (exclusive): a renumbered cache
+/// holds at most `MAX_FRAMES - 1` stamps, so each renumber frees at
+/// least half of the stamp range.
+const MAX_FRAMES: u64 = 1 << 28;
 
-/// One 16-byte cache frame: the line tag plus packed metadata.
+/// One 12-byte cache frame: the line tag plus packed metadata.
 ///
-/// `meta` packs `(last << 3) | shared << 2 | valid << 1 | modified`.
-/// The packing makes `meta` itself the LRU victim-selection key:
-/// invalid frames are zeroed (key 0, always preferred), and among valid
-/// frames the timestamps are distinct (the clock ticks once per use),
-/// so the low shared/valid/modified bits never reorder two candidates.
+/// `meta` packs `(last << 3) | shared << 2 | valid << 1 | modified`,
+/// with a 29-bit timestamp `last`. The packing makes `meta` itself the
+/// LRU victim-selection key: invalid frames are zeroed (key 0, always
+/// preferred), and among valid frames the timestamps are distinct (the
+/// clock ticks once per use), so the low shared/valid/modified bits
+/// never reorder two candidates. `packed(4)` drops the four bytes of
+/// padding a `u64`-aligned frame would carry; both fields are only
+/// ever read and written by value.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Frame {
     line: u64,
-    meta: u64,
+    meta: u32,
 }
 
 impl Frame {
@@ -306,7 +326,8 @@ pub struct Cache {
     /// `sets - 1`; the set count is a power of two.
     set_mask: u64,
     frames: Vec<Frame>,
-    clock: u64,
+    /// The last timestamp handed out; at most [`MAX_STAMP`].
+    clock: u32,
     /// Valid-frame count, maintained by fill/invalidate.
     live: u64,
 }
@@ -318,8 +339,8 @@ impl Cache {
     ///
     /// Panics if the geometry is inconsistent (see [`CacheConfig`]): a
     /// way count that is not a power of two up to 16 (up to 8 with
-    /// skewed indexing), or a line size or set count that is not a power
-    /// of two.
+    /// skewed indexing), a line size or set count that is not a power
+    /// of two, or 2^28 frames or more.
     pub fn new(config: CacheConfig) -> Self {
         let shape = config.validate();
         let sets = config.sets();
@@ -400,7 +421,7 @@ impl Cache {
         // most one frame) and the LRU victim.
         let mut hit = usize::MAX;
         let mut victim = at[0];
-        let mut vkey = u64::MAX;
+        let mut vkey = u32::MAX;
         for (&f, frame) in at.iter().zip(&candidates) {
             hit = if frame.is_valid() && frame.line == raw {
                 f
@@ -433,12 +454,51 @@ impl Cache {
     /// change who else holds the line).
     #[inline(always)]
     pub fn touch_at(&mut self, f: usize, modified: bool) {
-        self.clock += 1;
+        let stamp = self.tick();
         let frame = &mut self.frames[f];
-        frame.meta = (self.clock << LAST_SHIFT)
-            | VALID
-            | (frame.meta & (MODIFIED | SHARED))
-            | modified as u64;
+        frame.meta =
+            (stamp << LAST_SHIFT) | VALID | (frame.meta & (MODIFIED | SHARED)) | modified as u32;
+    }
+
+    /// The next LRU timestamp. Renumbers first if the clock would pass
+    /// [`MAX_STAMP`].
+    #[inline(always)]
+    fn tick(&mut self) -> u32 {
+        if self.clock == MAX_STAMP {
+            self.renumber();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Rewrites the timestamps of the valid frames as `1..=n` in their
+    /// current order and restarts the clock at `n`: the order-preserving
+    /// compaction [`crate::LruStack`] applies to its slots. Victim
+    /// choice only orders the candidates' `meta` keys, and invalid
+    /// frames stay at 0, so every later probe, eviction and frame
+    /// handle is what it would have been with unbounded timestamps. At
+    /// most `MAX_FRAMES - 1` frames are valid, so the clock restarts at
+    /// or below half of [`MAX_STAMP`].
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let mut order: Vec<(u32, usize)> = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, frame)| frame.is_valid())
+            .map(|(f, frame)| (frame.meta >> LAST_SHIFT, f))
+            .collect();
+        order.sort_unstable();
+        debug_assert!(
+            order.windows(2).all(|w| w[0].0 < w[1].0),
+            "valid frames must carry distinct timestamps"
+        );
+        for (stamp, &(_, f)) in (1..).zip(&order) {
+            let frame = &mut self.frames[f];
+            frame.meta = (stamp << LAST_SHIFT) | (frame.meta & (VALID | MODIFIED | SHARED));
+        }
+        self.clock = order.len() as u32;
     }
 
     /// Installs `line` in frame `f` — the [`Probe::Miss`] victim of a
@@ -458,10 +518,10 @@ impl Cache {
             self.live += 1;
             None
         };
-        self.clock += 1;
+        let stamp = self.tick();
         self.frames[f] = Frame {
             line: line.raw(),
-            meta: (self.clock << LAST_SHIFT) | VALID | modified as u64,
+            meta: (stamp << LAST_SHIFT) | VALID | modified as u32,
         };
         evicted
     }
@@ -483,7 +543,7 @@ impl Cache {
     #[inline]
     pub fn set_modified_at(&mut self, f: usize, modified: bool) {
         let frame = &mut self.frames[f];
-        frame.meta = (frame.meta & !MODIFIED) | modified as u64;
+        frame.meta = (frame.meta & !MODIFIED) | modified as u32;
     }
 
     /// Sets or clears the shared bit of frame `f`. Does not update
@@ -1063,6 +1123,108 @@ mod tests {
                 .map(|(l, m, s)| (l.raw(), m, s))
                 .collect();
             let mut b: Vec<_> = keyed
+                .resident_states()
+                .map(|(l, m, s)| (l.raw(), m, s))
+                .collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "final contents for {config:?}");
+        }
+    }
+
+    #[test]
+    fn frame_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache frames must number fewer than 2^28, got 268435456")]
+    fn rejects_two_to_the_28_frames() {
+        // 2^26 sets x 4 ways x 64 B = 16 GB, rejected before any frame
+        // is allocated.
+        Cache::new(CacheConfig::set_associative(1 << 34, 4, 64));
+    }
+
+    /// Moves the clock of `c` up to `to` and every valid timestamp up by
+    /// the same amount: the inverse of a renumber, order preserved.
+    fn advance_clock(c: &mut Cache, to: u32) {
+        let delta = to - c.clock;
+        for frame in c.frames.iter_mut().filter(|f| f.is_valid()) {
+            frame.meta += delta << LAST_SHIFT;
+        }
+        c.clock = to;
+    }
+
+    /// A cache pushed to the edge of the stamp range every 2,500 steps
+    /// renumbers mid-stream again and again, and still matches a fresh
+    /// cache step for step: same probes and handles, same hits and
+    /// evictions, same occupancy and final contents, with state edits
+    /// and invalidations interleaved, for every accepted geometry.
+    #[test]
+    fn renumbering_matches_a_fresh_cache() {
+        for config in every_shape() {
+            let mut fresh = Cache::new(config);
+            let mut aged = Cache::new(config);
+            let span = 4 * config.frames();
+            let mut renumbers = 0;
+            let mut x = 0xa9ed_u64 ^ config.frames();
+            for i in 0..20_000u64 {
+                if i % 2_500 == 0 && aged.clock < MAX_STAMP - 3 {
+                    advance_clock(&mut aged, MAX_STAMP - 3);
+                }
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let line = LineAddr::new((x >> 33) % span);
+                let bit = x & (1 << 20) != 0;
+                let before = aged.clock;
+                match (x >> 8) % 4 {
+                    0 => assert_eq!(
+                        fresh.access(line, bit),
+                        aged.access(line, bit),
+                        "access {config:?} step {i}"
+                    ),
+                    1 => {
+                        let p = fresh.probe_at(line);
+                        assert_eq!(p, aged.probe_at(line), "probe {config:?} step {i}");
+                        match p {
+                            Probe::Hit(f) => {
+                                fresh.touch_at(f, bit);
+                                aged.touch_at(f, bit);
+                            }
+                            Probe::Miss(f) => assert_eq!(
+                                fresh.fill_at(f, line, bit),
+                                aged.fill_at(f, line, bit),
+                                "fill {config:?} step {i}"
+                            ),
+                        }
+                    }
+                    2 => {
+                        let a = fresh.find_at(line).map(|f| fresh.invalidate_at(f));
+                        let b = aged.find_at(line).map(|f| aged.invalidate_at(f));
+                        assert_eq!(a, b, "invalidate {config:?} step {i}");
+                    }
+                    _ => {
+                        let f = fresh.find_at(line);
+                        assert_eq!(f, aged.find_at(line), "find {config:?} step {i}");
+                        if let Some(f) = f {
+                            for c in [&mut fresh, &mut aged] {
+                                c.set_modified_at(f, bit);
+                                c.set_shared_at(f, !bit);
+                            }
+                        }
+                    }
+                }
+                renumbers += (aged.clock < before) as u32;
+                assert_eq!(fresh.occupancy(), aged.occupancy(), "{config:?} step {i}");
+            }
+            // One renumber after each of the eight pushes.
+            assert_eq!(renumbers, 8, "{config:?}");
+            let mut a: Vec<_> = fresh
+                .resident_states()
+                .map(|(l, m, s)| (l.raw(), m, s))
+                .collect();
+            let mut b: Vec<_> = aged
                 .resident_states()
                 .map(|(l, m, s)| (l.raw(), m, s))
                 .collect();
