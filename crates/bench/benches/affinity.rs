@@ -1,13 +1,13 @@
 //! Hot paths of the affinity algorithm: the Figure 2 datapath per
-//! reference, with unbounded and finite affinity caches, and the full
-//! 4-way splitter. These bound the simulated migration controller's
-//! per-L1-miss cost.
+//! reference, with unbounded and finite affinity caches, and the
+//! splitter tree at 4 and 8 ways. These bound the simulated migration
+//! controller's per-L1-miss cost.
 
 use execmig_bench::harness::Runner;
 use execmig_bench::LineStream;
 use execmig_core::{
-    Mechanism, MechanismConfig, Sampler, SkewedAffinityCache, Splitter2, Splitter4,
-    Splitter4Config, SplitterConfig, UnboundedAffinityTable,
+    Mechanism, MechanismConfig, Sampler, SkewedAffinityCache, Splitter2, SplitterConfig,
+    SplitterTree, SplitterTreeConfig, UnboundedAffinityTable,
 };
 use std::hint::black_box;
 
@@ -55,20 +55,22 @@ fn bench_splitters(c: &mut Runner) {
         });
     });
 
-    g.bench_function("splitter4/full_sampling", |b| {
-        let mut s = Splitter4::new(Splitter4Config::default());
-        let mut lines = LineStream::new(3, 14);
-        b.iter(|| black_box(s.on_reference(lines.next_line())));
-    });
-
-    g.bench_function("splitter4/quarter_sampling", |b| {
-        let mut s = Splitter4::new(Splitter4Config {
-            sampler: Sampler::quarter(),
-            ..Splitter4Config::default()
-        });
-        let mut lines = LineStream::new(4, 14);
-        b.iter(|| black_box(s.on_reference(lines.next_line())));
-    });
+    for depth in [2, 3] {
+        for (name, sampler, seed) in [
+            ("full", Sampler::full(), 3),
+            ("quarter", Sampler::quarter(), 4),
+        ] {
+            g.bench_function(format!("tree{depth}/{name}_sampling"), |b| {
+                let mut s = SplitterTree::new(SplitterTreeConfig {
+                    depth,
+                    sampler,
+                    ..SplitterTreeConfig::default()
+                });
+                let mut lines = LineStream::new(seed, 14);
+                b.iter(|| black_box(s.on_reference(lines.next_line())));
+            });
+        }
+    }
     g.finish();
 }
 

@@ -17,7 +17,7 @@ use std::fmt;
 use execmig_machine::{Machine, MachineConfig, MachineStats};
 use execmig_trace::{Access, LineSize, Workload, WorkloadEvent};
 
-use crate::refmachine::{config_supported, RefMachine};
+use crate::refmachine::RefMachine;
 
 /// One captured access: what the workload produced and the cumulative
 /// instruction count after it.
@@ -126,14 +126,8 @@ impl Lockstep {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or outside the reference
-    /// model's coverage (see
-    /// [`config_supported`](crate::refmachine::config_supported)).
+    /// Panics if the configuration is invalid.
     pub fn new(config: MachineConfig) -> Self {
-        assert!(
-            config_supported(&config),
-            "configuration outside reference-model coverage"
-        );
         let line = config.validate();
         Lockstep {
             reference: RefMachine::new(&config),
@@ -296,7 +290,7 @@ impl Lockstep {
                 push_diff(
                     &mut diffs,
                     "controller.subset",
-                    mc.current_subset() as i128,
+                    mc.current_core() as i128,
                     rc.current_subset() as i128,
                 );
                 push_diff(
@@ -436,7 +430,7 @@ fn machine_state(m: &Machine) -> String {
             &mut s,
             mc.filter_value(),
             mc.ar(),
-            mc.current_subset(),
+            mc.current_core(),
             mc.stats().requests,
             mc.stats().migrations,
         );

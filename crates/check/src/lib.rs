@@ -37,4 +37,4 @@ pub use fuzz::{
 };
 pub use refcache::RefCache;
 pub use refcore::RefController;
-pub use refmachine::{config_supported, RefMachine};
+pub use refmachine::RefMachine;

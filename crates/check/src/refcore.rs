@@ -4,11 +4,12 @@
 //! Every component here is written directly from the paper's text —
 //! Figure 2's datapath, the §3.2 widths, the §3.4 transition filter,
 //! the §3.5 `H(e) = e mod 31` sampling, the §3.6 recursive 4-way
-//! splitting, and the §2.2 migration-controller protocol — sharing only
-//! the *configuration* types with `execmig_core`. Saturation, sign
-//! conventions, FIFO semantics, affinity-cache clocking and quadrant
-//! packing are all restated from scratch, so a transcription error in
-//! either implementation surfaces as a lockstep divergence.
+//! splitting and its 8-way extension, and the §2.2 migration-controller
+//! protocol — sharing only the *configuration* types with
+//! `execmig_core`. Saturation, sign conventions, FIFO semantics,
+//! affinity-cache clocking, level routing and subset packing are all
+//! restated from scratch, so a transcription error in either
+//! implementation surfaces as a lockstep divergence.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -382,13 +383,24 @@ impl RefFilter {
     }
 }
 
-/// A literal 2-way splitter: one mechanism, one transition filter.
+/// `H(e) = e mod 31`, restated (§3.5).
+fn sample_hash(line: u64) -> u64 {
+    line % 31
+}
+
+/// A literal 2-way splitter: one mechanism, one transition filter, and
+/// §3.5's sampling in front (only lines with `H(e) < threshold` reach
+/// the mechanism; the split degree does not matter to the sampler).
 #[derive(Debug, Clone)]
 pub struct RefSplitter2 {
     mechanism: RefMechanism,
     filter: RefFilter,
+    /// Lines with `line mod 31 < threshold` are sampled.
+    threshold: u64,
     table: RefTable,
     current: usize,
+    /// References that updated the mechanism.
+    sampled_refs: u64,
 }
 
 impl RefSplitter2 {
@@ -402,16 +414,21 @@ impl RefSplitter2 {
                 config.delta_mode,
             ),
             filter: RefFilter::new(config.filter_bits),
+            threshold: config.sampler.threshold(),
             table: RefTable::new(config.table),
             current: 0,
+            sampled_refs: 0,
         }
     }
 
     /// One reference; returns the designated subset index (0 or 1).
     pub fn on_reference_filtered(&mut self, line: u64, update_filter: bool) -> usize {
-        let a_e = self.mechanism.on_reference(line, &mut self.table);
-        if update_filter {
-            self.filter.update(a_e);
+        if sample_hash(line) < self.threshold {
+            self.sampled_refs += 1;
+            let a_e = self.mechanism.on_reference(line, &mut self.table);
+            if update_filter {
+                self.filter.update(a_e);
+            }
         }
         let side = self.filter.side();
         self.current = side;
@@ -433,6 +450,11 @@ impl RefSplitter2 {
         self.current
     }
 
+    /// References that updated the mechanism.
+    pub fn sampled_references(&self) -> u64 {
+        self.sampled_refs
+    }
+
     /// Affinity-table `(hits, misses)`.
     pub fn table_stats(&self) -> (u64, u64) {
         self.table.stats()
@@ -443,7 +465,7 @@ impl RefSplitter2 {
 /// line with odd `H(e)` updates `X`, one with even `H(e)` updates
 /// `Y[sign(F_X)]`; the designated quadrant of *any* reference is
 /// `(sign(F_X), sign(F_{Y[sign(F_X)]}))`, packed as
-/// `x_index << 1 | y_index`.
+/// `x_index << 1 | y_index`. `|R_Y| = |R_X| / 2`.
 #[derive(Debug, Clone)]
 pub struct RefSplitter4 {
     x: RefMechanism,
@@ -464,9 +486,10 @@ impl RefSplitter4 {
     pub fn new(config: &ControllerConfig) -> Self {
         let mech =
             |r| RefMechanism::new(config.affinity_bits, r, config.sign_mode, config.delta_mode);
+        let r_y = config.r_window_x / 2;
         RefSplitter4 {
             x: mech(config.r_window_x),
-            y: [mech(config.r_window_y), mech(config.r_window_y)],
+            y: [mech(r_y), mech(r_y)],
             f_x: RefFilter::new(config.filter_bits),
             f_y: [
                 RefFilter::new(config.filter_bits),
@@ -481,7 +504,7 @@ impl RefSplitter4 {
 
     /// One reference; returns the designated quadrant index (0..4).
     pub fn on_reference_filtered(&mut self, line: u64, update_filter: bool) -> usize {
-        let h = line % 31;
+        let h = sample_hash(line);
         if h < self.threshold {
             self.sampled_refs += 1;
             if h % 2 == 1 {
@@ -535,10 +558,110 @@ impl RefSplitter4 {
     }
 }
 
+/// The §6 8-way splitter: §3.6's recursion taken one level further. A
+/// sampled line with odd `H(e)` updates `X`; one with
+/// `H(e) ≡ 2 (mod 4)` updates `Y[sign(F_X)]`; one with
+/// `H(e) ≡ 0 (mod 4)` updates `Z[sign(F_X)][sign(F_Y)]`, where `F_Y`
+/// is the filter of `Y[sign(F_X)]`. The designated subset of *any*
+/// reference packs the three signs as `x << 2 | y << 1 | z`. The
+/// windows halve per level: `|R_Y| = |R_X| / 2`, `|R_Z| = |R_X| / 4`.
+#[derive(Debug, Clone)]
+pub struct RefSplitter8 {
+    x: RefMechanism,
+    /// Indexed by the subset index of `sign(F_X)`.
+    y: [RefMechanism; 2],
+    /// Indexed by the subset indices of `sign(F_X)`, then `sign(F_Y)`.
+    z: [[RefMechanism; 2]; 2],
+    f_x: RefFilter,
+    f_y: [RefFilter; 2],
+    f_z: [[RefFilter; 2]; 2],
+    /// Lines with `line mod 31 < threshold` are sampled (§3.5).
+    threshold: u64,
+    table: RefTable,
+    current: usize,
+    /// References that updated an affinity mechanism.
+    sampled_refs: u64,
+}
+
+impl RefSplitter8 {
+    /// Builds the splitter from the shared controller configuration.
+    pub fn new(config: &ControllerConfig) -> Self {
+        let mech =
+            |r| RefMechanism::new(config.affinity_bits, r, config.sign_mode, config.delta_mode);
+        let filter = || RefFilter::new(config.filter_bits);
+        let (r_y, r_z) = (config.r_window_x / 2, config.r_window_x / 4);
+        RefSplitter8 {
+            x: mech(config.r_window_x),
+            y: [mech(r_y), mech(r_y)],
+            z: [[mech(r_z), mech(r_z)], [mech(r_z), mech(r_z)]],
+            f_x: filter(),
+            f_y: [filter(), filter()],
+            f_z: [[filter(), filter()], [filter(), filter()]],
+            threshold: config.sampler.threshold(),
+            table: RefTable::new(config.table),
+            current: 0,
+            sampled_refs: 0,
+        }
+    }
+
+    /// One reference; returns the designated subset index (0..8).
+    pub fn on_reference_filtered(&mut self, line: u64, update_filter: bool) -> usize {
+        let h = sample_hash(line);
+        if h < self.threshold {
+            self.sampled_refs += 1;
+            let xi = self.f_x.side();
+            let yi = self.f_y[xi].side();
+            let (mechanism, filter) = if h % 2 == 1 {
+                (&mut self.x, &mut self.f_x)
+            } else if h % 4 == 2 {
+                (&mut self.y[xi], &mut self.f_y[xi])
+            } else {
+                (&mut self.z[xi][yi], &mut self.f_z[xi][yi])
+            };
+            let a_e = mechanism.on_reference(line, &mut self.table);
+            if update_filter {
+                filter.update(a_e);
+            }
+        }
+        let xi = self.f_x.side();
+        let yi = self.f_y[xi].side();
+        let zi = self.f_z[xi][yi].side();
+        let subset = (xi << 2) | (yi << 1) | zi;
+        self.current = subset;
+        subset
+    }
+
+    /// Current `F_X`.
+    pub fn filter_value(&self) -> i64 {
+        self.f_x.value()
+    }
+
+    /// The top-level (`X`) `A_R`.
+    pub fn ar(&self) -> i64 {
+        self.x.ar()
+    }
+
+    /// The designated subset index.
+    pub fn current_subset(&self) -> usize {
+        self.current
+    }
+
+    /// References that updated an affinity mechanism.
+    pub fn sampled_references(&self) -> u64 {
+        self.sampled_refs
+    }
+
+    /// Affinity-table `(hits, misses)`.
+    pub fn table_stats(&self) -> (u64, u64) {
+        self.table.stats()
+    }
+}
+
 #[derive(Debug, Clone)]
 enum RefSplit {
     Two(RefSplitter2),
     Four(RefSplitter4),
+    Eight(Box<RefSplitter8>),
 }
 
 /// The §2.2 migration controller, restated: monitors L1-miss requests,
@@ -560,18 +683,11 @@ pub struct RefController {
 
 impl RefController {
     /// Builds the controller from the shared configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`SplitWays::Eight`], which the reference model does
-    /// not cover (the differ never configures it).
     pub fn new(config: &ControllerConfig) -> Self {
         let inner = match config.ways {
             SplitWays::Two => RefSplit::Two(RefSplitter2::new(config)),
             SplitWays::Four => RefSplit::Four(RefSplitter4::new(config)),
-            SplitWays::Eight => {
-                panic!("8-way splitting is not supported by the reference model")
-            }
+            SplitWays::Eight => RefSplit::Eight(Box::new(RefSplitter8::new(config))),
         };
         RefController {
             l2_filter: config.l2_filter,
@@ -595,6 +711,7 @@ impl RefController {
         let core = match &mut self.inner {
             RefSplit::Two(s) => s.on_reference_filtered(line, update_filter),
             RefSplit::Four(s) => s.on_reference_filtered(line, update_filter),
+            RefSplit::Eight(s) => s.on_reference_filtered(line, update_filter),
         };
         if core != self.current_core {
             self.migrations += 1;
@@ -613,6 +730,7 @@ impl RefController {
         match &self.inner {
             RefSplit::Two(s) => s.filter_value(),
             RefSplit::Four(s) => s.filter_value(),
+            RefSplit::Eight(s) => s.filter_value(),
         }
     }
 
@@ -621,6 +739,7 @@ impl RefController {
         match &self.inner {
             RefSplit::Two(s) => s.ar(),
             RefSplit::Four(s) => s.ar(),
+            RefSplit::Eight(s) => s.ar(),
         }
     }
 
@@ -629,6 +748,7 @@ impl RefController {
         match &self.inner {
             RefSplit::Two(s) => s.current_subset(),
             RefSplit::Four(s) => s.current_subset(),
+            RefSplit::Eight(s) => s.current_subset(),
         }
     }
 
@@ -637,6 +757,7 @@ impl RefController {
         match &self.inner {
             RefSplit::Two(s) => s.table_stats(),
             RefSplit::Four(s) => s.table_stats(),
+            RefSplit::Eight(s) => s.table_stats(),
         }
     }
 }
@@ -646,7 +767,7 @@ mod tests {
     use super::*;
     use execmig_core::{
         AffinityTable, AnyAffinityTable, Mechanism, MechanismConfig, MigrationController, Sampler,
-        SkewedAffinityCache, Splitter4, Splitter4Config, UnboundedAffinityTable,
+        SkewedAffinityCache, SplitterTree, SplitterTreeConfig, UnboundedAffinityTable,
     };
 
     #[test]
@@ -706,74 +827,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn splitter4_matches_optimized_with_sampling() {
-        let config = ControllerConfig {
-            sampler: Sampler::quarter(),
-            table: TableConfig::Skewed {
-                entries: 512,
-                ways: 4,
-            },
-            ..ControllerConfig::paper_4core()
-        };
-        let mut fast = Splitter4::with_table(
-            Splitter4Config {
-                affinity_bits: config.affinity_bits,
-                r_window_x: config.r_window_x,
-                r_window_y: config.r_window_y,
-                filter_bits: config.filter_bits,
-                sampler: config.sampler,
-                sign_mode: config.sign_mode,
-                delta_mode: config.delta_mode,
-            },
-            AnyAffinityTable::Skewed(SkewedAffinityCache::new(512, 4)),
-        );
-        let mut naive = RefSplitter4::new(&config);
-        let mut x = 3u64;
-        for i in 0..200_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 8000;
-            let update = x & 3 != 0;
-            let a = fast.on_reference_filtered(line, update);
-            let b = naive.on_reference_filtered(line, update);
-            assert_eq!(a.index(), b, "quadrant diverged at step {i}");
-            assert_eq!(fast.filter_value(), naive.filter_value(), "F_X step {i}");
+    /// The naive splitter of one split degree, behind one signature.
+    fn naive_splitter(config: &ControllerConfig) -> RefSplit {
+        match config.ways {
+            SplitWays::Two => RefSplit::Two(RefSplitter2::new(config)),
+            SplitWays::Four => RefSplit::Four(RefSplitter4::new(config)),
+            SplitWays::Eight => RefSplit::Eight(Box::new(RefSplitter8::new(config))),
         }
-        assert_eq!(fast.sampled_references(), naive.sampled_references());
+    }
+
+    #[test]
+    fn tree_matches_naive_splitters_at_depths_one_to_three() {
+        for ways in [SplitWays::Two, SplitWays::Four, SplitWays::Eight] {
+            for sampler in [Sampler::quarter(), Sampler::full()] {
+                let config = ControllerConfig {
+                    ways,
+                    sampler,
+                    table: TableConfig::Skewed {
+                        entries: 512,
+                        ways: 4,
+                    },
+                    ..ControllerConfig::paper_4core()
+                };
+                let mut fast = SplitterTree::with_table(
+                    SplitterTreeConfig {
+                        depth: ways.depth(),
+                        affinity_bits: config.affinity_bits,
+                        r_window_top: config.r_window_x,
+                        filter_bits: config.filter_bits,
+                        sampler: config.sampler,
+                        sign_mode: config.sign_mode,
+                        delta_mode: config.delta_mode,
+                    },
+                    AnyAffinityTable::Skewed(SkewedAffinityCache::new(512, 4)),
+                );
+                let mut naive = naive_splitter(&config);
+                let what = format!(
+                    "{} ways, sampled below {}",
+                    ways.count(),
+                    sampler.threshold()
+                );
+                let mut x = 3u64;
+                for i in 0..200_000u64 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let line = (x >> 33) % 8000;
+                    let update = x & 3 != 0;
+                    let (subset, f_x, sampled) = match &mut naive {
+                        RefSplit::Two(s) => (
+                            s.on_reference_filtered(line, update),
+                            s.filter_value(),
+                            s.sampled_references(),
+                        ),
+                        RefSplit::Four(s) => (
+                            s.on_reference_filtered(line, update),
+                            s.filter_value(),
+                            s.sampled_references(),
+                        ),
+                        RefSplit::Eight(s) => (
+                            s.on_reference_filtered(line, update),
+                            s.filter_value(),
+                            s.sampled_references(),
+                        ),
+                    };
+                    assert_eq!(
+                        fast.on_reference_filtered(line, update),
+                        subset,
+                        "{what}: subset diverged at step {i}"
+                    );
+                    assert_eq!(fast.filter_value(), f_x, "{what}: F_X at step {i}");
+                    assert_eq!(fast.sampled_references(), sampled, "{what}: step {i}");
+                }
+                let ts = fast.table_stats();
+                let naive_ts = match &naive {
+                    RefSplit::Two(s) => s.table_stats(),
+                    RefSplit::Four(s) => s.table_stats(),
+                    RefSplit::Eight(s) => s.table_stats(),
+                };
+                assert_eq!((ts.hits, ts.misses), naive_ts, "{what}: table stats");
+            }
+        }
     }
 
     #[test]
     fn controller_matches_optimized() {
-        let config = ControllerConfig {
-            table: TableConfig::Skewed {
-                entries: 512,
-                ways: 4,
-            },
-            ..ControllerConfig::paper_4core()
-        };
-        let mut fast = MigrationController::new(config);
-        let mut naive = RefController::new(&config);
-        let mut x = 11u64;
-        for i in 0..200_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 6000;
-            let l2_miss = x & 7 == 0;
-            let pointer = x & 3 == 0;
+        for ways in [SplitWays::Two, SplitWays::Four, SplitWays::Eight] {
+            let config = ControllerConfig {
+                ways,
+                table: TableConfig::Skewed {
+                    entries: 512,
+                    ways: 4,
+                },
+                ..ControllerConfig::paper_4core()
+            };
+            let mut fast = MigrationController::new(config);
+            let mut naive = RefController::new(&config);
+            let mut x = 11u64;
+            for i in 0..200_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let line = (x >> 33) % 6000;
+                let l2_miss = x & 7 == 0;
+                let pointer = x & 3 == 0;
+                assert_eq!(
+                    fast.on_request_tagged(line, l2_miss, pointer),
+                    naive.on_request_tagged(line, l2_miss, pointer),
+                    "{} ways: designated core diverged at step {i}",
+                    ways.count()
+                );
+            }
+            let s = fast.stats();
             assert_eq!(
-                fast.on_request_tagged(line, l2_miss, pointer),
-                naive.on_request_tagged(line, l2_miss, pointer),
-                "designated core diverged at step {i}"
+                (s.requests, s.l2_misses, s.migrations),
+                (naive.requests, naive.l2_misses, naive.migrations)
             );
+            assert_eq!(fast.filter_value(), naive.filter_value());
+            assert_eq!(fast.ar(), naive.ar());
+            assert_eq!(fast.current_core(), naive.current_subset());
+            let ts = fast.table_stats();
+            assert_eq!((ts.hits, ts.misses), naive.table_stats());
         }
-        let s = fast.stats();
-        assert_eq!(
-            (s.requests, s.l2_misses, s.migrations),
-            (naive.requests, naive.l2_misses, naive.migrations)
-        );
     }
 
     #[test]
@@ -805,14 +980,5 @@ mod tests {
             / n as f64;
         assert!((0.3..=0.7).contains(&fi), "ideal fraction {fi}");
         assert!((0.3..=0.7).contains(&fm), "mechanism fraction {fm}");
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported by the reference model")]
-    fn eight_way_is_rejected() {
-        RefController::new(&ControllerConfig {
-            ways: SplitWays::Eight,
-            ..ControllerConfig::paper_4core()
-        });
     }
 }

@@ -21,7 +21,6 @@
 //! with no behaviour of its own, so sharing it cannot mask a modelling
 //! divergence — it is the comparison language, not the model.
 
-use execmig_core::ControllerConfig;
 use execmig_machine::bus::UpdateBusStats;
 use execmig_machine::{MachineConfig, MachineStats, Protocol, UpdateBusConfig};
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload};
@@ -511,32 +510,9 @@ impl RefMachine {
     }
 }
 
-/// True when the shared configuration is within the reference model's
-/// coverage (everything except 8-way splitting).
-pub fn config_supported(config: &MachineConfig) -> bool {
-    !matches!(
-        config.controller,
-        Some(ControllerConfig {
-            ways: execmig_core::SplitWays::Eight,
-            ..
-        })
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eight_way_configs_are_flagged_unsupported() {
-        let mut config = MachineConfig::four_core_migration();
-        assert!(config_supported(&config));
-        config.cores = 8;
-        if let Some(c) = &mut config.controller {
-            c.ways = execmig_core::SplitWays::Eight;
-        }
-        assert!(!config_supported(&config));
-    }
 
     #[test]
     fn single_core_counts_compulsory_misses() {

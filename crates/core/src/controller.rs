@@ -12,24 +12,22 @@
 
 use crate::mechanism::{DeltaMode, SignMode};
 use crate::sampler::Sampler;
-use crate::splitter2::{Splitter2, SplitterConfig, SplitterStats};
-use crate::splitter4::{Quadrant, Splitter4, Splitter4Config};
-use crate::table::{
-    AffinityTable, AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable,
-};
+use crate::splitter2::SplitterStats;
+use crate::table::{AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable};
 use crate::tree::{SplitterTree, SplitterTreeConfig};
-use crate::Side;
 use execmig_obs::Histogram;
 
-/// Degree of working-set splitting (= number of cores used).
+/// Degree of working-set splitting (= number of cores used), one
+/// [`SplitterTree`] level per doubling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SplitWays {
-    /// 2-way splitting (2-core machine).
+    /// 2-way splitting (2-core machine): one level.
     Two,
-    /// 4-way recursive splitting (the paper's 4-core machine).
+    /// 4-way recursive splitting (the paper's 4-core machine): two
+    /// levels.
     Four,
-    /// 8-way splitting — the §6 "larger number of cores" extension,
-    /// via a third recursion level (see [`SplitterTree`]).
+    /// 8-way splitting, the §6 "larger number of cores" extension:
+    /// three levels.
     Eight,
 }
 
@@ -41,6 +39,11 @@ impl SplitWays {
             SplitWays::Four => 4,
             SplitWays::Eight => 8,
         }
+    }
+
+    /// Levels of the splitter tree.
+    pub const fn depth(self) -> u32 {
+        self.count().trailing_zeros()
     }
 }
 
@@ -61,14 +64,13 @@ pub enum TableConfig {
 /// Configuration of a [`MigrationController`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
-    /// 2-way or 4-way splitting.
+    /// 2-, 4- or 8-way splitting.
     pub ways: SplitWays,
     /// Bits of the affinity values (paper: 16).
     pub affinity_bits: u32,
-    /// `|R_X|` (paper: 128).
+    /// `|R_X|` (paper: 128). Each level below halves it (`|R_Y|` = 64,
+    /// `|R_Z|` = 32); the last level's window must hold at least 8.
     pub r_window_x: usize,
-    /// `|R_Y|` for the second-level mechanisms (paper: 64).
-    pub r_window_y: usize,
     /// Transition-filter width.
     pub filter_bits: u32,
     /// Working-set sampling.
@@ -91,13 +93,12 @@ pub struct ControllerConfig {
 impl ControllerConfig {
     /// The §4.2 machine configuration: 4-way splitting, 8k-entry 4-way
     /// skewed affinity cache, 25 % sampling, 18-bit filters, L2
-    /// filtering, `|R_X|` = 128, `|R_Y|` = 64.
+    /// filtering, `|R_X|` = 128.
     pub fn paper_4core() -> Self {
         ControllerConfig {
             ways: SplitWays::Four,
             affinity_bits: 16,
             r_window_x: 128,
-            r_window_y: 64,
             filter_bits: 18,
             sampler: Sampler::quarter(),
             table: TableConfig::Skewed {
@@ -119,7 +120,6 @@ impl ControllerConfig {
             ways: SplitWays::Four,
             affinity_bits: 16,
             r_window_x: 128,
-            r_window_y: 64,
             filter_bits: 20,
             sampler: Sampler::full(),
             table: TableConfig::Unbounded,
@@ -157,26 +157,6 @@ pub struct ControllerStats {
     pub migrations: u64,
 }
 
-// One controller exists per machine, so the size spread between the
-// 2-way and 8-way splitters is irrelevant; boxing the large variants
-// would add a pointer chase to every per-request dispatch.
-#[allow(clippy::large_enum_variant)]
-enum Inner {
-    Two(Splitter2<AnyAffinityTable>),
-    Four(Splitter4<AnyAffinityTable>),
-    Eight(SplitterTree<AnyAffinityTable>),
-}
-
-impl std::fmt::Debug for Inner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Inner::Two(_) => f.write_str("Inner::Two(..)"),
-            Inner::Four(_) => f.write_str("Inner::Four(..)"),
-            Inner::Eight(_) => f.write_str("Inner::Eight(..)"),
-        }
-    }
-}
-
 /// The migration controller: monitors L1-miss requests and designates
 /// the core that should execute.
 ///
@@ -190,12 +170,14 @@ impl std::fmt::Debug for Inner {
 #[derive(Debug)]
 pub struct MigrationController {
     config: ControllerConfig,
-    inner: Inner,
-    current_core: usize,
-    stats: ControllerStats,
+    /// Designates the core: its subsets are the cores, its references
+    /// the requests and its transitions the migrations.
+    splitter: SplitterTree<AnyAffinityTable>,
+    /// Requests flagged as L2 misses.
+    l2_misses: u64,
     /// Monitored requests between designated-core changes.
     dwell: Histogram,
-    /// `stats.requests` at the last designated-core change.
+    /// The request count at the last designated-core change.
     last_change_request: u64,
 }
 
@@ -204,51 +186,26 @@ impl MigrationController {
     ///
     /// # Panics
     ///
-    /// Panics on invalid widths or table geometry (see
-    /// [`SkewedAffinityCache::new`]).
+    /// Panics on invalid widths, on an `r_window_x` below
+    /// `8 << (depth − 1)` or on invalid table geometry (see
+    /// [`SplitterTree::with_table`] and [`SkewedAffinityCache::new`]).
     pub fn new(config: ControllerConfig) -> Self {
-        let table = config.build_table();
-        let inner = match config.ways {
-            SplitWays::Two => Inner::Two(Splitter2::with_table(
-                SplitterConfig {
-                    affinity_bits: config.affinity_bits,
-                    r_window: config.r_window_x,
-                    filter_bits: Some(config.filter_bits),
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
-                },
-                table,
-            )),
-            SplitWays::Four => Inner::Four(Splitter4::with_table(
-                Splitter4Config {
-                    affinity_bits: config.affinity_bits,
-                    r_window_x: config.r_window_x,
-                    r_window_y: config.r_window_y,
-                    filter_bits: config.filter_bits,
-                    sampler: config.sampler,
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
-                },
-                table,
-            )),
-            SplitWays::Eight => Inner::Eight(SplitterTree::with_table(
-                SplitterTreeConfig {
-                    depth: 3,
-                    affinity_bits: config.affinity_bits,
-                    r_window_top: config.r_window_x,
-                    filter_bits: config.filter_bits,
-                    sampler: config.sampler,
-                    sign_mode: config.sign_mode,
-                    delta_mode: config.delta_mode,
-                },
-                table,
-            )),
-        };
+        let splitter = SplitterTree::with_table(
+            SplitterTreeConfig {
+                depth: config.ways.depth(),
+                affinity_bits: config.affinity_bits,
+                r_window_top: config.r_window_x,
+                filter_bits: config.filter_bits,
+                sampler: config.sampler,
+                sign_mode: config.sign_mode,
+                delta_mode: config.delta_mode,
+            },
+            config.build_table(),
+        );
         MigrationController {
             config,
-            inner,
-            current_core: 0,
-            stats: ControllerStats::default(),
+            splitter,
+            l2_misses: 0,
             dwell: Histogram::new(),
             last_change_request: 0,
         }
@@ -279,64 +236,54 @@ impl MigrationController {
     /// pointer-load origin. Under [`ControllerConfig::pointer_filter`],
     /// only pointer-load requests may update the transition filters.
     pub fn on_request_tagged(&mut self, line: u64, l2_miss: bool, pointer: bool) -> usize {
-        self.stats.requests += 1;
         if l2_miss {
-            self.stats.l2_misses += 1;
+            self.l2_misses += 1;
         }
         let update_filter =
             (!self.config.l2_filter || l2_miss) && (!self.config.pointer_filter || pointer);
-        let core = match &mut self.inner {
-            Inner::Two(s) => s.on_reference_filtered(line, update_filter).index(),
-            Inner::Four(s) => s.on_reference_filtered(line, update_filter).index(),
-            Inner::Eight(s) => s.on_reference_filtered(line, update_filter),
-        };
-        if core != self.current_core {
-            self.stats.migrations += 1;
-            self.current_core = core;
-            self.dwell
-                .observe(self.stats.requests - self.last_change_request);
-            self.last_change_request = self.stats.requests;
+        if self.splitter.advance(line, update_filter) {
+            let requests = self.splitter.stats().references;
+            self.dwell.observe(requests - self.last_change_request);
+            self.last_change_request = requests;
         }
+        let core = self.splitter.current_subset();
         debug_assert!(
             core < self.cores(),
             "I107: designated core {core} out of range for {}-way splitting",
             self.cores()
         );
         debug_assert!(
-            self.dwell.count() == self.stats.migrations,
+            self.dwell.count() == self.splitter.stats().transitions,
             "I107: dwell samples ({}) must match migrations ({})",
             self.dwell.count(),
-            self.stats.migrations
+            self.splitter.stats().transitions
         );
         core
     }
 
-    /// The core currently designated.
+    /// The core currently designated: the splitter's sign-path.
     pub fn current_core(&self) -> usize {
-        self.current_core
+        self.splitter.current_subset()
     }
 
     /// Controller counters.
     pub fn stats(&self) -> ControllerStats {
-        self.stats
+        let s = self.splitter.stats();
+        ControllerStats {
+            requests: s.references,
+            l2_misses: self.l2_misses,
+            migrations: s.transitions,
+        }
     }
 
     /// Splitter-level transition statistics.
     pub fn splitter_stats(&self) -> SplitterStats {
-        match &self.inner {
-            Inner::Two(s) => s.stats(),
-            Inner::Four(s) => s.stats(),
-            Inner::Eight(s) => s.stats(),
-        }
+        self.splitter.stats()
     }
 
     /// Affinity-table statistics.
     pub fn table_stats(&self) -> TableStats {
-        match &self.inner {
-            Inner::Two(s) => s.table().stats(),
-            Inner::Four(s) => s.table_stats(),
-            Inner::Eight(s) => s.table_stats(),
-        }
+        self.splitter.table_stats()
     }
 
     /// How many monitored requests the controller dwells on a core
@@ -349,52 +296,19 @@ impl MigrationController {
     /// Age-at-eviction histogram of the affinity cache; `None` when the
     /// table is unbounded (it never evicts).
     pub fn affinity_age_histogram(&self) -> Option<&Histogram> {
-        match &self.inner {
-            Inner::Two(s) => s.table().age_at_eviction(),
-            Inner::Four(s) => s.table().age_at_eviction(),
-            Inner::Eight(s) => s.table().age_at_eviction(),
-        }
+        self.splitter.table().age_at_eviction()
     }
 
-    /// The top-level transition filter's current `F` value — the
-    /// quantity whose sign flips drive migrations (§3.4). For 4-/8-way
-    /// splitting this is `F_X`; for 2-way it is the single filter (or
-    /// `A_R` when configured filterless).
+    /// The top-level transition filter's current `F` value (`F_X`), the
+    /// quantity whose sign flips drive migrations (§3.4).
     pub fn filter_value(&self) -> i64 {
-        match &self.inner {
-            Inner::Two(s) => s.filter_value(),
-            Inner::Four(s) => s.filter_value(),
-            Inner::Eight(s) => s.filter_value(),
-        }
+        self.splitter.filter_value()
     }
 
     /// The top-level mechanism's current window sum `A_R` (§3.2).
     pub fn ar(&self) -> i64 {
-        match &self.inner {
-            Inner::Two(s) => s.mechanism().ar(),
-            Inner::Four(s) => s.mechanism().ar(),
-            Inner::Eight(s) => s.mechanism().ar(),
-        }
+        self.splitter.mechanism().ar()
     }
-
-    /// The quadrant/side currently designated, as a subset index.
-    pub fn current_subset(&self) -> usize {
-        match &self.inner {
-            Inner::Two(s) => s.current_side().index(),
-            Inner::Four(s) => s.current_quadrant().index(),
-            Inner::Eight(s) => s.current_subset(),
-        }
-    }
-}
-
-/// Maps a 2-way side to a core index (0 or 1).
-pub fn core_of_side(side: Side) -> usize {
-    side.index()
-}
-
-/// Maps a quadrant to a core index (0..4).
-pub fn core_of_quadrant(q: Quadrant) -> usize {
-    q.index()
 }
 
 #[cfg(test)]
@@ -422,6 +336,37 @@ mod tests {
         for t in 0..10_000u64 {
             assert!(mc.on_request(t % 3000, true) < 2);
         }
+    }
+
+    #[test]
+    fn two_way_controller_honours_its_sampler() {
+        // §3.5 samples the working set whatever the split degree: only
+        // lines with H(e) < 8 reach the affinity cache.
+        let mut mc = MigrationController::new(ControllerConfig {
+            ways: SplitWays::Two,
+            ..ControllerConfig::paper_4core()
+        });
+        let sampler = Sampler::quarter();
+        let mut sampled = 0u64;
+        for t in 0..10_000u64 {
+            let line = t % 3000;
+            sampled += u64::from(sampler.is_sampled(line));
+            mc.on_request(line, true);
+        }
+        let ts = mc.table_stats();
+        assert_eq!(ts.hits + ts.misses, sampled);
+        assert!(sampled < 3_000, "quarter sampling kept {sampled} of 10000");
+    }
+
+    #[test]
+    #[should_panic(expected = "r_window_top must be at least 8 << (depth - 1) = 32, got 16")]
+    fn eight_way_controller_rejects_a_short_top_window() {
+        // Halving 16 twice would leave the last level a 4-entry window.
+        MigrationController::new(ControllerConfig {
+            ways: SplitWays::Eight,
+            r_window_x: 16,
+            ..ControllerConfig::paper_4core()
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! - **Float-valued derived metrics** (`miss_rate`, `transition_rate`,
 //!   `positive_fraction`). The fixed-point modules (`sat`, `window`,
-//!   `filter`, `table`, `mechanism`, `splitter2`, `splitter4`, `tree`)
+//!   `filter`, `table`, `mechanism`, `splitter2`, `tree`)
 //!   carry a hot-path rule — E005, checked by `tests/policy.rs` — that
 //!   forbids any `f32`/`f64` arithmetic in them, keeping "the affinity
 //!   algorithm is pure saturating integer arithmetic" literally
@@ -19,7 +19,6 @@ use crate::controller::{ControllerConfig, SplitWays, TableConfig};
 use crate::mechanism::{DeltaMode, MechanismConfig, SignMode};
 use crate::sampler::Sampler;
 use crate::splitter2::{Splitter2, SplitterConfig, SplitterStats};
-use crate::splitter4::Splitter4Config;
 use crate::table::{AffinityTable, TableStats};
 use crate::tree::SplitterTreeConfig;
 use crate::Side;
@@ -133,16 +132,6 @@ impl_to_json!(SplitterConfig {
     delta_mode,
 });
 
-impl_to_json!(Splitter4Config {
-    affinity_bits,
-    r_window_x,
-    r_window_y,
-    filter_bits,
-    sampler,
-    sign_mode,
-    delta_mode,
-});
-
 impl_to_json!(SplitterTreeConfig {
     depth,
     affinity_bits,
@@ -157,7 +146,6 @@ impl_to_json!(ControllerConfig {
     ways,
     affinity_bits,
     r_window_x,
-    r_window_y,
     filter_bits,
     sampler,
     table,
@@ -211,7 +199,6 @@ mod tests {
             j.get("sampler").and_then(|s| s.get("sampled_below")),
             Some(&Json::UInt(8))
         );
-        let j = Splitter4Config::default().to_json();
         assert_eq!(j.get("r_window_x"), Some(&Json::UInt(128)));
         let j = SplitterTreeConfig::default().to_json();
         assert_eq!(j.get("depth"), Some(&Json::UInt(3)));

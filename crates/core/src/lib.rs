@@ -38,16 +38,21 @@
 //! register (`sign(A_R-register)`) and the algebraically exact
 //! `sign(register + |R|·∆)`.
 //!
-//! # Transition filtering, sampling, 4-way splitting (§3.4–§3.6)
+//! # Transition filtering, sampling, recursive splitting (§3.4–§3.6)
 //!
 //! - [`TransitionFilter`]: an up-down saturating counter `F += A_e`;
 //!   the executing subset is `sign(F)`, which rate-limits migrations on
 //!   unsplittable (random) working sets.
 //! - [`Sampler`]: `H(e) = e mod 31`; only lines with `H(e) < 8` get
 //!   affinity-cache entries (25 % sampling), the rest rely on the filter.
-//! - [`Splitter4`]: recursive 2-way splitting — mechanism `X` handles
-//!   odd-`H` lines, `Y[sign(F_X)]` the even-`H` ones; the 4-way subset is
-//!   `(sign(F_X), sign(F_{Y[sign(F_X)]}))`.
+//! - [`SplitterTree`]: recursive 2-way splitting into `2^depth`
+//!   subsets, the controller's one splitter for 2, 4 and 8 ways. At 4
+//!   ways mechanism `X` handles odd-`H` lines, `Y[sign(F_X)]` the
+//!   even-`H` ones, and the subset is
+//!   `(sign(F_X), sign(F_{Y[sign(F_X)]}))`; each further level takes
+//!   half of the lines the levels above leave.
+//! - [`Splitter2`]: one mechanism with an optional filter, the §3.3
+//!   raw-sign form behind Figure 3 and the ablations.
 //! - [`MigrationController`]: ties it all together behind the L1-miss
 //!   request stream, with optional *L2 filtering* (filter updates only on
 //!   L2 misses) so "a migration can happen only upon a L2 miss".
@@ -79,7 +84,6 @@ pub mod reference;
 pub mod sampler;
 pub mod sat;
 pub mod splitter2;
-pub mod splitter4;
 pub mod table;
 pub mod tree;
 pub mod window;
@@ -92,7 +96,6 @@ pub use mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};
 pub use reference::IdealAffinity;
 pub use sampler::Sampler;
 pub use splitter2::{Splitter2, SplitterConfig, SplitterStats};
-pub use splitter4::{Quadrant, Splitter4, Splitter4Config};
 pub use table::{
     AffinityTable, AnyAffinityTable, SkewedAffinityCache, TableStats, UnboundedAffinityTable,
 };

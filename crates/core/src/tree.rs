@@ -1,19 +1,43 @@
-//! Generalised recursive working-set splitting: 2^depth subsets.
+//! Recursive working-set splitting into `2^depth` subsets: the
+//! migration controller's one splitter.
 //!
-//! §3.6 builds 4-way splitting from two levels of 2-way mechanisms and
-//! conjectures in §6 that "it is possible to adapt it to a larger
-//! number of cores". [`SplitterTree`] realises that: `depth` levels of
-//! mechanisms, level `l` holding `2^l` of them (one per sign-path
-//! through the upper levels). Sampled lines are distributed over the
-//! levels by their hash, generalising the paper's odd/even rule:
+//! §3.6 builds 4-way splitting from two levels of 2-way mechanisms, §6
+//! says the method "works also on 2-core configurations" and conjectures
+//! that "it is possible to adapt it to a larger number of cores".
+//! [`SplitterTree`] is that recursion at any depth from 1 to 3: level
+//! `l` holds `2^l` (mechanism, transition filter) nodes, one per
+//! sign-path through the levels above, all sharing one affinity cache.
 //!
-//! - level `l < depth−1` processes lines with `H(e) ≡ 2^l (mod 2^{l+1})`
-//!   (half of the remaining lines at each level),
-//! - the last level processes the rest (`H(e) ≡ 0 (mod 2^{depth−1})`).
+//! # Routing
 //!
-//! For `depth = 2` this is exactly the paper's scheme: odd hashes go to
-//! `X`, even ones to `Y[sign(F_X)]`. R-windows halve per level
-//! (`|R_X| = 128`, `|R_Y| = 64`, `|R_Z| = 32`, …).
+//! Only sampled lines (`H(e) < threshold`, §3.5) reach a mechanism. A
+//! sampled line goes to level `min(tz(H(e)), depth − 1)`, where `tz`
+//! counts trailing zero bits and `tz(0)` is 64:
+//!
+//! - level `l < depth − 1` takes `H(e) ≡ 2^l (mod 2^{l+1})`, half of
+//!   the lines the levels above leave;
+//! - the last level takes the rest, `H(e) ≡ 0 (mod 2^{depth−1})`.
+//!
+//! Within its level the line updates the node on the current sign-path.
+//! At depth 1 every sampled line goes to the one node; at depth 2 this
+//! is the paper's rule, odd `H(e)` to `X` and even `H(e)` to
+//! `Y[sign(F_X)]`. The designated subset of *any* reference is the full
+//! sign-path, level 0's sign in the highest bit (`Plus` = 0,
+//! `Minus` = 1). Only a filter update can move it, so a reference that
+//! updates no filter keeps the current subset without walking the
+//! tree. R-windows halve per level (`|R_X| = 128`, `|R_Y| = 64`,
+//! `|R_Z| = 32`); the top window must leave every level at least 8.
+//!
+//! # Layout
+//!
+//! The nodes are heap-indexed: node `i`'s children are `2i + 1`
+//! (`Plus`) and `2i + 2` (`Minus`), so level `l` spans nodes
+//! `2^l − 1 .. 2^{l+1} − 1`. The filters live inside the struct in an
+//! array sized for the deepest tree (7 nodes, 112 bytes). The
+//! mechanisms, which only sampled references touch, live in one boxed
+//! slice of the `2^depth − 1` live nodes, so a shallow tree builds no
+//! mechanism or R-window it does not use. One dispatch on `depth`
+//! selects a per-reference body monomorphized for that depth.
 #![deny(clippy::panic)]
 
 use crate::filter::TransitionFilter;
@@ -21,7 +45,13 @@ use crate::mechanism::{DeltaMode, Mechanism, MechanismConfig, SignMode};
 use crate::sampler::Sampler;
 use crate::splitter2::SplitterStats;
 use crate::table::{AffinityTable, TableStats, UnboundedAffinityTable};
-use crate::Side;
+
+/// Deepest tree accepted: 8 subsets, the §6 "larger number of cores"
+/// extension.
+const MAX_DEPTH: u32 = 3;
+
+/// Nodes of the deepest tree.
+const MAX_NODES: usize = (1 << MAX_DEPTH) - 1;
 
 /// Configuration of a [`SplitterTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +60,8 @@ pub struct SplitterTreeConfig {
     pub depth: u32,
     /// Bits of the affinity values (paper: 16).
     pub affinity_bits: u32,
-    /// `|R|` of the top-level mechanism; halves per level (minimum 8).
+    /// `|R|` of the top-level mechanism; halves per level. At least
+    /// `8 << (depth − 1)`, so the last level's window holds 8.
     pub r_window_top: usize,
     /// Transition-filter width.
     pub filter_bits: u32,
@@ -56,13 +87,20 @@ impl Default for SplitterTreeConfig {
     }
 }
 
+/// The level a sampled hash is routed to in a tree of `depth` levels.
+#[inline]
+fn level_of(h: u64, depth: u32) -> u32 {
+    h.trailing_zeros().min(depth - 1)
+}
+
 /// A `2^depth`-way working-set splitter.
 #[derive(Debug, Clone)]
 pub struct SplitterTree<T: AffinityTable = UnboundedAffinityTable> {
     depth: u32,
-    /// `levels[l][path]`: the mechanism+filter for sign-path `path`
-    /// through levels `0..l`.
-    levels: Vec<Vec<(Mechanism, TransitionFilter)>>,
+    /// Every node's transition filter, heap-indexed.
+    filters: [TransitionFilter; MAX_NODES],
+    /// The live nodes' mechanisms, indexed like `filters`.
+    mechanisms: Box<[Mechanism]>,
     sampler: Sampler,
     table: T,
     current: usize,
@@ -82,32 +120,33 @@ impl<T: AffinityTable> SplitterTree<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is 0 or above 4 (16-way: beyond any plausible
-    /// single-chip configuration of the paper's era), or on invalid
-    /// widths.
+    /// Panics if `depth` is 0 or above 3, if `r_window_top` is below
+    /// `8 << (depth − 1)`, or on invalid widths (see [`MechanismConfig`]
+    /// and [`TransitionFilter::new`]).
     pub fn with_table(config: SplitterTreeConfig, table: T) -> Self {
-        assert!((1..=4).contains(&config.depth), "depth must be in [1, 4]");
-        let levels = (0..config.depth)
-            .map(|l| {
-                let r = (config.r_window_top >> l).max(8);
-                (0..(1usize << l))
-                    .map(|_| {
-                        (
-                            Mechanism::new(MechanismConfig {
-                                affinity_bits: config.affinity_bits,
-                                r_window: r,
-                                sign_mode: config.sign_mode,
-                                delta_mode: config.delta_mode,
-                            }),
-                            TransitionFilter::new(config.filter_bits),
-                        )
-                    })
-                    .collect()
+        assert!(
+            (1..=MAX_DEPTH).contains(&config.depth),
+            "depth must be in [1, 3]"
+        );
+        assert!(
+            config.r_window_top >> (config.depth - 1) >= 8,
+            "r_window_top must be at least 8 << (depth - 1) = {}, got {}",
+            8 << (config.depth - 1),
+            config.r_window_top
+        );
+        let mechanism = |node: usize| {
+            let level = (node + 1).ilog2();
+            Mechanism::new(MechanismConfig {
+                affinity_bits: config.affinity_bits,
+                r_window: config.r_window_top >> level,
+                sign_mode: config.sign_mode,
+                delta_mode: config.delta_mode,
             })
-            .collect();
+        };
         SplitterTree {
             depth: config.depth,
-            levels,
+            filters: std::array::from_fn(|_| TransitionFilter::new(config.filter_bits)),
+            mechanisms: (0..(1 << config.depth) - 1).map(mechanism).collect(),
             sampler: config.sampler,
             table,
             current: 0,
@@ -121,56 +160,61 @@ impl<T: AffinityTable> SplitterTree<T> {
         1 << self.depth
     }
 
-    /// The level a sampled hash is routed to.
-    fn level_of(&self, h: u64) -> u32 {
-        for l in 0..self.depth - 1 {
-            if h % (1 << (l + 1)) == (1 << l) {
-                return l;
-            }
-        }
-        self.depth - 1
-    }
-
-    /// The sign-path through levels `0..l` given the current filters.
-    fn path_to(&self, l: u32) -> usize {
-        let mut path = 0usize;
-        for level in 0..l {
-            let (_, f) = &self.levels[level as usize][path];
-            path = (path << 1) | f.side().index();
-        }
-        path
-    }
-
     /// Processes a reference; returns the designated subset index in
     /// `0..2^depth`. `update_filter` is false for L2 hits under L2
-    /// filtering.
+    /// filtering (§3.4).
     pub fn on_reference_filtered(&mut self, line: u64, update_filter: bool) -> usize {
-        let h = self.sampler.hash(line);
-        if h < self.sampler.threshold() {
-            self.sampled_refs += 1;
-            let l = self.level_of(h);
-            let path = self.path_to(l);
-            let (mech, filter) = &mut self.levels[l as usize][path];
-            let a_e = mech.on_reference(line, &mut self.table);
-            if update_filter {
-                filter.update(a_e);
-            }
+        self.advance(line, update_filter);
+        self.current
+    }
+
+    /// Processes a reference; returns whether the designated subset
+    /// changed, which [`current_subset`](Self::current_subset) then
+    /// reads.
+    pub(crate) fn advance(&mut self, line: u64, update_filter: bool) -> bool {
+        match self.depth {
+            1 => self.step::<1>(line, update_filter),
+            2 => self.step::<2>(line, update_filter),
+            _ => self.step::<3>(line, update_filter),
         }
-        // The designated subset: the full sign-path.
-        let mut subset = 0usize;
-        let mut path = 0usize;
-        for level in 0..self.depth {
-            let (_, f) = &self.levels[level as usize][path];
-            let bit = f.side().index();
-            subset = (subset << 1) | bit;
-            path = (path << 1) | bit;
-        }
+    }
+
+    /// The per-reference body of a `DEPTH`-level tree.
+    #[inline(always)]
+    fn step<const DEPTH: u32>(&mut self, line: u64, update_filter: bool) -> bool {
+        // The subset is the filters' sign-path: a reference that
+        // updates no filter cannot move it.
         self.stats.references += 1;
-        if subset != self.current {
-            self.stats.transitions += 1;
-            self.current = subset;
+        let h = self.sampler.hash(line);
+        if h >= self.sampler.threshold() {
+            return false;
         }
-        subset
+        self.sampled_refs += 1;
+        let node = self.walk(level_of(h, DEPTH));
+        let a_e = self.mechanisms[node].on_reference(line, &mut self.table);
+        if !update_filter {
+            return false;
+        }
+        self.filters[node].update(a_e);
+        // Below the last level, the walk lands on the designated
+        // subset's position in a virtual level `DEPTH`.
+        let subset = self.walk(DEPTH) + 1 - (1 << DEPTH);
+        if subset == self.current {
+            return false;
+        }
+        self.stats.transitions += 1;
+        self.current = subset;
+        true
+    }
+
+    /// The node `levels` levels below the root along the filters' signs.
+    #[inline(always)]
+    fn walk(&self, levels: u32) -> usize {
+        let mut node = 0;
+        for _ in 0..levels {
+            node = 2 * node + 1 + self.filters[node].side().index();
+        }
+        node
     }
 
     /// Processes a reference with unconditional filter update.
@@ -203,20 +247,14 @@ impl<T: AffinityTable> SplitterTree<T> {
         self.sampled_refs
     }
 
-    /// The sign of level 0's filter (for cross-checks against
-    /// [`Splitter2`](crate::Splitter2)).
-    pub fn top_side(&self) -> Side {
-        self.levels[0][0].1.side()
-    }
-
     /// Level 0's filter value (`F_X`).
     pub fn filter_value(&self) -> i64 {
-        self.levels[0][0].1.value()
+        self.filters[0].value()
     }
 
     /// Level 0's mechanism (`X`).
     pub fn mechanism(&self) -> &Mechanism {
-        &self.levels[0][0].0
+        &self.mechanisms[0]
     }
 }
 
@@ -224,13 +262,17 @@ impl<T: AffinityTable> SplitterTree<T> {
 mod tests {
     use super::*;
 
+    fn tree(depth: u32) -> SplitterTree {
+        SplitterTree::new(SplitterTreeConfig {
+            depth,
+            ..SplitterTreeConfig::default()
+        })
+    }
+
     #[test]
     fn depth_bounds_enforced() {
-        for depth in [1u32, 2, 3, 4] {
-            let t = SplitterTree::new(SplitterTreeConfig {
-                depth,
-                ..SplitterTreeConfig::default()
-            });
+        for depth in [1u32, 2, 3] {
+            let t = tree(depth);
             assert_eq!(t.subsets(), 1 << depth);
         }
     }
@@ -238,8 +280,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "depth")]
     fn depth_zero_rejected() {
+        tree(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn depth_four_rejected() {
+        tree(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "r_window_top must be at least 8 << (depth - 1) = 32")]
+    fn short_top_window_rejected() {
         SplitterTree::new(SplitterTreeConfig {
-            depth: 0,
+            depth: 3,
+            r_window_top: 31,
             ..SplitterTreeConfig::default()
         });
     }
@@ -247,36 +302,96 @@ mod tests {
     #[test]
     fn level_routing_matches_paper_for_depth_two() {
         // depth 2: odd hashes to level 0 (X), even to level 1 (Y).
-        let t = SplitterTree::new(SplitterTreeConfig {
-            depth: 2,
-            ..SplitterTreeConfig::default()
-        });
         for h in 0..31u64 {
             let expect = if h % 2 == 1 { 0 } else { 1 };
-            assert_eq!(t.level_of(h), expect, "h = {h}");
+            assert_eq!(level_of(h, 2), expect, "h = {h}");
         }
     }
 
     #[test]
     fn level_routing_halves_per_level_for_depth_three() {
-        let t = SplitterTree::new(SplitterTreeConfig {
-            depth: 3,
-            ..SplitterTreeConfig::default()
-        });
         let mut counts = [0u32; 3];
         for h in 0..31u64 {
-            counts[t.level_of(h) as usize] += 1;
+            counts[level_of(h, 3) as usize] += 1;
         }
         // Of the 31 residues 0..30: 15 odd, 8 ≡2 (mod 4), 8 ≡0 (mod 4).
         assert_eq!(counts, [15, 8, 8]);
     }
 
     #[test]
+    fn trailing_zeros_rule_is_the_modular_rule() {
+        // Level l < depth − 1 takes H ≡ 2^l (mod 2^{l+1}); the last
+        // level takes the rest, H = 0 included.
+        for depth in 1..=MAX_DEPTH {
+            for h in 0..31u64 {
+                let modular = (0..depth - 1)
+                    .find(|&l| h % (1 << (l + 1)) == 1 << l)
+                    .unwrap_or(depth - 1);
+                assert_eq!(level_of(h, depth), modular, "h = {h}, depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn odd_h_updates_x_even_h_updates_y_of_fx_sign() {
+        // §3.6: "a sampled line with odd H(e) is processed by X, one
+        // with even H(e) by Y[sign(F_X)]". With the full sampler,
+        // H(e) = e mod 31. A second reference to a line yields
+        // A_e = −∆ ≠ 0, which moves exactly one filter, revealing the
+        // routing. Nodes: 0 = X, 1 = Y[+], 2 = Y[−].
+        let values =
+            |t: &SplitterTree| t.filters[..3].iter().map(|f| f.value()).collect::<Vec<_>>();
+
+        // e = 2 (even H) while F_X ≥ 0 must update F_Y[+] only.
+        let mut t = tree(2);
+        t.on_reference(2);
+        t.on_reference(2);
+        let v = values(&t);
+        assert_eq!((v[0], v[2]), (0, 0), "only F_Y[+] may move: {v:?}");
+        assert_ne!(v[1], 0, "F_Y[+] must move");
+
+        // e = 1 (odd H) must update F_X only.
+        let mut t = tree(2);
+        t.on_reference(1);
+        assert_eq!(t.on_reference(1), 2, "F_X < 0 is the high subset bit");
+        let v = values(&t);
+        assert!(v[0] < 0, "F_X must move on odd H");
+        assert_eq!((v[1], v[2]), (0, 0));
+
+        // With F_X < 0, even H routes to the other leaf: F_Y[−].
+        t.on_reference(2);
+        t.on_reference(2);
+        let v = values(&t);
+        assert_eq!(v[1], 0, "F_Y[+] must not move");
+        assert_ne!(v[2], 0, "F_Y[−] must move");
+    }
+
+    #[test]
+    fn four_way_splits_circular() {
+        // A large circular stream spreads over all four subsets and
+        // transitions rarely once settled.
+        let mut t = tree(2);
+        let n = 16_000u64;
+        for i in 0..4_000_000u64 {
+            t.on_reference(i % n);
+        }
+        let mut used = [0u64; 4];
+        let before = t.stats().transitions;
+        for i in 0..n {
+            used[t.on_reference(i % n)] += 1;
+        }
+        let transitions = t.stats().transitions - before;
+        let occupied = used.iter().filter(|&&c| c > n / 16).count();
+        assert!(occupied >= 3, "only {occupied} subsets used: {used:?}");
+        assert!(
+            transitions <= 64,
+            "{transitions} transitions in one settled lap"
+        );
+    }
+
+    #[test]
     fn eight_way_splits_circular() {
-        let mut t = SplitterTree::new(SplitterTreeConfig {
-            depth: 3,
-            ..SplitterTreeConfig::default()
-        });
+        let mut t = tree(3);
         let n = 32_000u64;
         for i in 0..6_000_000u64 {
             t.on_reference(i % n);
@@ -327,16 +442,37 @@ mod tests {
 
     #[test]
     fn sampling_reduces_traffic() {
-        let mut full = SplitterTree::new(SplitterTreeConfig::default());
-        let mut quarter = SplitterTree::new(SplitterTreeConfig {
-            sampler: Sampler::quarter(),
-            ..SplitterTreeConfig::default()
-        });
-        for i in 0..50_000u64 {
-            full.on_reference(i % 7000);
-            quarter.on_reference(i % 7000);
+        for depth in [1, 2, 3] {
+            let mut full = tree(depth);
+            let mut quarter = SplitterTree::new(SplitterTreeConfig {
+                depth,
+                sampler: Sampler::quarter(),
+                ..SplitterTreeConfig::default()
+            });
+            for i in 0..50_000u64 {
+                full.on_reference(i % 7000);
+                quarter.on_reference(i % 7000);
+            }
+            assert_eq!(full.sampled_references(), 50_000);
+            let frac = quarter.sampled_references() as f64 / 50_000.0;
+            assert!((0.2..0.32).contains(&frac), "depth {depth}: {frac}");
         }
-        assert_eq!(full.sampled_references(), 50_000);
-        assert!(quarter.sampled_references() < 20_000);
+    }
+
+    #[test]
+    fn unsampled_lines_never_touch_the_table() {
+        for depth in [1, 2, 3] {
+            let mut t = SplitterTree::new(SplitterTreeConfig {
+                depth,
+                sampler: Sampler::quarter(),
+                ..SplitterTreeConfig::default()
+            });
+            for e in (0..10_000u64).filter(|&e| !Sampler::quarter().is_sampled(e)) {
+                t.on_reference(e);
+            }
+            assert_eq!(t.sampled_references(), 0);
+            let ts = t.table_stats();
+            assert_eq!(ts.hits + ts.misses, 0, "depth {depth}");
+        }
     }
 }

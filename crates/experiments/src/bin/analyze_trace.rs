@@ -12,7 +12,7 @@
 //! `record_replay` example.
 
 use execmig_cache::{LruStack, StackProfile};
-use execmig_core::{Splitter4, Splitter4Config};
+use execmig_core::{ControllerConfig, MigrationController};
 use execmig_experiments::l1filter::L1Filter;
 use execmig_experiments::manifest::ManifestEmitter;
 use execmig_experiments::report::{arg_flag, fmt_ratio};
@@ -58,15 +58,15 @@ fn main() {
     let mut profile1 = StackProfile::new(512 << 10);
     let mut stacks4: Vec<LruStack> = (0..4).map(|_| LruStack::new()).collect();
     let mut profile4 = StackProfile::new(512 << 10);
-    let mut splitter = Splitter4::new(Splitter4Config::default());
+    let mut controller = MigrationController::new(ControllerConfig::paper_stack_profile());
     let mut accesses = 0u64;
     while !reader.is_finished() {
         let access = reader.next_access();
         accesses += 1;
         if let Some(miss) = filter.filter(access) {
             profile1.record(stack1.access(miss.raw()));
-            let q = splitter.on_reference(miss.raw());
-            profile4.record(stacks4[q.index()].access(miss.raw()));
+            let core = controller.on_request(miss.raw(), true);
+            profile4.record(stacks4[core].access(miss.raw()));
         }
     }
     let instructions = reader.instructions();
@@ -115,7 +115,10 @@ fn main() {
             .field("instructions", instructions)
             .field("accesses", accesses)
             .field("profile", Json::Arr(points))
-            .field("transition_rate", splitter.stats().transition_rate())
+            .field(
+                "transition_rate",
+                controller.splitter_stats().transition_rate(),
+            )
             .field("l2_miss_ratio", ratio)
             .field("migrations", mig.migrations)
             .field("break_even_pmig", break_even);
@@ -141,7 +144,7 @@ fn main() {
     }
     println!(
         "transition rate: {:.4} per stack access",
-        splitter.stats().transition_rate()
+        controller.splitter_stats().transition_rate()
     );
     println!("\nmachine comparison (64 B lines, 16 KB L1s, 512 KB L2s):");
     println!(

@@ -3,10 +3,10 @@
 //! "We have shown that this method works on 4-core configurations.
 //! However, it works also on 2-core configurations, and we believe it
 //! is possible to adapt it to a larger number of cores." This
-//! experiment sweeps 1/2/4/8 cores (8-way splitting uses the third
-//! recursion level of
-//! [`SplitterTree`](execmig_core::SplitterTree)) and reports the
-//! L2-miss ratio versus the single-core baseline.
+//! experiment sweeps 1/2/4/8 cores, one to three levels of the
+//! controller's [`SplitterTree`](execmig_core::SplitterTree), all under
+//! the §4.2 controller settings (25 % sampling included), and reports
+//! the L2-miss ratio versus the single-core baseline.
 
 use execmig_core::{ControllerConfig, SplitWays};
 use execmig_machine::{Machine, MachineConfig};
@@ -115,14 +115,15 @@ mod tests {
 
     #[test]
     fn split_degree_must_make_subsets_fit() {
-        // art's 1.5 MB circular set: 2-way halves are 768 KB — still
-        // bigger than one 512 KB L2, so 2 cores give ~no benefit; the
-        // 4-way quarters (384 KB) fit, and the misses collapse.
+        // art's 1.5 MB circular set: 2-way halves are 768 KB, still
+        // bigger than one 512 KB L2, so 2 cores cut the misses by only
+        // about a fifth (0.79 at this budget); the 4-way quarters
+        // (384 KB) fit, and the misses collapse.
         let points = sweep("art", &[1, 2, 4], 15_000_000);
         assert!((points[0].ratio - 1.0).abs() < 1e-9);
         assert!(
-            (0.85..=1.1).contains(&points[1].ratio),
-            "2-core ratio {} — halves should still thrash",
+            (0.7..=0.9).contains(&points[1].ratio),
+            "2-core ratio {} — halves should only partly fit",
             points[1].ratio
         );
         assert!(

@@ -3,15 +3,16 @@
 //!
 //! The L1-filtered reference stream feeds (a) a single LRU stack, giving
 //! `p1(x)` — the fraction of references with stack depth greater than a
-//! cache of `x` bytes — and (b) the 4-way affinity splitter of §3.6
-//! (`|R_X|`=128, `|R_Y|`=64, 20-bit filters, unlimited affinity cache,
+//! cache of `x` bytes — and (b) the §4.1 migration controller
+//! (`ControllerConfig::paper_stack_profile`: 4-way splitting,
+//! `|R_X|`=128, `|R_Y|`=64, 20-bit filters, unlimited affinity cache,
 //! no L2 filtering), which routes each reference to one of four stacks,
 //! giving the merged `p4(x)`. "Splittability" shows as `p4` dropping
 //! well before `p1`.
 
 use crate::l1filter::L1Filter;
 use execmig_cache::{LruStack, StackProfile};
-use execmig_core::{Splitter4, Splitter4Config};
+use execmig_core::{ControllerConfig, MigrationController};
 use execmig_trace::{suite, LineSize, Workload};
 
 /// Maximum stack depth tracked exactly (lines). 512k lines = 32 MB,
@@ -95,12 +96,12 @@ pub fn run_benchmark(name: &str, config: &Fig45Config) -> Fig45Row {
 pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Config) -> Fig45Row {
     let line = LineSize::new(config.line_bytes).expect("valid line size");
     let mut filter = L1Filter::paper(line);
-    // p1: one stack. p4: four stacks fed by the 4-way splitter.
+    // p1: one stack. p4: four stacks fed by the §4.1 4-way controller.
     let mut stack1 = LruStack::new();
     let mut profile1 = StackProfile::new(MAX_DEPTH);
     let mut stacks4: Vec<LruStack> = (0..4).map(|_| LruStack::new()).collect();
     let mut profile4 = StackProfile::new(MAX_DEPTH);
-    let mut splitter = Splitter4::new(Splitter4Config::default());
+    let mut controller = MigrationController::new(ControllerConfig::paper_stack_profile());
     let mut references = 0u64;
     while w.instructions() < config.instructions {
         let access = w.next_access();
@@ -110,10 +111,10 @@ pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Con
         references += 1;
         profile1.record(stack1.access(miss_line.raw()));
         // §4.1: "The address of each cache line missing the L1 is sent
-        // to only one of the four LRU stacks" — the quadrant designated
+        // to only one of the four LRU stacks" — the subset designated
         // *after* processing the reference.
-        let q = splitter.on_reference(miss_line.raw());
-        profile4.record(stacks4[q.index()].access(miss_line.raw()));
+        let core = controller.on_request(miss_line.raw(), true);
+        profile4.record(stacks4[core].access(miss_line.raw()));
     }
     let points: Vec<(u64, f64, f64)> = config
         .points_bytes
@@ -140,7 +141,7 @@ pub fn run_workload(name: &str, w: &mut (dyn Workload + Send), config: &Fig45Con
         name: name.to_string(),
         references,
         points,
-        transition_rate: splitter.stats().transition_rate(),
+        transition_rate: controller.splitter_stats().transition_rate(),
         split_gain,
         split_gain_max,
     }

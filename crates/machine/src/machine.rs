@@ -595,7 +595,7 @@ impl Machine {
                     t.misses,
                     mc.filter_value(),
                     mc.ar(),
-                    mc.current_subset() as u8,
+                    mc.current_core() as u8,
                 )
             }
             None => (0, 0, 0, 0, 0, self.active as u8),

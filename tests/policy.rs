@@ -26,7 +26,7 @@ const LAYERS: &[(&str, &str)] = &[
 /// The hot path (E004, E005), as `crate/file` under `crates/*/src`: the
 /// Fig 2 datapath, the splitters and the cache probes.
 const HOT: &str = "core/sat core/window core/filter core/table core/mechanism \
-                   core/splitter2 core/splitter4 core/tree cache/cache cache/fully_assoc";
+                   core/splitter2 core/tree cache/cache cache/fully_assoc";
 
 /// Reads a file, relative to the repository root; a missing file fails.
 fn read(path: impl AsRef<Path>) -> String {
