@@ -3,7 +3,7 @@
 use execmig_cache::{Cache, Probe};
 use execmig_core::MigrationController;
 use execmig_obs::{
-    wall, EventKind, EventRing, Family, Histogram, ProfileConfig, ProfileCumulative, Profiler,
+    wall, EventKind, EventRing, Family, Histogram, ProfileConfig, ProfileRecord, Profiler,
     Registry, TraceEvent,
 };
 use execmig_trace::{AccessKind, LineAddr, LineSize, Workload, WorkloadEvent};
@@ -20,6 +20,57 @@ pub const MAX_CORES: usize = 8;
 
 // The profiler's residency array must hold every core's counter.
 const _: () = assert!(MAX_CORES == execmig_obs::profile::PROFILE_MAX_CORES);
+
+/// Reads one profiled counter's cumulative count off a machine.
+type ReadCount = fn(&Machine) -> u64;
+
+/// The profiled counters, in profile JSON order, each with its
+/// cumulative count. This is the one list of what the interval
+/// profiler records: every [`ProfileRecord`] a machine builds counts
+/// under these names, and adding a counter is one entry here.
+const PROFILED: &[(&str, ReadCount)] = &[
+    ("il1_misses", |m| m.stats.il1_misses),
+    ("dl1_misses", |m| m.stats.dl1_misses),
+    ("l2_misses", |m| m.stats.l2_misses),
+    ("l3_misses", |m| m.stats.l3_misses),
+    ("migrations", |m| m.stats.migrations),
+    // Transition-filter sign flips (splitter transitions).
+    ("flips", |m| {
+        m.controller
+            .as_ref()
+            .map_or(0, |mc| mc.splitter_stats().transitions)
+    }),
+    ("affinity_hits", |m| {
+        m.controller.as_ref().map_or(0, |mc| mc.table_stats().hits)
+    }),
+    ("affinity_misses", |m| {
+        m.controller
+            .as_ref()
+            .map_or(0, |mc| mc.table_stats().misses)
+    }),
+    // Total bus traffic: the architectural update bus plus any protocol
+    // coherence transactions (0 under migration mode, so its profiles
+    // are unchanged by the protocol seam).
+    ("bus_bytes", |m| {
+        m.stats.bus.update_bus_bytes() + m.stats.coherence_bus_bytes
+    }),
+    ("invalidations", |m| m.stats.invalidations),
+    ("coherence_updates", |m| m.stats.coherence_updates),
+];
+
+/// [`PROFILED`]'s names: the list a machine's records carry.
+const PROFILED_NAMES: &[&str] = &{
+    let mut names = [""; PROFILED.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PROFILED[i].0;
+        i += 1;
+    }
+    names
+};
+
+// A record must hold every profiled counter.
+const _: () = assert!(PROFILED.len() <= execmig_obs::profile::PROFILE_MAX_COUNTERS);
 
 /// The multi-core machine in migration mode.
 ///
@@ -247,9 +298,10 @@ impl Machine {
     /// The machine's metrics as a named registry: every
     /// [`MachineStats::counters`] entry plus `bus_update_bytes`,
     /// per-core occupancy counters, the migration inter-arrival /
-    /// filter-dwell / affinity-age histograms, and controller gauges.
-    /// Registry snapshots delta cleanly across windows (see
-    /// `execmig_obs::Registry`).
+    /// filter-dwell / affinity-age histograms, and controller gauges,
+    /// all cumulative. Per-interval deltas come from the profiler
+    /// ([`attach_recorders`](Self::attach_recorders)) or from
+    /// differences of [`profile_cumulative`](Self::profile_cumulative).
     pub fn metrics(&self) -> Registry {
         let mut r = Registry::new();
         for (name, v) in self.stats.counters() {
@@ -581,47 +633,27 @@ impl Machine {
         self.l2_write(line, !dl1_hit);
     }
 
-    /// The machine's counters as one cumulative profiling snapshot
-    /// (the profiler differences consecutive snapshots into
-    /// [`execmig_obs::ProfileRecord`] intervals).
-    pub fn profile_cumulative(&self) -> ProfileCumulative {
-        let s = &self.stats;
-        let (flips, aff_hits, aff_misses, f_value, a_r, subset) = match &self.controller {
-            Some(mc) => {
-                let t = mc.table_stats();
-                (
-                    mc.splitter_stats().transitions,
-                    t.hits,
-                    t.misses,
-                    mc.filter_value(),
-                    mc.ar(),
-                    mc.current_core() as u8,
-                )
-            }
-            None => (0, 0, 0, 0, 0, self.active as u8),
-        };
-        ProfileCumulative {
-            instructions: s.instructions,
-            il1_misses: s.il1_misses,
-            dl1_misses: s.dl1_misses,
-            l2_misses: s.l2_misses,
-            l3_misses: s.l3_misses,
-            migrations: s.migrations,
-            flips,
-            affinity_hits: aff_hits,
-            affinity_misses: aff_misses,
-            // Total bus traffic: the architectural update bus plus any
-            // protocol coherence transactions (0 under migration mode,
-            // so its profiles are unchanged by the protocol seam).
-            bus_bytes: s.bus.update_bus_bytes() + s.coherence_bus_bytes,
-            invalidations: s.invalidations,
-            coherence_updates: s.coherence_updates,
-            residency: self.core_instructions,
-            f_value,
-            a_r,
-            active_core: self.active as u8,
-            subset,
+    /// The machine's profiled counters as one record over `[0, now)`:
+    /// each [`PROFILED`] count, the instructions each core retired, and
+    /// the active core and the controller's `F`, `A_R` and subset now.
+    /// The profiler subtracts consecutive snapshots into interval
+    /// records.
+    pub fn profile_cumulative(&self) -> ProfileRecord {
+        let mut counts = [0; PROFILED.len()];
+        for (count, (_, read)) in counts.iter_mut().zip(PROFILED) {
+            *count = read(self);
         }
+        let mut record = ProfileRecord::new(PROFILED_NAMES, &counts);
+        record.end = self.stats.instructions;
+        record.residency = self.core_instructions;
+        record.active_core = self.active as u8;
+        record.subset = self.active as u8;
+        if let Some(mc) = &self.controller {
+            record.f_value = mc.filter_value();
+            record.a_r = mc.ar();
+            record.subset = mc.current_core() as u8;
+        }
+        record
     }
 
     /// Runs the machine-level invariant checks (I105–I107, see the
@@ -857,7 +889,6 @@ mod tests {
     use super::*;
     use crate::config::CacheGeometry;
     use execmig_cache::Indexing;
-    use execmig_obs::ProfileRecord;
     use execmig_trace::gen::CircularWorkload;
     use execmig_trace::suite;
 
@@ -1139,12 +1170,10 @@ mod tests {
         }
     }
 
-    /// `ProfileRecord` is written out by hand in obs, which cannot see
-    /// machine types: every field it shares with `counters()` by name
-    /// must carry the same count.
+    /// Every profiled counter that shares a name with `counters()`
+    /// carries the same count.
     #[test]
     fn profiled_counters_match_machine_stats_by_name() {
-        use execmig_obs::{Json, ToJson};
         for protocol in Protocol::ALL {
             let mut m = Machine::new(MachineConfig {
                 protocol,
@@ -1153,16 +1182,13 @@ mod tests {
             m.attach_recorders(ProfileConfig::default());
             let mut w = suite::by_name("em3d").unwrap();
             m.run(&mut *w, 1_000_000);
-            let record =
-                ProfileRecord::between(&ProfileCumulative::default(), &m.profile_cumulative());
-            let Json::Obj(fields) = record.to_json() else {
-                panic!("a ProfileRecord renders as a JSON object");
-            };
+            let record = m.profile_cumulative();
+            assert_eq!(record.names(), PROFILED_NAMES);
             let counters = m.stats().counters();
             let mut shared = Vec::new();
-            for (key, value) in &fields {
-                if let Some(&(name, v)) = counters.iter().find(|(n, _)| n == key) {
-                    assert_eq!(*value, Json::UInt(v), "{protocol:?} {name}");
+            for (name, count) in record.counters() {
+                if let Some(&(_, v)) = counters.iter().find(|(n, _)| *n == name) {
+                    assert_eq!(count, v, "{protocol:?} {name}");
                     shared.push(name);
                 }
             }
@@ -1224,9 +1250,9 @@ mod tests {
         let mut w = suite::by_name("art").unwrap();
         m.run(&mut *w, 2_000_000);
         let snap = m.profile_cumulative();
-        assert_eq!(snap.instructions, m.stats().instructions);
-        assert_eq!(snap.l2_misses, m.stats().l2_misses);
-        assert_eq!(snap.residency.iter().sum::<u64>(), snap.instructions);
+        assert_eq!((snap.start, snap.end), (0, m.stats().instructions));
+        assert_eq!(snap["l2_misses"], m.stats().l2_misses);
+        assert_eq!(snap.residency.iter().sum::<u64>(), snap.end);
         let recs = m.profiler().expect("attached").records();
         assert!(recs.len() >= 2_000_000 / (64 << 10) - 1, "{}", recs.len());
         // Intervals tile the run from instruction 0.
@@ -1236,9 +1262,9 @@ mod tests {
         }
         // Interval counters sum to (at most) the cumulative totals;
         // the tail past the last boundary is not yet recorded.
-        let l2: u64 = recs.iter().map(|r| r.l2_misses).sum();
+        let l2: u64 = recs.iter().map(|r| r["l2_misses"]).sum();
         assert!(l2 <= m.stats().l2_misses);
-        let migrations: u64 = recs.iter().map(|r| r.migrations).sum();
+        let migrations: u64 = recs.iter().map(|r| r["migrations"]).sum();
         assert!(migrations <= m.stats().migrations);
         assert!(migrations > 0, "art must migrate within profiled span");
     }
@@ -1357,8 +1383,8 @@ mod tests {
     ) -> Vec<ProfileRecord> {
         let mut prev = m.profile_cumulative();
         let mut records = Vec::new();
-        while prev.instructions < total {
-            m.run(workload, (prev.instructions + window).min(total));
+        while prev.end < total {
+            m.run(workload, (prev.end + window).min(total));
             let now = m.profile_cumulative();
             records.push(ProfileRecord::between(&prev, &now));
             prev = now;
@@ -1374,8 +1400,8 @@ mod tests {
         let mut m = Machine::new(MachineConfig::four_core_migration());
         let mut w = suite::by_name("art").unwrap();
         let records = windows(&mut m, &mut *w, 20_000_000, 1_000_000);
-        let early = records[0].l2_misses;
-        let late = records.last().unwrap().l2_misses;
+        let early = records[0]["l2_misses"];
+        let late = records.last().unwrap()["l2_misses"];
         assert!(
             late * 4 < early,
             "no learning visible: early {early}, late {late}"

@@ -240,46 +240,57 @@ pub fn render_machine_trace(
 
     // Counter tracks: one sample per profile interval, stamped at the
     // interval start (a counter holds its value until the next sample).
+    // Each track reads its counters by name; a name the profile does
+    // not count panics instead of drawing zeros.
     for r in records {
         let kinstr = r.len_instructions().max(1) as f64 / 1000.0;
         t.counter(
             "miss density (per kinstr)",
             r.start,
             &[
-                ("l1", (r.il1_misses + r.dl1_misses) as f64 / kinstr),
-                ("l2", r.l2_misses as f64 / kinstr),
-                ("l3", r.l3_misses as f64 / kinstr),
+                ("l1", (r["il1_misses"] + r["dl1_misses"]) as f64 / kinstr),
+                ("l2", r["l2_misses"] as f64 / kinstr),
+                ("l3", r["l3_misses"] as f64 / kinstr),
             ],
         );
         t.counter(
             "migrations/interval",
             r.start,
             &[
-                ("migrations", r.migrations as f64),
-                ("flips", r.flips as f64),
+                ("migrations", r["migrations"] as f64),
+                ("flips", r["flips"] as f64),
             ],
         );
         t.counter("F", r.start, &[("F", r.f_value as f64)]);
         t.counter("A_R", r.start, &[("A_R", r.a_r as f64)]);
+        let (hits, reads) = (
+            r["affinity_hits"],
+            r["affinity_hits"] + r["affinity_misses"],
+        );
+        let hit_rate = if reads == 0 {
+            0.0
+        } else {
+            hits as f64 / reads as f64
+        };
         t.counter(
             "affinity-cache hit rate",
             r.start,
-            &[("hit_rate", r.affinity_hit_rate())],
+            &[("hit_rate", hit_rate)],
         );
         t.counter(
             "bus bytes/instr",
             r.start,
             &[(
                 "bytes",
-                r.bus_bytes as f64 / r.len_instructions().max(1) as f64,
+                r["bus_bytes"] as f64 / r.len_instructions().max(1) as f64,
             )],
         );
         t.counter(
             "coherence (per kinstr)",
             r.start,
             &[
-                ("invalidations", r.invalidations as f64 / kinstr),
-                ("updates", r.coherence_updates as f64 / kinstr),
+                ("invalidations", r["invalidations"] as f64 / kinstr),
+                ("updates", r["coherence_updates"] as f64 / kinstr),
             ],
         );
         let residency: Vec<(String, f64)> = r
@@ -351,32 +362,39 @@ pub fn merge_traces(a: Json, b: Json) -> Json {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::profile::PROFILE_MAX_CORES;
     use crate::wall::Family;
 
+    /// The counters the tracks draw, under the machine's names.
+    const COUNTERS: &[&str] = &[
+        "il1_misses",
+        "dl1_misses",
+        "l2_misses",
+        "l3_misses",
+        "migrations",
+        "flips",
+        "affinity_hits",
+        "affinity_misses",
+        "bus_bytes",
+        "invalidations",
+        "coherence_updates",
+    ];
+
+    /// A record over `[start, end)` on `core` with `l2` L2 misses and
+    /// every other counter at 1.
     fn record(start: u64, end: u64, l2: u64, core: u8) -> ProfileRecord {
-        let mut residency = [0u64; PROFILE_MAX_CORES];
-        residency[core as usize] = end - start;
-        ProfileRecord {
-            start,
-            end,
-            il1_misses: 1,
-            dl1_misses: 2,
-            l2_misses: l2,
-            l3_misses: 0,
-            migrations: 1,
-            flips: 2,
-            affinity_hits: 3,
-            affinity_misses: 1,
-            bus_bytes: 4096,
-            invalidations: 0,
-            coherence_updates: 0,
-            residency,
-            f_value: -5,
-            a_r: 17,
-            active_core: core,
-            subset: core,
-        }
+        let counts: Vec<u64> = COUNTERS
+            .iter()
+            .map(|&name| if name == "l2_misses" { l2 } else { 1 })
+            .collect();
+        let mut r = ProfileRecord::new(COUNTERS, &counts);
+        r.start = start;
+        r.end = end;
+        r.residency[core as usize] = end - start;
+        r.f_value = -5;
+        r.a_r = 17;
+        r.active_core = core;
+        r.subset = core;
+        r
     }
 
     fn events_of(doc: &Json) -> &[Json] {
@@ -540,6 +558,16 @@ mod tests {
             .collect();
         assert!(pids.contains(&PID) && pids.contains(&WALL_PID));
         assert!(json::parse(&merged.pretty()).is_ok());
+    }
+
+    /// A track whose counter the profile lacks fails loudly instead of
+    /// drawing a zero line.
+    #[test]
+    #[should_panic(expected = "no profiled counter \"coherence_updates\"")]
+    fn a_track_without_its_counter_panics() {
+        let names = &COUNTERS[..COUNTERS.len() - 1];
+        let r = ProfileRecord::new(names, &vec![0; names.len()]);
+        render_machine_trace(&[r], &[], 1, 0);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Observability layer for the execution-migration workspace.
 //!
-//! Seven pieces, all dependency-free:
+//! Six pieces, all dependency-free:
 //!
 //! - [`ring`]: the fixed-capacity [`EventRing`] of typed events
 //!   ([`EventKind`]) with monotonic instruction timestamps — migrations,
 //!   transition-filter flips, affinity-cache misses, L2 misses, bus
 //!   broadcasts.
 //! - [`metrics`]: named counters/gauges/log-2 [`Histogram`]s in a
-//!   [`Registry`] with snapshot/delta semantics.
+//!   [`Registry`].
 //! - [`export`]: JSON, CSV, and Prometheus text exposition.
-//! - [`manifest`]: a [`RunManifest`] JSON artefact per experiment run.
 //! - [`profile`]: an interval [`Profiler`] attributing
 //!   misses/migrations/`F` dynamics to fixed instruction windows
 //!   ([`ProfileRecord`]), with pair-merge decimation so long runs stay
@@ -36,7 +35,6 @@ pub mod chrome;
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod manifest;
 pub mod metrics;
 pub mod profile;
 pub mod ring;
@@ -46,9 +44,8 @@ pub use chrome::{merge_traces, render_wall_trace, ChromeTraceBuilder};
 pub use event::{EventKind, TraceEvent};
 pub use export::{escape_label_value, to_csv, to_prometheus, PromKind, PromWriter};
 pub use json::{Json, JsonParseError, ToJson};
-pub use manifest::{RunManifest, Stopwatch};
 pub use metrics::{Histogram, MetricValue, Registry};
-pub use profile::{ProfileConfig, ProfileCumulative, ProfileRecord, Profiler};
+pub use profile::{ProfileConfig, ProfileRecord, Profiler};
 pub use ring::EventRing;
 pub use wall::{
     Family, FamilyStats, RetainedSpan, ScopedSpan, StackCount, Wall, WallOverhead, WallSnapshot,

@@ -1,5 +1,6 @@
-//! Metrics: counters, gauges, log-2 histograms, and a named registry
-//! with snapshot/delta semantics.
+//! Metrics: counters, gauges, log-2 histograms, and a named registry.
+//! Interval deltas come from the interval profiler
+//! ([`crate::profile`]), not from here.
 //!
 //! Histograms are power-of-two bucketed — the natural shape for the
 //! quantities this repo cares about (migration inter-arrival distance,
@@ -135,39 +136,6 @@ impl Histogram {
         self.max
     }
 
-    /// Samples recorded since `earlier` (per-bucket subtraction).
-    /// `earlier` must be a previous snapshot of this histogram.
-    pub fn delta_since(&self, earlier: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        for i in 0..BUCKETS {
-            out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        out.count = self.count.saturating_sub(earlier.count);
-        out.sum = self.sum.saturating_sub(earlier.sum);
-        // min/max of the delta window are not recoverable from
-        // snapshots; keep the conservative envelope.
-        out.min = self.min;
-        out.max = self.max;
-        if out.count == 0 {
-            out.min = u64::MAX;
-            out.max = 0;
-        }
-        out
-    }
-
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            self.counts[i] += other.counts[i];
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// A compact ASCII rendering: one line per non-empty bucket with a
     /// proportional bar. Used by `obs_report`.
     pub fn render(&self, width: usize) -> String {
@@ -213,12 +181,7 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-/// A named collection of metrics.
-///
-/// A `Registry` is cheap to clone; a clone *is* a snapshot, and
-/// [`delta_since`](Registry::delta_since) subtracts one snapshot from a
-/// later one (counters and histogram buckets subtract; gauges keep the
-/// later value).
+/// A named collection of metrics, in registration order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     metrics: Vec<(String, MetricValue)>,
@@ -278,32 +241,6 @@ impl Registry {
             Some(MetricValue::Counter(v)) => Some(*v),
             _ => None,
         }
-    }
-
-    /// A point-in-time copy (registries are plain data, so this is just
-    /// a clone — named for intent at call sites).
-    pub fn snapshot(&self) -> Registry {
-        self.clone()
-    }
-
-    /// The change since `earlier`: counters and histograms subtract,
-    /// gauges keep `self`'s value, metrics absent from `earlier` pass
-    /// through unchanged.
-    pub fn delta_since(&self, earlier: &Registry) -> Registry {
-        let mut out = Registry::new();
-        for (name, value) in &self.metrics {
-            let delta = match (value, earlier.get(name)) {
-                (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                    MetricValue::Counter(now.saturating_sub(*then))
-                }
-                (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                    MetricValue::Histogram(now.delta_since(then))
-                }
-                (v, _) => v.clone(),
-            };
-            out.metrics.push((name.clone(), delta));
-        }
-        out
     }
 }
 
@@ -401,6 +338,7 @@ mod tests {
         assert_eq!(sat.quantile(0.0), u64::MAX - 1);
         assert_eq!(sat.quantile(1.0), u64::MAX);
         assert_eq!(sat.max(), u64::MAX);
+        assert_eq!(sat.sum(), u64::MAX, "sum saturates");
     }
 
     #[test]
@@ -429,123 +367,6 @@ mod tests {
         );
         assert_eq!(h.quantile(0.0), 100, "q<=0 is the exact minimum");
         assert_eq!(h.quantile(-1.0), 100);
-    }
-
-    #[test]
-    fn tail_quantiles_survive_merge_and_delta() {
-        // A per-thread histogram merged into the aggregate (the wall
-        // snapshot path): the merged p999 must see the other side's
-        // outlier and clamp to the merged maximum.
-        let mut agg = Histogram::new();
-        for v in [100, 110, 120] {
-            agg.observe(v);
-        }
-        let before = agg.clone();
-        let mut incoming = Histogram::new();
-        incoming.observe(90);
-        incoming.observe(8_000);
-        agg.merge(&incoming);
-        assert_eq!(agg.count(), 5);
-        assert_eq!(
-            agg.quantile(0.999),
-            8_000,
-            "merged tail clamps to merged max"
-        );
-        assert_eq!(agg.quantile(0.0), 90, "merged min adopts the smaller side");
-        // The delta window since the pre-merge snapshot holds exactly
-        // the merged-in samples; its p999 still reads the outlier
-        // (the envelope is conservative: delta max is self's max).
-        let d = agg.delta_since(&before);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.quantile(0.999), 8_000);
-        // And an empty delta yields zero quantiles at every q.
-        let e = agg.delta_since(&agg.clone());
-        assert!(e.is_empty());
-        assert_eq!(e.quantile(0.999), 0);
-    }
-
-    #[test]
-    fn merge_and_delta_edge_cases() {
-        // Merging an empty histogram changes nothing, including the
-        // min/max envelope.
-        let mut a = Histogram::new();
-        a.observe(42);
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-        // Merging *into* an empty histogram adopts the other envelope.
-        let mut fresh = Histogram::new();
-        fresh.merge(&before);
-        assert_eq!(fresh.min(), 42);
-        assert_eq!(fresh.max(), 42);
-        // Delta against itself is empty with a reset envelope.
-        let d = a.delta_since(&a.clone());
-        assert!(d.is_empty());
-        assert_eq!(d.min(), 0);
-        assert_eq!(d.max(), 0);
-        assert_eq!(d.quantile(0.0), 0);
-        // Saturated-sum histograms subtract without underflow.
-        let mut big = Histogram::new();
-        big.observe(u64::MAX);
-        big.observe(u64::MAX);
-        assert_eq!(big.sum(), u64::MAX, "sum saturates");
-        let d = big.delta_since(&before);
-        assert_eq!(d.count(), 1, "counts still subtract");
-    }
-
-    #[test]
-    fn delta_subtracts_buckets() {
-        let mut h = Histogram::new();
-        h.observe(4);
-        h.observe(9);
-        let snap = h.clone();
-        h.observe(9);
-        h.observe(300);
-        let d = h.delta_since(&snap);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 309);
-        assert_eq!(d.bucket_counts()[4], 1); // the new 9
-        assert_eq!(d.bucket_counts()[9], 1); // 300
-        assert_eq!(d.bucket_counts()[3], 0); // 4 was before the snapshot
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = Histogram::new();
-        a.observe(1);
-        let mut b = Histogram::new();
-        b.observe(64);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 64);
-        assert_eq!(a.min(), 1);
-    }
-
-    #[test]
-    fn registry_snapshot_delta() {
-        let mut r = Registry::new();
-        r.counter("migrations", 10);
-        r.gauge("miss_rate", 0.5);
-        let mut h = Histogram::new();
-        h.observe(3);
-        r.histogram("dwell", &h);
-
-        let snap = r.snapshot();
-        r.counter("migrations", 25);
-        r.gauge("miss_rate", 0.25);
-        h.observe(7);
-        r.histogram("dwell", &h);
-
-        let d = r.delta_since(&snap);
-        assert_eq!(d.counter_value("migrations"), Some(15));
-        assert_eq!(d.get("miss_rate"), Some(&MetricValue::Gauge(0.25)));
-        match d.get("dwell") {
-            Some(MetricValue::Histogram(dh)) => {
-                assert_eq!(dh.count(), 1);
-                assert_eq!(dh.sum(), 7);
-            }
-            other => panic!("dwell delta {other:?}"),
-        }
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Aggregate counters say *how much*; the profiler says *when*. A
 //! [`Profiler`] slices a run into fixed instruction intervals (default
 //! [`DEFAULT_PERIOD`] = 64k instructions) and records one
-//! [`ProfileRecord`] per interval: misses by cache level, migrations,
-//! transition-filter sign flips, per-core residency, the filter value
-//! `F` and the `A_R` register at the interval boundary, affinity-cache
-//! hits/misses, and update-bus traffic. That is the §3.2–§3.6 story —
-//! affinity settling, `F` sign flips, migration bursts — as data an
-//! exporter (see [`crate::chrome`]) can draw.
+//! [`ProfileRecord`] per interval: the producer's named counters (for
+//! the machine: misses by cache level, migrations, transition-filter
+//! sign flips, affinity-cache hits/misses, bus and coherence traffic),
+//! per-core residency, and the filter value `F` and the `A_R` register
+//! at the interval boundary. That is the §3.2–§3.6 story — affinity
+//! settling, `F` sign flips, migration bursts — as data an exporter
+//! (see [`crate::chrome`]) can draw. The producer owns the counter
+//! list; obs names no counter itself.
 //!
 //! **Bounded memory.** Long runs must not grow the profile without
 //! limit, so the record buffer is bounded: when it reaches capacity,
@@ -56,79 +58,31 @@ impl Default for ProfileConfig {
 
 crate::impl_to_json!(ProfileConfig { period, capacity });
 
-/// Cumulative counters handed to [`Profiler::record_sample`]. The
-/// producer (the machine) fills this from its own statistics; the
-/// profiler subtracts consecutive snapshots into interval records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfileCumulative {
-    /// Retired instructions.
-    pub instructions: u64,
-    /// IL1 misses.
-    pub il1_misses: u64,
-    /// DL1 misses.
-    pub dl1_misses: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// L3 misses (memory accesses with a finite L3).
-    pub l3_misses: u64,
-    /// Controller-driven migrations.
-    pub migrations: u64,
-    /// Transition-filter sign flips (splitter transitions).
-    pub flips: u64,
-    /// Affinity-table reads that hit.
-    pub affinity_hits: u64,
-    /// Affinity-table reads that missed (forced `A_e = 0`).
-    pub affinity_misses: u64,
-    /// Bus bytes broadcast (update bus plus protocol coherence
-    /// traffic).
-    pub bus_bytes: u64,
-    /// Remote copies invalidated by the coherence protocol (MESI).
-    pub invalidations: u64,
-    /// Remote copies refreshed by coherence updates (Dragon `BusUpd`).
-    pub coherence_updates: u64,
-    /// Instructions executed per core.
-    pub residency: [u64; PROFILE_MAX_CORES],
-    /// Top-level transition-filter value `F` (point-in-time).
-    pub f_value: i64,
-    /// `A_R` register of the top-level mechanism (point-in-time).
-    pub a_r: i64,
-    /// Core executing now.
-    pub active_core: u8,
-    /// Working-set subset designated now.
-    pub subset: u8,
-}
+/// Upper bound on the counters one record holds. A fixed capacity
+/// keeps [`ProfileRecord`] `Copy`, with no allocation per record; the
+/// machine profiles 11 counters.
+pub const PROFILE_MAX_COUNTERS: usize = 16;
 
-/// One sampling interval's attribution record. Counter fields are
-/// deltas over `[start, end)`; `f_value`, `a_r`, `active_core`, and
-/// `subset` are the state at `end`.
+/// One sampling interval's attribution record: named counters as
+/// deltas over `[start, end)`, the instructions each core retired in
+/// it, and the state at `end` (`f_value`, `a_r`, `active_core`,
+/// `subset`).
+///
+/// The counters are the producer's: a record keeps the `&'static` name
+/// list it was built from (the machine's profiled-counter list) and one
+/// count per name, in the list's order, which is also the order of its
+/// JSON keys. [`counters`](Self::counters) walks them and indexing by
+/// name (`record["l2_misses"]`) reads one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileRecord {
     /// Instruction count at the interval start (inclusive).
     pub start: u64,
     /// Instruction count at the interval end (exclusive).
     pub end: u64,
-    /// IL1 misses in the interval.
-    pub il1_misses: u64,
-    /// DL1 misses in the interval.
-    pub dl1_misses: u64,
-    /// L2 misses in the interval.
-    pub l2_misses: u64,
-    /// L3 misses in the interval.
-    pub l3_misses: u64,
-    /// Migrations in the interval.
-    pub migrations: u64,
-    /// Transition-filter sign flips in the interval.
-    pub flips: u64,
-    /// Affinity-table hits in the interval.
-    pub affinity_hits: u64,
-    /// Affinity-table misses in the interval.
-    pub affinity_misses: u64,
-    /// Bus bytes in the interval (update bus plus coherence traffic).
-    pub bus_bytes: u64,
-    /// Coherence invalidations in the interval.
-    pub invalidations: u64,
-    /// Coherence updates in the interval.
-    pub coherence_updates: u64,
+    names: &'static [&'static str],
+    /// `counts[i]` is counter `names[i]`; the slots past the names
+    /// stay 0.
+    counts: [u64; PROFILE_MAX_COUNTERS],
     /// Instructions per core in the interval.
     pub residency: [u64; PROFILE_MAX_CORES],
     /// `F` at the interval end.
@@ -141,103 +95,121 @@ pub struct ProfileRecord {
     pub subset: u8,
 }
 
-crate::impl_to_json!(ProfileRecord {
-    start,
-    end,
-    il1_misses,
-    dl1_misses,
-    l2_misses,
-    l3_misses,
-    migrations,
-    flips,
-    affinity_hits,
-    affinity_misses,
-    bus_bytes,
-    invalidations,
-    coherence_updates,
-    residency,
-    f_value,
-    a_r,
-    active_core,
-    subset,
-});
-
 impl ProfileRecord {
-    /// The record covering `[prev, now)`.
-    pub fn between(prev: &ProfileCumulative, now: &ProfileCumulative) -> ProfileRecord {
-        let mut residency = [0u64; PROFILE_MAX_CORES];
-        for (slot, (a, b)) in residency
-            .iter_mut()
-            .zip(now.residency.iter().zip(prev.residency.iter()))
-        {
-            *slot = a - b;
+    /// A record over `[0, 0)` counting `counts[i]` under `names[i]`,
+    /// with no residency and zero state; the producer fills in the
+    /// rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` and `names` differ in length or hold more
+    /// than [`PROFILE_MAX_COUNTERS`] entries.
+    pub fn new(names: &'static [&'static str], counts: &[u64]) -> ProfileRecord {
+        assert!(
+            counts.len() == names.len() && names.len() <= PROFILE_MAX_COUNTERS,
+            "{} counts for {} counter names (at most {PROFILE_MAX_COUNTERS})",
+            counts.len(),
+            names.len()
+        );
+        let mut record = ProfileRecord {
+            start: 0,
+            end: 0,
+            names,
+            counts: [0; PROFILE_MAX_COUNTERS],
+            residency: [0; PROFILE_MAX_CORES],
+            f_value: 0,
+            a_r: 0,
+            active_core: 0,
+            subset: 0,
+        };
+        record.counts[..counts.len()].copy_from_slice(counts);
+        record
+    }
+
+    /// The counters' names, in order.
+    pub fn names(&self) -> &'static [&'static str] {
+        self.names
+    }
+
+    /// Each counter's name and count, in order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.names.iter().copied().zip(self.counts)
+    }
+
+    /// The counts and the residency: what [`between`](Self::between)
+    /// subtracts and [`absorb`](Self::absorb) adds.
+    fn tallies(&self) -> impl Iterator<Item = &u64> {
+        self.counts.iter().chain(&self.residency)
+    }
+
+    fn tallies_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.counts.iter_mut().chain(&mut self.residency)
+    }
+
+    /// The record covering `[prev.end, now.end)`: counters and
+    /// residency subtract, the state is `now`'s.
+    pub fn between(prev: &ProfileRecord, now: &ProfileRecord) -> ProfileRecord {
+        debug_assert_eq!(prev.names, now.names, "records over different counters");
+        let mut record = *now;
+        record.start = prev.end;
+        for (count, earlier) in record.tallies_mut().zip(prev.tallies()) {
+            *count -= earlier;
         }
-        ProfileRecord {
-            start: prev.instructions,
-            end: now.instructions,
-            il1_misses: now.il1_misses - prev.il1_misses,
-            dl1_misses: now.dl1_misses - prev.dl1_misses,
-            l2_misses: now.l2_misses - prev.l2_misses,
-            l3_misses: now.l3_misses - prev.l3_misses,
-            migrations: now.migrations - prev.migrations,
-            flips: now.flips - prev.flips,
-            affinity_hits: now.affinity_hits - prev.affinity_hits,
-            affinity_misses: now.affinity_misses - prev.affinity_misses,
-            bus_bytes: now.bus_bytes - prev.bus_bytes,
-            invalidations: now.invalidations - prev.invalidations,
-            coherence_updates: now.coherence_updates - prev.coherence_updates,
-            residency,
-            f_value: now.f_value,
-            a_r: now.a_r,
-            active_core: now.active_core,
-            subset: now.subset,
-        }
+        record
     }
 
     /// Folds the chronologically `later` record into `self`: counters
-    /// add, point-in-time fields take the later state. Used by
+    /// and residency add, the state is the later one's. Used by
     /// decimation.
     pub fn absorb(&mut self, later: &ProfileRecord) {
         debug_assert!(self.end <= later.start, "absorb out of order");
-        self.end = later.end;
-        self.il1_misses += later.il1_misses;
-        self.dl1_misses += later.dl1_misses;
-        self.l2_misses += later.l2_misses;
-        self.l3_misses += later.l3_misses;
-        self.migrations += later.migrations;
-        self.flips += later.flips;
-        self.affinity_hits += later.affinity_hits;
-        self.affinity_misses += later.affinity_misses;
-        self.bus_bytes += later.bus_bytes;
-        self.invalidations += later.invalidations;
-        self.coherence_updates += later.coherence_updates;
-        for (slot, v) in self.residency.iter_mut().zip(later.residency.iter()) {
-            *slot += v;
+        let earlier = std::mem::replace(self, *later);
+        self.start = earlier.start;
+        for (count, before) in self.tallies_mut().zip(earlier.tallies()) {
+            *count += before;
         }
-        self.f_value = later.f_value;
-        self.a_r = later.a_r;
-        self.active_core = later.active_core;
-        self.subset = later.subset;
     }
 
     /// Instructions the interval covers.
     pub fn len_instructions(&self) -> u64 {
         self.end - self.start
     }
+}
 
-    /// Affinity-cache hit rate in the interval (0 with no reads).
-    pub fn affinity_hit_rate(&self) -> f64 {
-        let reads = self.affinity_hits + self.affinity_misses;
-        if reads == 0 {
-            0.0
-        } else {
-            self.affinity_hits as f64 / reads as f64
+/// Reads counter `name`.
+///
+/// # Panics
+///
+/// Panics if the record has no counter `name`: a reader that asks for
+/// a counter the producer does not profile fails instead of reading 0.
+impl std::ops::Index<&str> for ProfileRecord {
+    type Output = u64;
+
+    fn index(&self, name: &str) -> &u64 {
+        match self.names.iter().position(|&n| n == name) {
+            Some(i) => &self.counts[i],
+            None => panic!(
+                "no profiled counter {name:?}; the record counts {:?}",
+                self.names
+            ),
         }
     }
+}
 
-    /// L2 misses per kilo-instruction in the interval.
-    pub fn l2_miss_density(&self) -> f64 {
-        self.l2_misses as f64 * 1000.0 / self.len_instructions().max(1) as f64
+/// `start`, `end`, one key per counter in order, then `residency`,
+/// `f_value`, `a_r`, `active_core` and `subset`.
+impl ToJson for ProfileRecord {
+    fn to_json(&self) -> Json {
+        let head = Json::object()
+            .field("start", self.start)
+            .field("end", self.end);
+        self.counters()
+            .fold(head, |json, (name, count)| json.field(name, count))
+            .field("residency", self.residency)
+            .field("f_value", self.f_value)
+            .field("a_r", self.a_r)
+            .field("active_core", self.active_core)
+            .field("subset", self.subset)
     }
 }
 
@@ -249,7 +221,9 @@ pub struct Profiler {
     period: u64,
     /// Instruction count at which the next sample is due.
     next_due: u64,
-    last: ProfileCumulative,
+    /// The snapshot the previous sample closed at; `None` before the
+    /// first.
+    last: Option<ProfileRecord>,
     records: Vec<ProfileRecord>,
     decimations: u32,
 }
@@ -270,7 +244,7 @@ impl Profiler {
             config,
             period: config.period,
             next_due: config.period,
-            last: ProfileCumulative::default(),
+            last: None,
             records: Vec::new(),
             decimations: 0,
         }
@@ -301,15 +275,20 @@ impl Profiler {
         self.next_due
     }
 
-    /// Closes the current interval at `now` (a cumulative snapshot the
-    /// caller assembles) and schedules the next boundary.
-    pub fn record_sample(&mut self, now: &ProfileCumulative) {
-        self.records.push(ProfileRecord::between(&self.last, now));
-        self.last = *now;
+    /// Closes the current interval at `now`, the producer's cumulative
+    /// snapshot over `[0, now.end)`, and schedules the next boundary.
+    /// The first interval is `now` itself; each later one is `now` less
+    /// the previous snapshot.
+    pub fn record_sample(&mut self, now: &ProfileRecord) {
+        let interval = self
+            .last
+            .map_or(*now, |last| ProfileRecord::between(&last, now));
+        self.records.push(interval);
+        self.last = Some(*now);
         if self.records.len() >= self.config.capacity {
             self.decimate();
         }
-        self.next_due = (now.instructions / self.period + 1) * self.period;
+        self.next_due = (now.end / self.period + 1) * self.period;
     }
 
     /// Pair-merge decimation: halve the record count, double the
@@ -377,16 +356,15 @@ impl Default for Profiler {
 mod tests {
     use super::*;
 
-    fn cum(instructions: u64, l2: u64, migrations: u64) -> ProfileCumulative {
-        let mut residency = [0u64; PROFILE_MAX_CORES];
-        residency[0] = instructions;
-        ProfileCumulative {
-            instructions,
-            l2_misses: l2,
-            migrations,
-            residency,
-            ..ProfileCumulative::default()
-        }
+    /// A test producer's counters.
+    const NAMES: &[&str] = &["l2_misses", "migrations"];
+
+    /// A snapshot over `[0, instructions)`, all of it on core 0.
+    fn cum(instructions: u64, l2: u64, migrations: u64) -> ProfileRecord {
+        let mut r = ProfileRecord::new(NAMES, &[l2, migrations]);
+        r.end = instructions;
+        r.residency[0] = instructions;
+        r
     }
 
     #[test]
@@ -396,8 +374,8 @@ mod tests {
         let r = ProfileRecord::between(&a, &b);
         assert_eq!(r.start, 100);
         assert_eq!(r.end, 250);
-        assert_eq!(r.l2_misses, 15);
-        assert_eq!(r.migrations, 2);
+        assert_eq!(r["l2_misses"], 15);
+        assert_eq!(r["migrations"], 2);
         assert_eq!(r.residency[0], 150);
         assert_eq!(r.len_instructions(), 150);
     }
@@ -412,21 +390,46 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.start, 0);
         assert_eq!(a.end, 200);
-        assert_eq!(a.l2_misses, 9);
-        assert_eq!(a.migrations, 1);
+        assert_eq!(a["l2_misses"], 9);
+        assert_eq!(a["migrations"], 1);
         assert_eq!(a.f_value, -7);
         assert_eq!(a.active_core, 3);
         assert_eq!(a.residency[0], 200);
     }
 
     #[test]
-    fn hit_rate_and_density() {
-        let mut r = ProfileRecord::between(&cum(0, 0, 0), &cum(1000, 50, 0));
-        assert_eq!(r.affinity_hit_rate(), 0.0, "no reads");
-        r.affinity_hits = 3;
-        r.affinity_misses = 1;
-        assert_eq!(r.affinity_hit_rate(), 0.75);
-        assert_eq!(r.l2_miss_density(), 50.0);
+    fn json_keys_follow_the_name_list() {
+        let Json::Obj(fields) = cum(10, 2, 1).to_json() else {
+            panic!("a record renders as a JSON object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "start",
+                "end",
+                "l2_misses",
+                "migrations",
+                "residency",
+                "f_value",
+                "a_r",
+                "active_core",
+                "subset"
+            ]
+        );
+        assert_eq!(fields[2].1, Json::UInt(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no profiled counter \"flips\"")]
+    fn an_unprofiled_counter_is_not_read_as_zero() {
+        let _ = cum(10, 2, 1)["flips"];
+    }
+
+    #[test]
+    #[should_panic(expected = "1 counts for 2 counter names")]
+    fn every_name_needs_a_count() {
+        let _ = ProfileRecord::new(NAMES, &[1]);
     }
 
     #[test]
@@ -460,7 +463,7 @@ mod tests {
         assert_eq!(p.effective_period(), 80);
         assert_eq!(p.records().len(), 2);
         // Total L2 misses survive decimation.
-        let total: u64 = p.records().iter().map(|r| r.l2_misses).sum();
+        let total: u64 = p.records().iter().map(|r| r["l2_misses"]).sum();
         assert_eq!(total, 8);
         // Intervals still tile the run.
         assert_eq!(p.records()[0].start, 0);

@@ -234,8 +234,8 @@ fn timeline_windows_match_their_recorded_digest() {
     let window = RECORDER_INSTR / TIMELINE_WINDOWS;
     let mut prev = m.profile_cumulative();
     let mut records = Vec::new();
-    while prev.instructions < RECORDER_INSTR {
-        m.run(&mut *w, (prev.instructions + window).min(RECORDER_INSTR));
+    while prev.end < RECORDER_INSTR {
+        m.run(&mut *w, (prev.end + window).min(RECORDER_INSTR));
         let now = m.profile_cumulative();
         records.push(ProfileRecord::between(&prev, &now));
         prev = now;
