@@ -263,10 +263,8 @@ pub fn render_machine_trace(
         );
         t.counter("F", r.start, &[("F", r.f_value as f64)]);
         t.counter("A_R", r.start, &[("A_R", r.a_r as f64)]);
-        let (hits, reads) = (
-            r["affinity_hits"],
-            r["affinity_hits"] + r["affinity_misses"],
-        );
+        let hits = r["affinity_hits"];
+        let reads = hits + r["affinity_misses"];
         let hit_rate = if reads == 0 {
             0.0
         } else {

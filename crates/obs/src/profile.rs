@@ -126,13 +126,8 @@ impl ProfileRecord {
         record
     }
 
-    /// The counters' names, in order.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
     /// Each counter's name and count, in order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
         self.names.iter().copied().zip(self.counts)
     }
 

@@ -13,11 +13,12 @@
 //! - [`machine`] — the 4-core machine model with migration-mode coherence
 //! - [`check`] — differential checking: a naive reference machine, a
 //!   lockstep differ, and a trace-shrinking fuzzer
-//! - [`experiments`] — runners that regenerate every table and figure
+//! - [`experiments`] — runners that regenerate every table and figure,
+//!   each binary writing a run manifest
 //! - [`obs`] — observability: an event ring and interval profiler
 //!   attached to a machine at run time, metrics
 //!   (counters/gauges/log-2 histograms), JSON/CSV/Prometheus exporters,
-//!   run manifests, and span timers
+//!   Chrome traces, and wall-clock spans
 //!
 //! # Quickstart
 //!
